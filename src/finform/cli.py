@@ -9,8 +9,8 @@ Commands:
 
 Group selectors: ``cyclic:n``, ``dihedral:n`` (order 2n), ``sym:n``,
 ``alt:n``, ``quaternion:8``, ``elab:p^k``, ``prod(a,b)``, ``trivial``, or
-``file:<path>``. Exit codes for verify: 0 pass, 1 conclusion failure,
-2 budget exhaustion, 3 bad configuration.
+``file:<path>``. Exit codes: 0 pass, 1 conclusion failure, 2 budget
+exhaustion, 3 bad configuration or input.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import construct
-from .errors import GroupError, UnknownFormation
+from . import construct, verify
+from .errors import GroupError, GroupFileError, UnknownFormation
 from .files import load_group_file
 from .formations import (
     SigmaPartition,
@@ -41,63 +40,15 @@ from .lattice import (
     frattini,
     normal_subgroups,
 )
-from .morphisms import DEFAULT_SEARCH_BUDGET
 from .subnormal import (
     is_f_subnormal,
     is_k_f_subnormal,
     is_sigma_subnormal,
     is_subnormal,
 )
-from .verify import (
-    DEFAULT_AUT_BUDGET,
-    catalog_generate,
-    run_all,
-    verify_holomorph_bound,
-    verify_lemma_suite,
-    verify_schenkman_classic,
-    verify_section3_corollaries,
-    verify_theorem_a,
-    verify_theorem_b,
-)
+from .verify import DEFAULT_AUT_BUDGET, catalog_generate, run_all
 
-CLAIMS = (
-    "theorem-a",
-    "theorem-b",
-    "schenkman",
-    "holomorph-bound",
-    "section3",
-    "lemmas",
-    "all",
-)
-
-
-@dataclass
-class Config:
-    """Validated settings for a verification run."""
-
-    claim: str = "all"
-    formation: str | None = None
-    sigma: SigmaPartition | None = None
-    max_order: int = 24
-    order_cap: int = DEFAULT_ORDER_CAP
-    search_budget: int = DEFAULT_SEARCH_BUDGET
-    lattice_budget: int = DEFAULT_LATTICE_BUDGET
-    inputs: tuple[str, ...] = ()
-    out_format: str = "text"
-
-    def validate(self) -> None:
-        if self.claim not in CLAIMS:
-            raise ValueError(f"unknown claim {self.claim!r}")
-        if self.max_order < 1 or self.order_cap < 1:
-            raise ValueError("max-order and order-cap must be positive")
-        if self.max_order > self.order_cap:
-            raise ValueError("max-order cannot exceed order-cap")
-        if self.search_budget < 1 or self.lattice_budget < 1:
-            raise ValueError("budgets must be positive")
-        if self.formation == "sigma-nilpotent" and self.sigma is None:
-            raise ValueError("--formation sigma-nilpotent requires --sigma")
-        if self.out_format not in ("text", "structured"):
-            raise ValueError(f"unknown output format {self.out_format!r}")
+CLAIMS = (*verify.CLAIMS, "all")
 
 
 def parse_selector(text: str, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
@@ -260,73 +211,26 @@ def cmd_subnormal(args) -> int:
     return 0
 
 
-def _select_formations(config: Config):
-    if config.formation:
-        return [formation_by_selector(config.formation, config.sigma)]
-    out = builtin_formations(config.sigma)
-    return out
-
-
 def cmd_verify(args) -> int:
-    config = Config(
-        claim=args.claim,
-        formation=args.formation,
-        sigma=SigmaPartition.parse(args.sigma) if args.sigma else None,
-        max_order=args.max_order,
-        order_cap=args.order_cap,
-        search_budget=args.budget,
-        lattice_budget=args.lattice_budget,
-        inputs=tuple(args.input or ()),
-        out_format=args.format,
-    )
-    config.validate()
-    catalog = catalog_generate(
-        config.max_order, files=config.inputs, order_cap=config.order_cap
-    )
-    formations = _select_formations(config)
-    sigma = config.sigma
-    reports = []
-    if config.claim == "theorem-b":
-        reports = [verify_theorem_b(catalog, F) for F in formations]
-    elif config.claim == "theorem-a":
-        reports = [
-            verify_theorem_a(catalog, F, config.lattice_budget)
-            for F in formations
-            if F.hereditary and F.saturated
-        ]
-    elif config.claim == "schenkman":
-        reports = [verify_schenkman_classic(catalog, config.lattice_budget)]
-    elif config.claim == "holomorph-bound":
-        reports = [
-            verify_holomorph_bound(catalog, F, config.search_budget)
-            for F in formations
-        ]
-    elif config.claim == "section3":
-        reports = verify_section3_corollaries(
-            catalog,
-            sigma if sigma is not None else SigmaPartition.singletons(),
-            config.lattice_budget,
-        )
-    elif config.claim == "lemmas":
-        reports = [
-            verify_lemma_suite(
-                catalog,
-                F,
-                sigma=sigma if F.name.startswith("sigma-nilpotent") else None,
-                lattice_budget=config.lattice_budget,
-            )
-            for F in formations
-        ]
+    sigma = SigmaPartition.parse(args.sigma) if args.sigma else None
+    if args.max_order < 1 or args.order_cap < 1:
+        raise ValueError("max-order and order-cap must be positive")
+    if args.max_order > args.order_cap:
+        raise ValueError("max-order cannot exceed order-cap")
+    if args.budget < 1 or args.lattice_budget < 1:
+        raise ValueError("budgets must be positive")
+    if args.formation == "sigma-nilpotent" and sigma is None:
+        raise ValueError("--formation sigma-nilpotent requires --sigma")
+    catalog = catalog_generate(args.max_order, files=tuple(args.input or ()),
+                               order_cap=args.order_cap)
+    if args.formation:
+        formations = [formation_by_selector(args.formation, sigma)]
     else:
-        reports = run_all(
-            catalog,
-            formations,
-            sigma=sigma,
-            lattice_budget=config.lattice_budget,
-            aut_budget=config.search_budget,
-        )
+        formations = builtin_formations(sigma)
+    sweeps = run_all if args.claim == "all" else verify.CLAIMS[args.claim]
+    reports = sweeps(catalog, formations, sigma, args.lattice_budget, args.budget)
 
-    if config.out_format == "structured":
+    if args.format == "structured":
         print(render_structured(reports, include_timing=args.timings))
     else:
         for r in reports:
@@ -428,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, UnknownFormation) as e:
+    except (ValueError, UnknownFormation, GroupFileError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except GroupError as e:

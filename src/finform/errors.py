@@ -7,35 +7,31 @@ class GroupError(Exception):
     """Base class for all engine errors."""
 
 
-class NotAGroup(GroupError):
+class _WitnessedError(GroupError):
+    """An error carrying the elements that show it, so it can be replayed."""
+
+    def __init__(self, message: str, witness: tuple | None = None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class NotAGroup(_WitnessedError):
     """A multiplication table violates a group axiom.
 
     ``witness`` carries the offending triple/pair/element so the failure
     can be replayed.
     """
 
-    def __init__(self, message: str, witness: tuple | None = None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class NotNormal(GroupError):
+class NotNormal(_WitnessedError):
     """A subgroup required to be normal is moved by conjugation.
 
     ``witness`` is a pair (g, x) with x in the subgroup and g^-1*x*g not.
     """
 
-    def __init__(self, message: str, witness: tuple | None = None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class NotCentralized(GroupError):
+class NotCentralized(_WitnessedError):
     """An element required to centralize a section moves one of its cosets."""
-
-    def __init__(self, message: str, witness: tuple | None = None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class OrderCapExceeded(GroupError):
@@ -63,7 +59,10 @@ class UnknownFormation(GroupError):
 
 
 class GroupFileError(GroupError):
-    """A group input file could not be parsed; carries the 1-based line number."""
+    """A group input file could not be read or parsed.
+
+    ``line`` is the 1-based line number of a parse error, else None.
+    """
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")

@@ -24,7 +24,6 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     """A permutation of 0..degree-1 from disjoint-cycle notation."""
     perm = list(range(degree))
-    stripped = re.sub(r"\s", "", text)
     if re.sub(_CYCLE_RE, "", text.replace(" ", "")) not in ("", "()"):
         raise ValueError(f"bad cycle notation {text!r}")
     moved: set[int] = set()
@@ -103,7 +102,11 @@ def parse_group_text(
 
 def load_group_file(path: str | Path, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
     p = Path(path)
-    return parse_group_text(p.read_text(), label=p.stem, order_cap=order_cap)
+    try:
+        text = p.read_text()
+    except OSError as e:
+        raise GroupFileError(f"cannot read {p}: {e.strerror or e}") from None
+    return parse_group_text(text, label=p.stem, order_cap=order_cap)
 
 
 def dump_group_table(G: Group) -> str:

@@ -23,6 +23,7 @@ from .errors import (
 from .groups import (
     Group,
     Subgroup,
+    _memo,
     centralizer,
     centralizer_of_section,
     derived_series,
@@ -110,23 +111,16 @@ class SigmaPartition:
 
 def is_nilpotent(G: Group) -> bool:
     """Lower central series reaches the trivial subgroup."""
-    if "nilpotent" not in G._cache:
-        G._cache["nilpotent"] = lower_central_series(G)[-1].order == 1
-    return G._cache["nilpotent"]
+    return _memo(G, "nilpotent", lambda: lower_central_series(G)[-1].order == 1)
 
 
 def is_soluble(G: Group) -> bool:
     """Derived series reaches the trivial subgroup."""
-    if "soluble" not in G._cache:
-        G._cache["soluble"] = derived_series(G)[-1].order == 1
-    return G._cache["soluble"]
+    return _memo(G, "soluble", lambda: derived_series(G)[-1].order == 1)
 
 
 def _class_ncl(G: Group, rep: int) -> Subgroup:
-    key = ("class_ncl", int(G.class_of()[rep]))
-    if key not in G._cache:
-        G._cache[key] = normal_closure(G, [rep])
-    return G._cache[key]
+    return _memo(G, ("class_ncl", int(G.class_of()[rep])), lambda: normal_closure(G, [rep]))
 
 
 def _some_minimal_normal(G: Group) -> Subgroup:
@@ -148,21 +142,18 @@ def _some_minimal_normal(G: Group) -> Subgroup:
 
 def is_supersoluble(G: Group) -> bool:
     """Every chief factor has prime order."""
-    if "supersoluble" in G._cache:
-        return G._cache["supersoluble"]
-    out = True
-    if not is_soluble(G):
-        out = False
-    else:
+    def compute():
+        if not is_soluble(G):
+            return False
         Q = G
         while Q.order > 1:
             M = _some_minimal_normal(Q)
             if not is_prime(M.order):
-                out = False
-                break
+                return False
             Q = quotient(Q, M)[0]
-    G._cache["supersoluble"] = out
-    return out
+        return True
+
+    return _memo(G, "supersoluble", compute)
 
 
 def is_sigma_primary(G: Group, sigma: SigmaPartition) -> bool:
@@ -200,10 +191,7 @@ class Formation:
     saturated: bool = True
 
     def contains(self, G: Group) -> bool:
-        key = "in-formation:" + self.name
-        if key not in G._cache:
-            G._cache[key] = bool(self.predicate(G))
-        return G._cache[key]
+        return _memo(G, "in-formation:" + self.name, lambda: bool(self.predicate(G)))
 
     def __repr__(self) -> str:
         return f"Formation({self.name})"
@@ -256,20 +244,19 @@ def residual(G: Group, F: Formation) -> Subgroup:
     membership predicate surfaces as FormationLawViolated instead of a
     silently wrong residual.
     """
-    key = "residual:" + F.name
-    if key in G._cache:
-        return G._cache[key]
-    members = frozenset(range(G.order))
-    for N in normal_subgroups(G):
-        if F.contains(quotient(G, N)[0]):
-            members &= N.members
-    out = Subgroup(G, members, validate=False)
-    if not F.contains(quotient(G, out)[0]):
-        raise FormationLawViolated(
-            f"{F.name}: quotient by the candidate residual is not in the class"
-        )
-    G._cache[key] = out
-    return out
+    def compute():
+        members = frozenset(range(G.order))
+        for N in normal_subgroups(G):
+            if F.contains(quotient(G, N)[0]):
+                members &= N.members
+        out = Subgroup(G, members, validate=False)
+        if not F.contains(quotient(G, out)[0]):
+            raise FormationLawViolated(
+                f"{F.name}: quotient by the candidate residual is not in the class"
+            )
+        return out
+
+    return _memo(G, "residual:" + F.name, compute)
 
 
 # -- central sections ----------------------------------------------------------
@@ -281,11 +268,11 @@ def section_product(G: Group, H: Subgroup, K: Subgroup) -> Group:
     This single product decides centrality: testing at the full centralizer
     is equivalent to the existential definition over admissible kernels.
     """
-    key = ("section_product", H.members, K.members)
-    if key not in G._cache:
+    def compute():
         C = centralizer_of_section(G, H, K)
-        G._cache[key] = semidirect_section(G, H, K, C, order_cap=SECTION_PRODUCT_CAP)
-    return G._cache[key]
+        return semidirect_section(G, H, K, C, order_cap=SECTION_PRODUCT_CAP)
+
+    return _memo(G, ("section_product", H.members, K.members), compute)
 
 
 def is_f_central(G: Group, H: Subgroup, K: Subgroup, F: Formation) -> bool:
@@ -327,22 +314,19 @@ def hypercentre(G: Group, central: CentralTest, cache_name: str) -> Subgroup:
     The join is re-verified hypercentral; a failure would falsify the
     hypercentre law and is raised rather than papered over.
     """
-    key = "hypercentre:" + cache_name
-    if key in G._cache:
-        return G._cache[key]
-    members: set[int] = {0}
-    hyper = []
-    for N in normal_subgroups(G):
-        if is_hypercentral(G, N, central):
-            hyper.append(N)
-            members |= N.members
-    Z = generated_subgroup(G, members)
-    if not is_hypercentral(G, Z, central):
-        raise HypercentreNotHypercentral(
-            f"join of hypercentral normals fails its own chief-factor test in {G.label}"
-        )
-    G._cache[key] = Z
-    return Z
+    def compute():
+        members: set[int] = {0}
+        for N in normal_subgroups(G):
+            if is_hypercentral(G, N, central):
+                members |= N.members
+        Z = generated_subgroup(G, members)
+        if not is_hypercentral(G, Z, central):
+            raise HypercentreNotHypercentral(
+                f"join of hypercentral normals fails its own chief-factor test in {G.label}"
+            )
+        return Z
+
+    return _memo(G, "hypercentre:" + cache_name, compute)
 
 
 def f_hypercentre(G: Group, F: Formation) -> Subgroup:

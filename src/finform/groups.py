@@ -22,6 +22,24 @@ FULL_CHECK_LIMIT = 64
 _SAMPLED_TRIPLES = 4096
 
 
+def _memo(owner, key, compute):
+    """``owner._cache[key]``, filled by ``compute()`` on first use.
+
+    Every engine cache goes through here: groups and subgroups own a
+    ``_cache`` dict, and each result is computed once per owner object.
+    """
+    cache = owner._cache
+    if key in cache:
+        return cache[key]
+    value = cache[key] = compute()
+    return value
+
+
+def _conjugates(G: "Group", ambient: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """Matrix of g^-1 * x * g, one row per g in ``ambient``, one column per x in ``sub``."""
+    return G.table[G.table[np.ix_(G.inverse[ambient], sub)], ambient[:, None]]
+
+
 def check_order_cap(order: int, cap: int | None) -> None:
     if cap is not None and order > cap:
         raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
@@ -144,15 +162,7 @@ class Group:
         return int(t[t[self.inverse[a], self.inverse[b]], t[a, b]])
 
     def is_abelian(self) -> bool:
-        if "abelian" not in self._cache:
-            self._cache["abelian"] = bool(np.array_equal(self.table, self.table.T))
-        return self._cache["abelian"]
-
-    def exponent(self) -> int:
-        out = 1
-        for k in np.unique(self.element_orders):
-            out = int(np.lcm(out, int(k)))
-        return out
+        return _memo(self, "abelian", lambda: bool(np.array_equal(self.table, self.table.T)))
 
     # -- subgroup handles ----------------------------------------------
 
@@ -163,30 +173,29 @@ class Group:
         return Subgroup(self, (0,), validate=False)
 
     def full_subgroup(self) -> "Subgroup":
-        if "full_subgroup" not in self._cache:
-            self._cache["full_subgroup"] = Subgroup(self, range(self.order), validate=False)
-        return self._cache["full_subgroup"]
+        return _memo(self, "full_subgroup",
+                     lambda: Subgroup(self, range(self.order), validate=False))
+
+    def _classes(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """The conjugacy classes and the element -> class index array."""
+        n = self.order
+        everyone = np.arange(n)
+        class_of = np.full(n, -1, dtype=np.int32)
+        classes: list[np.ndarray] = []
+        for x in range(n):
+            if class_of[x] >= 0:
+                continue
+            cls = np.unique(self.table[self.table[self.inverse, x], everyone])
+            class_of[cls] = len(classes)
+            classes.append(cls)
+        return classes, class_of
 
     def conjugacy_classes(self) -> list[np.ndarray]:
         """Conjugacy classes as sorted index arrays, ordered by least member."""
-        if "classes" not in self._cache:
-            n = self.order
-            everyone = np.arange(n)
-            class_of = np.full(n, -1, dtype=np.int32)
-            classes: list[np.ndarray] = []
-            for x in range(n):
-                if class_of[x] >= 0:
-                    continue
-                cls = np.unique(self.table[self.table[self.inverse, x], everyone])
-                class_of[cls] = len(classes)
-                classes.append(cls)
-            self._cache["classes"] = classes
-            self._cache["class_of"] = class_of
-        return self._cache["classes"]
+        return _memo(self, "classes", self._classes)[0]
 
     def class_of(self) -> np.ndarray:
-        self.conjugacy_classes()
-        return self._cache["class_of"]
+        return _memo(self, "classes", self._classes)[1]
 
     def __repr__(self) -> str:
         return f"Group({self.label!r}, order={self.order})"
@@ -210,6 +219,7 @@ class Subgroup:
         self.members_tuple: tuple[int, ...] = tuple(mem)
         self.array: np.ndarray = np.asarray(mem, dtype=np.int32)
         self.order: int = len(mem)
+        self._cache: dict = {}
         if parent.order % self.order:
             raise NotAGroup(
                 f"subgroup size {self.order} does not divide group order {parent.order}"
@@ -226,12 +236,13 @@ class Subgroup:
                 )
 
     def mask(self) -> np.ndarray:
-        if not hasattr(self, "_mask"):
+        def compute():
             m = np.zeros(self.parent.order, dtype=bool)
             m[self.array] = True
             m.flags.writeable = False
-            self._mask = m
-        return self._mask
+            return m
+
+        return _memo(self, "mask", compute)
 
     def __contains__(self, g: int) -> bool:
         return int(g) in self.members
@@ -262,13 +273,11 @@ class Subgroup:
         return self.order == self.parent.order
 
     def is_normal(self) -> bool:
-        if not hasattr(self, "_normal"):
-            G = self.parent
-            conj = G.table[
-                G.table[np.ix_(G.inverse, self.array)], np.arange(G.order)[:, None]
-            ]
-            self._normal = bool(self.mask()[conj].all())
-        return self._normal
+        def compute():
+            conj = _conjugates(self.parent, np.arange(self.parent.order), self.array)
+            return bool(self.mask()[conj].all())
+
+        return _memo(self, "normal", compute)
 
     def conjugate_by(self, g: int) -> "Subgroup":
         """The subgroup g^-1 * H * g."""
@@ -285,15 +294,16 @@ class Subgroup:
         The returned group carries ``parent_group`` and ``parent_index`` (a
         local-index -> parent-index array) so results can be lifted back.
         """
-        if not hasattr(self, "_group"):
+        def compute():
             mem = self.array
             sub = self.parent.table[np.ix_(mem, mem)]
             local = np.searchsorted(mem, sub)
             grp = Group(local, label=f"{self.parent.label}.sub{self.order}", validate="none")
             grp.parent_group = self.parent
             grp.parent_index = mem.copy()
-            self._group = grp
-        return self._group
+            return grp
+
+        return _memo(self, "group", compute)
 
     def local_members(self, sub: "Subgroup") -> np.ndarray:
         """Indices of ``sub`` (a subgroup of the parent inside self) in as_group coordinates."""
@@ -385,11 +395,7 @@ class Section:
 
 def _normal_in(ambient: Subgroup, sub: Subgroup) -> bool:
     """Whether ``sub`` is normal in ``ambient`` (both subgroups of one parent)."""
-    G = ambient.parent
-    conj = G.table[
-        G.table[np.ix_(G.inverse[ambient.array], sub.array)], ambient.array[:, None]
-    ]
-    return bool(sub.mask()[conj].all())
+    return bool(sub.mask()[_conjugates(ambient.parent, ambient.array, sub.array)].all())
 
 
 # -- closures and generated subgroups -----------------------------------
@@ -441,9 +447,7 @@ def centralizer(G: Group, S: Subgroup) -> Subgroup:
 
 
 def center(G: Group) -> Subgroup:
-    if "center" not in G._cache:
-        G._cache["center"] = centralizer(G, G.full_subgroup())
-    return G._cache["center"]
+    return _memo(G, "center", lambda: centralizer(G, G.full_subgroup()))
 
 
 def normal_closure(G: Group, elems: Iterable[int]) -> Subgroup:
@@ -459,9 +463,7 @@ def normal_closure(G: Group, elems: Iterable[int]) -> Subgroup:
 def normal_closure_in(ambient: Subgroup, sub: Subgroup) -> Subgroup:
     """Smallest subgroup of ``ambient`` containing ``sub`` and normal in it."""
     G = ambient.parent
-    conj = G.table[
-        G.table[np.ix_(G.inverse[ambient.array], sub.array)], ambient.array[:, None]
-    ]
+    conj = _conjugates(G, ambient.array, sub.array)
     return generated_subgroup(G, np.unique(conj).tolist())
 
 
@@ -473,10 +475,7 @@ def core(ambient: Subgroup, inner: Subgroup) -> Subgroup:
     if not (inner.members <= ambient.members):
         raise ValueError("core requires inner <= ambient")
     G = ambient.parent
-    conj = G.table[
-        G.table[np.ix_(G.inverse[ambient.array], inner.array)], ambient.array[:, None]
-    ]
-    keep = inner.mask()[conj].all(axis=0)
+    keep = inner.mask()[_conjugates(G, ambient.array, inner.array)].all(axis=0)
     return Subgroup(G, inner.array[keep].tolist(), validate=False)
 
 
@@ -491,15 +490,15 @@ def commutator_subgroup(G: Group, A: Subgroup, B: Subgroup) -> Subgroup:
 
 def derived_series(G: Group) -> list[Subgroup]:
     """Descending derived series until it stabilises."""
-    if "derived_series" not in G._cache:
+    def compute():
         series = [G.full_subgroup()]
         while True:
             nxt = commutator_subgroup(G, series[-1], series[-1])
             if nxt.order == series[-1].order:
-                break
+                return series
             series.append(nxt)
-        G._cache["derived_series"] = series
-    return G._cache["derived_series"]
+
+    return _memo(G, "derived_series", compute)
 
 
 def lower_central_series(G: Group) -> list[Subgroup]:
@@ -526,16 +525,16 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
     if not N.is_normal():
         g, x = _normality_witness(G, N)
         raise NotNormal(f"{N} is not normal in {G.label}", witness=(g, x))
-    key = ("quotient", N.members)
-    if key not in G._cache:
+
+    def compute():
         rep = coset_representatives(G, N)
         reps = np.unique(rep)
         qindex = np.searchsorted(reps, rep)
         qtable = qindex[rep[G.table[np.ix_(reps, reps)]]]
         Q = Group(qtable, label=f"{G.label}/n{N.order}", validate="none")
-        proj = Homomorphism(G, Q, qindex, validate=False)
-        G._cache[key] = (Q, proj)
-    return G._cache[key]
+        return Q, Homomorphism(G, Q, qindex, validate=False)
+
+    return _memo(G, ("quotient", N.members), compute)
 
 
 def _normality_witness(G: Group, N: Subgroup) -> tuple[int, int]:
@@ -553,10 +552,7 @@ def centralizer_of_section(G: Group, H: Subgroup, K: Subgroup) -> Subgroup:
     if not _normal_in(H, K):
         raise NotNormal("section bottom is not normal in its top")
     repK = G.table[:, K.array].min(axis=1)  # x -> least element of xK
-    n = G.order
-    inv_all = G.inverse[np.arange(n)]
-    a = G.table[np.ix_(inv_all, H.array)]  # [g, h] = g^-1 h
-    conj = G.table[a, np.arange(n, dtype=np.int32)[:, None]]  # g^-1 h g
+    conj = _conjugates(G, np.arange(G.order, dtype=np.int32), H.array)  # g^-1 h g
     fixed = (repK[conj] == repK[H.array][None, :]).all(axis=1)
     return Subgroup(G, np.nonzero(fixed)[0].tolist(), validate=False)
 

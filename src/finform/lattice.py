@@ -13,6 +13,7 @@ from .groups import (
     Group,
     Section,
     Subgroup,
+    _memo,
     cyclic_subgroup,
     join,
     normal_closure,
@@ -86,36 +87,43 @@ class SubgroupLattice:
         return out
 
 
+def _join_closure(seeds: Iterable[Subgroup]) -> list[Subgroup]:
+    """The seeds closed under pairwise joins, sorted by (order, members).
+
+    Each round joins the subgroups new in the last round with every one
+    found so far; the first seed with a given member set is the one kept.
+    """
+    found: dict[frozenset, Subgroup] = {}
+    for s in seeds:
+        found.setdefault(s.members, s)
+    worklist = list(found.values())
+    while worklist:
+        additions: dict[frozenset, Subgroup] = {}
+        current = sorted(found.values(), key=_sort_key)
+        for a in worklist:
+            for b in current:
+                if a.members <= b.members or b.members <= a.members:
+                    continue
+                j = join(a, b)
+                if j.members not in found and j.members not in additions:
+                    additions[j.members] = j
+        found.update(additions)
+        worklist = sorted(additions.values(), key=_sort_key)
+    return sorted(found.values(), key=_sort_key)
+
+
 def all_subgroups(G: Group, budget: int = DEFAULT_LATTICE_BUDGET) -> SubgroupLattice:
     """Every subgroup, built from cyclic seeds closed under pairwise joins."""
     if budget is not None and G.order > budget:
         raise LatticeBudgetExceeded(
             f"lattice enumeration limited to order {budget}, group has {G.order}"
         )
-    if "lattice" in G._cache:
-        return G._cache["lattice"]
-    seen: dict[frozenset, Subgroup] = {}
-    triv = G.trivial_subgroup()
-    seen[triv.members] = triv
-    for g in range(1, G.order):
-        c = cyclic_subgroup(G, g)
-        seen.setdefault(c.members, c)
-    worklist = sorted(seen.values(), key=_sort_key)
-    while worklist:
-        additions: dict[frozenset, Subgroup] = {}
-        current = sorted(seen.values(), key=_sort_key)
-        for a in worklist:
-            for b in current:
-                if a.members <= b.members or b.members <= a.members:
-                    continue
-                j = join(a, b)
-                if j.members not in seen and j.members not in additions:
-                    additions[j.members] = j
-        seen.update(additions)
-        worklist = sorted(additions.values(), key=_sort_key)
-    lat = SubgroupLattice(G, list(seen.values()))
-    G._cache["lattice"] = lat
-    return lat
+
+    def compute():
+        cyclics = sorted((cyclic_subgroup(G, g) for g in range(G.order)), key=_sort_key)
+        return SubgroupLattice(G, _join_closure(cyclics))
+
+    return _memo(G, "lattice", compute)
 
 
 def normal_subgroups(G: Group) -> list[Subgroup]:
@@ -125,31 +133,8 @@ def normal_subgroups(G: Group) -> list[Subgroup]:
     join-closure of the class closures is the full normal lattice; no
     subgroup lattice is needed.
     """
-    if "normals" in G._cache:
-        return G._cache["normals"]
-    seeds: dict[frozenset, Subgroup] = {}
-    triv = G.trivial_subgroup()
-    seeds[triv.members] = triv
-    for cls in G.conjugacy_classes():
-        ncl = normal_closure(G, [int(cls[0])])
-        seeds.setdefault(ncl.members, ncl)
-    result = dict(seeds)
-    worklist = list(seeds.values())
-    while worklist:
-        additions: dict[frozenset, Subgroup] = {}
-        current = sorted(result.values(), key=_sort_key)
-        for a in worklist:
-            for b in current:
-                if a.members <= b.members or b.members <= a.members:
-                    continue
-                j = join(a, b)
-                if j.members not in result and j.members not in additions:
-                    additions[j.members] = j
-        result.update(additions)
-        worklist = sorted(additions.values(), key=_sort_key)
-    out = sorted(result.values(), key=_sort_key)
-    G._cache["normals"] = out
-    return out
+    return _memo(G, "normals", lambda: _join_closure(
+        normal_closure(G, [int(cls[0])]) for cls in G.conjugacy_classes()))
 
 
 def minimal_normal_subgroups(G: Group) -> list[Subgroup]:
@@ -162,11 +147,6 @@ def minimal_normal_subgroups(G: Group) -> list[Subgroup]:
         for n in normals
         if not any(m.order < n.order and m.members < n.members for m in normals)
     ]
-
-
-def one_minimal_normal(G: Group) -> Subgroup:
-    """The lexicographically least minimal normal subgroup."""
-    return minimal_normal_subgroups(G)[0]
 
 
 @dataclass(frozen=True)
@@ -204,29 +184,28 @@ def chief_series_through(G: Group, N: Subgroup) -> ChiefSeries:
     """
     if not N.is_normal():
         raise NotNormal(f"{N} is not normal in {G.label}")
-    key = ("chief_series", N.members)
-    if key in G._cache:
-        return G._cache[key]
-    normals = normal_subgroups(G)
-    terms: list[Subgroup] = [G.trivial_subgroup()]
-    for t in (N, G.full_subgroup()):
-        if t.members != terms[-1].members:
-            terms.append(t)
-    i = 0
-    while i + 1 < len(terms):
-        low, high = terms[i], terms[i + 1]
-        between = [n for n in normals if low.members < n.members < high.members]
-        if not between:
-            i += 1
-            continue
-        minimal = [
-            n for n in between
-            if not any(m.members < n.members for m in between)
-        ]
-        terms.insert(i + 1, min(minimal, key=_sort_key))
-    series = ChiefSeries(G, tuple(terms))
-    G._cache[key] = series
-    return series
+
+    def compute():
+        normals = normal_subgroups(G)
+        terms: list[Subgroup] = [G.trivial_subgroup()]
+        for t in (N, G.full_subgroup()):
+            if t.members != terms[-1].members:
+                terms.append(t)
+        i = 0
+        while i + 1 < len(terms):
+            low, high = terms[i], terms[i + 1]
+            between = [n for n in normals if low.members < n.members < high.members]
+            if not between:
+                i += 1
+                continue
+            minimal = [
+                n for n in between
+                if not any(m.members < n.members for m in between)
+            ]
+            terms.insert(i + 1, min(minimal, key=_sort_key))
+        return ChiefSeries(G, tuple(terms))
+
+    return _memo(G, ("chief_series", N.members), compute)
 
 
 def chief_series(G: Group) -> ChiefSeries:
@@ -235,16 +214,13 @@ def chief_series(G: Group) -> ChiefSeries:
 
 def frattini(G: Group, budget: int = DEFAULT_LATTICE_BUDGET) -> Subgroup:
     """Intersection of all maximal subgroups (the whole group if none)."""
-    if "frattini" in G._cache:
-        return G._cache["frattini"]
-    lat = all_subgroups(G, budget=budget)
-    maximals = lat.maximal_subgroups()
-    members = frozenset(range(G.order))
-    for m in maximals:
-        members &= m.members
-    out = Subgroup(G, members, validate=False)
-    G._cache["frattini"] = out
-    return out
+    def compute():
+        members = frozenset(range(G.order))
+        for m in all_subgroups(G, budget=budget).maximal_subgroups():
+            members &= m.members
+        return Subgroup(G, members, validate=False)
+
+    return _memo(G, "frattini", compute)
 
 
 def _prime_factors(n: int) -> frozenset[int]:
@@ -305,69 +281,3 @@ def normal_hall_subgroup(G: Group, primes: Iterable[int]) -> Subgroup | None:
         return None
     return Subgroup(G, candidates.tolist(), validate=False)
 
-
-def g_isomorphic_sections(G: Group, a: Section, b: Section) -> bool:
-    """Whether two sections of G are isomorphic as G-sets with multiplication.
-
-    Tries to extend a map of one generating coset to a bijection commuting
-    with conjugation; sufficient at desk scale where chief factors are
-    generated by a single G-orbit.
-    """
-    if a.order != b.order:
-        return False
-    from .groups import centralizer_of_section
-
-    ca = centralizer_of_section(G, a.top, a.bottom)
-    cb = centralizer_of_section(G, b.top, b.bottom)
-    if ca.members != cb.members:
-        return False
-    repA = G.table[:, a.bottom.array].min(axis=1)
-    repB = G.table[:, b.bottom.array].min(axis=1)
-    cosets_a = sorted(set(int(repA[h]) for h in a.top.members_tuple))
-    cosets_b = sorted(set(int(repB[h]) for h in b.top.members_tuple))
-    index_a = {c: i for i, c in enumerate(cosets_a)}
-    index_b = {c: i for i, c in enumerate(cosets_b)}
-    k = len(cosets_a)
-
-    def close(start_a: int, start_b: int) -> bool:
-        phi = {0: 0}
-        frontier = [(index_a[start_a], index_b[start_b])]
-        phi[index_a[start_a]] = index_b[start_b]
-        while frontier:
-            ia, ib = frontier.pop()
-            xa, xb = cosets_a[ia], cosets_b[ib]
-            # close under conjugation and under products with known pairs
-            for g in range(G.order):
-                ja = index_a[int(repA[G.conj(xa, g)])]
-                jb = index_b[int(repB[G.conj(xb, g)])]
-                if ja in phi:
-                    if phi[ja] != jb:
-                        return False
-                else:
-                    phi[ja] = jb
-                    frontier.append((ja, jb))
-            for ja in list(phi):
-                pa = index_a[int(repA[G.table[cosets_a[ja], xa]])]
-                pb = index_b[int(repB[G.table[cosets_b[phi[ja]], xb]])]
-                if pa in phi:
-                    if phi[pa] != pb:
-                        return False
-                else:
-                    phi[pa] = pb
-                    frontier.append((pa, pb))
-        if len(phi) != k or len(set(phi.values())) != k:
-            return False
-        # multiplicativity and equivariance hold by construction on the
-        # generated part; verify multiplicativity on everything.
-        for ia in range(k):
-            for ja in range(k):
-                pa = index_a[int(repA[G.table[cosets_a[ia], cosets_a[ja]]])]
-                pb = index_b[int(repB[G.table[cosets_b[phi[ia]], cosets_b[phi[ja]]]])]
-                if phi[pa] != pb:
-                    return False
-        return True
-
-    if k == 1:
-        return True
-    start_a = next(c for c in cosets_a if c != 0)
-    return any(close(start_a, cb0) for cb0 in cosets_b if cb0 != 0)

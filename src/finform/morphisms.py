@@ -15,6 +15,7 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
     Homomorphism,
+    _memo,
     center,
     check_order_cap,
     derived_series,
@@ -27,26 +28,21 @@ DEFAULT_SEARCH_BUDGET = 10_000_000
 
 def fingerprint(G: Group) -> tuple:
     """Cheap isomorphism invariants: a mismatch certifies non-isomorphism."""
-    if "fingerprint" not in G._cache:
+    def compute():
         orders = tuple(sorted(G.element_orders.tolist()))
         classes = G.conjugacy_classes()
         class_profile = tuple(
             sorted((int(G.element_orders[c[0]]), len(c)) for c in classes)
         )
         derived = tuple(s.order for s in derived_series(G))
-        G._cache["fingerprint"] = (
-            G.order,
-            orders,
-            class_profile,
-            center(G).order,
-            derived,
-        )
-    return G._cache["fingerprint"]
+        return (G.order, orders, class_profile, center(G).order, derived)
+
+    return _memo(G, "fingerprint", compute)
 
 
 def generating_set(G: Group) -> list[int]:
     """A small generating set, chosen greedily and deterministically."""
-    if "gens" not in G._cache:
+    def compute():
         by_order = sorted(range(G.order), key=lambda g: (-int(G.element_orders[g]), g))
         gens: list[int] = []
         current = G.trivial_subgroup()
@@ -57,8 +53,9 @@ def generating_set(G: Group) -> list[int]:
                 continue
             gens.append(g)
             current = generated_subgroup(G, gens)
-        G._cache["gens"] = gens
-    return G._cache["gens"]
+        return gens
+
+    return _memo(G, "gens", compute)
 
 
 def _bfs_script(G: Group, gens: list[int]) -> tuple[list[np.ndarray], list[list[tuple[int, int, int]]]]:
@@ -174,12 +171,12 @@ def is_isomorphic(
 
 def automorphisms(G: Group, budget: int = DEFAULT_SEARCH_BUDGET) -> list[np.ndarray]:
     """All automorphisms as permutation arrays, sorted lexicographically."""
-    key = ("automorphisms", budget)
-    if key not in G._cache:
+    def compute():
         perms = _search_embeddings(G, G, budget, find_all=True)
         perms.sort(key=lambda p: p.tolist())
-        G._cache[key] = perms
-    return G._cache[key]
+        return perms
+
+    return _memo(G, ("automorphisms", budget), compute)
 
 
 def automorphism_count(G: Group, budget: int = DEFAULT_SEARCH_BUDGET) -> int:

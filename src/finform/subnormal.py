@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .formations import Formation, SigmaPartition, is_sigma_primary
-from .groups import Group, Subgroup, core, normal_closure_in, quotient, _normal_in
+from .groups import Group, Subgroup, _memo, _normal_in, core, normal_closure_in, quotient
 from .lattice import all_subgroups, DEFAULT_LATTICE_BUDGET
 
 NORMAL_STEP = "normal-step"
@@ -70,14 +70,13 @@ class WitnessChain:
 
 def _core_quotient(low: Subgroup, high: Subgroup) -> Group:
     """The group high / core(high, low)."""
-    G = low.parent
-    key = ("core_quotient", low.members, high.members)
-    if key not in G._cache:
+    def compute():
         cored = core(high, low)
         Hgrp = high.as_group()
         local = Subgroup(Hgrp, high.local_members(cored).tolist(), validate=False)
-        G._cache[key] = quotient(Hgrp, local)[0]
-    return G._cache[key]
+        return quotient(Hgrp, local)[0]
+
+    return _memo(low.parent, ("core_quotient", low.members, high.members), compute)
 
 
 def is_subnormal(G: Group, A: Subgroup) -> WitnessChain | None:
@@ -143,7 +142,7 @@ def _chain_search(
     """Breadth-first shortest witness chain over the overgroups of A.
 
     Ties are broken by lattice index, so witnesses are reproducible. Edge
-    verdicts are cached per step kind on the parent group.
+    verdicts are memoised per step kind on the parent group.
     """
     lat = all_subgroups(G, budget=lattice_budget)
     overs = lat.overgroups_of(A)  # ascending lattice indices
@@ -151,7 +150,6 @@ def _chain_search(
     start = lat.index_of(A)
     if start == target:
         return WitnessChain((lat.subgroups[start],), ())
-    edge_cache: dict = G._cache.setdefault(("chain_edges", step_cache_key), {})
     prev: dict[int, tuple[int, str]] = {}
     queue = [start]
     seen = {start}
@@ -162,10 +160,8 @@ def _chain_search(
             for y in overs:
                 if y in seen or not lat.inclusion[x, y] or y == x:
                     continue
-                ekey = (x, y)
-                if ekey not in edge_cache:
-                    edge_cache[ekey] = step(Xsub, lat.subgroups[y])
-                kind = edge_cache[ekey]
+                kind = _memo(G, ("chain_edge", step_cache_key, x, y),
+                             lambda: step(Xsub, lat.subgroups[y]))
                 if kind is None:
                     continue
                 seen.add(y)

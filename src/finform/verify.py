@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -888,6 +889,57 @@ def _pair_permutation(n_size: int, h_size: int, rng: np.random.Generator) -> np.
 # -- orchestration -------------------------------------------------------------
 
 
+def _theorem_b(catalog, formations, sigma, lattice_budget, aut_budget):
+    return [verify_theorem_b(catalog, F) for F in formations]
+
+
+def _theorem_a(catalog, formations, sigma, lattice_budget, aut_budget):
+    return [
+        verify_theorem_a(catalog, F, lattice_budget)
+        for F in formations
+        if F.hereditary and F.saturated
+    ]
+
+
+def _schenkman(catalog, formations, sigma, lattice_budget, aut_budget):
+    return [verify_schenkman_classic(catalog, lattice_budget)]
+
+
+def _holomorph_bound(catalog, formations, sigma, lattice_budget, aut_budget):
+    return [verify_holomorph_bound(catalog, F, aut_budget) for F in formations]
+
+
+def _section3(catalog, formations, sigma, lattice_budget, aut_budget):
+    return verify_section3_corollaries(
+        catalog, sigma if sigma is not None else SigmaPartition.singletons(),
+        lattice_budget,
+    )
+
+
+def _lemmas(catalog, formations, sigma, lattice_budget, aut_budget):
+    return [
+        verify_lemma_suite(
+            catalog,
+            F,
+            sigma=sigma if F.name.startswith("sigma-nilpotent") else None,
+            lattice_budget=lattice_budget,
+        )
+        for F in formations
+    ]
+
+
+# Every claim's sweeps, called as (catalog, formations, sigma, lattice_budget,
+# aut_budget), in the order run_all runs them.
+CLAIMS: dict[str, Callable[..., list[VerificationReport]]] = {
+    "theorem-b": _theorem_b,
+    "theorem-a": _theorem_a,
+    "schenkman": _schenkman,
+    "holomorph-bound": _holomorph_bound,
+    "section3": _section3,
+    "lemmas": _lemmas,
+}
+
+
 def run_all(
     catalog: Catalog,
     formations: list[Formation],
@@ -896,28 +948,8 @@ def run_all(
     aut_budget: int = DEFAULT_AUT_BUDGET,
 ) -> list[VerificationReport]:
     """Every claim for every requested formation, in a fixed order."""
-    reports: list[VerificationReport] = []
-    for F in formations:
-        reports.append(verify_theorem_b(catalog, F))
-    for F in formations:
-        if F.hereditary and F.saturated:
-            reports.append(verify_theorem_a(catalog, F, lattice_budget))
-    reports.append(verify_schenkman_classic(catalog, lattice_budget))
-    for F in formations:
-        reports.append(verify_holomorph_bound(catalog, F, aut_budget))
-    reports.extend(
-        verify_section3_corollaries(
-            catalog, sigma if sigma is not None else SigmaPartition.singletons(),
-            lattice_budget,
-        )
-    )
-    for F in formations:
-        reports.append(
-            verify_lemma_suite(
-                catalog,
-                F,
-                sigma=sigma if F.name.startswith("sigma-nilpotent") else None,
-                lattice_budget=lattice_budget,
-            )
-        )
-    return reports
+    return [
+        report
+        for sweeps in CLAIMS.values()
+        for report in sweeps(catalog, formations, sigma, lattice_budget, aut_budget)
+    ]

@@ -5,6 +5,7 @@ per criterion. Every tolerance and threshold is pinned here; the sweeps
 must pass with zero conclusion failures.
 """
 
+import hashlib
 import time
 
 from finform import (
@@ -215,6 +216,10 @@ def test_criterion_8_determinism():
 
     first = one_run()
     second = one_run()
-    ok = first == second and len(first) > 100
-    print(f"  determinism: two verify-all runs, byte-identical: {first == second}")
+    # Pinned digest: the reports must also stay byte-identical across commits.
+    digest = hashlib.sha256(first.encode()).hexdigest()
+    pinned = digest == "39e05312f99960ddb74e87f38214c2a5a74fb2a3919e55d312ce80da538ba91e"
+    ok = first == second and pinned and len(first) > 100
+    print(f"  determinism: two verify-all runs, byte-identical: {first == second}; "
+          f"digest pinned: {pinned}")
     _verdict(8, "byte-identical structured reports", ok)

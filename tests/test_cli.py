@@ -7,6 +7,15 @@ from finform.cli import main, parse_selector
 from finform.files import dump_group_table, format_cycles, parse_cycles
 
 
+SECTION3_CLAIMS = [
+    "section3-supersoluble-kegel-chains",
+    "section3-supersoluble-formation-chains",
+    "section3-sigma-chains",
+    "section3-sigma-kegel-chains",
+    "section3-sigma-chain-agreement",
+]
+
+
 class TestSelectors:
     def test_families(self):
         assert parse_selector("cyclic:6").order == 6
@@ -206,6 +215,41 @@ class TestCommands:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["residual", "file:{missing}", "--formation", "nilpotent"],
+            ["verify", "theorem-b", "--max-order", "6", "--input", "{missing}"],
+        ],
+    )
+    def test_missing_input_file_is_input_error(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "absent.grp")
+        assert main([a.format(missing=missing) for a in argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "absent.grp" in err
+
+    @pytest.mark.parametrize(
+        "claim, report_claims",
+        [
+            ("theorem-a", ["theorem-a"] * 3),
+            ("theorem-b", ["theorem-b"] * 3),
+            ("schenkman", ["schenkman"]),
+            ("holomorph-bound", ["holomorph-bound"] * 3),
+            ("section3", SECTION3_CLAIMS),
+            ("lemmas", ["lemmas"] * 3),
+            (
+                "all",
+                ["theorem-b"] * 3 + ["theorem-a"] * 3 + ["schenkman"]
+                + ["holomorph-bound"] * 3 + SECTION3_CLAIMS + ["lemmas"] * 3,
+            ),
+        ],
+    )
+    def test_verify_every_claim(self, claim, report_claims, capsys):
+        assert main(["verify", claim, "--max-order", "6", "--format", "structured"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [r["claim"] for r in data["reports"]] == report_claims
 
     def test_shipped_sample_groups(self):
         from pathlib import Path

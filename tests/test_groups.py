@@ -326,3 +326,49 @@ def test_exhaustive_axioms_small_groups():
             k = int(g.element_orders[x])
             assert g.power(x, k) == 0
             assert all(g.power(x, j) != 0 for j in range(1, k))
+
+
+def test_memoised_results_are_per_group_objects():
+    from finform import (
+        NILPOTENT,
+        SUPERSOLUBLE,
+        all_subgroups,
+        automorphisms,
+        chief_series_through,
+        f_hypercentre,
+        frattini,
+        normal_subgroups,
+        residual,
+    )
+    from finform.formations import section_product
+    from finform.morphisms import fingerprint, generating_set
+
+    def v4(X):
+        return normal_subgroups(X)[1]
+
+    lookups = {
+        "full_subgroup": lambda X: X.full_subgroup(),
+        "conjugacy_classes": lambda X: X.conjugacy_classes(),
+        "class_of": lambda X: X.class_of(),
+        "center": center,
+        "derived_series": derived_series,
+        "quotient": lambda X: quotient(X, v4(X)),
+        "Subgroup.mask": lambda X: v4(X).mask(),
+        "Subgroup.as_group": lambda X: v4(X).as_group(),
+        "all_subgroups": all_subgroups,
+        "normal_subgroups": normal_subgroups,
+        "chief_series_through": lambda X: chief_series_through(X, v4(X)),
+        "frattini": frattini,
+        "fingerprint": fingerprint,
+        "generating_set": generating_set,
+        "automorphisms": automorphisms,
+        "residual": lambda X: residual(X, SUPERSOLUBLE),
+        "section_product": lambda X: section_product(X, v4(X), X.trivial_subgroup()),
+        "f_hypercentre": lambda X: f_hypercentre(X, NILPOTENT),
+    }
+    G = symmetric(4)
+    H = from_cayley_table(G.table)
+    for name, lookup in lookups.items():
+        first = lookup(G)
+        assert lookup(G) is first, name
+        assert lookup(H) is not first, name
