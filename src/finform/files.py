@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .errors import GroupFileError
+from .errors import GroupFileError, NotAGroup, OrderCapExceeded
 from .groups import DEFAULT_ORDER_CAP, Group
 from .construct import from_cayley_table, from_permutation_gens
 
@@ -101,12 +101,17 @@ def parse_group_text(
 
 
 def load_group_file(path: str | Path, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
+    """The group in a file; a file that cannot be read, or whose contents
+    are not a group within ``order_cap``, raises GroupFileError."""
     p = Path(path)
     try:
         text = p.read_text()
     except OSError as e:
         raise GroupFileError(f"cannot read {p}: {e.strerror or e}") from None
-    return parse_group_text(text, label=p.stem, order_cap=order_cap)
+    try:
+        return parse_group_text(text, label=p.stem, order_cap=order_cap)
+    except (NotAGroup, OrderCapExceeded) as e:
+        raise GroupFileError(f"{p}: {e}") from None
 
 
 def dump_group_table(G: Group) -> str:

@@ -156,11 +156,6 @@ class Group:
         """g^-1 * x * g."""
         return int(self.table[self.table[self.inverse[g], x], g])
 
-    def commutator(self, a: int, b: int) -> int:
-        """a^-1 * b^-1 * a * b."""
-        t = self.table
-        return int(t[t[self.inverse[a], self.inverse[b]], t[a, b]])
-
     def is_abelian(self) -> bool:
         return _memo(self, "abelian", lambda: bool(np.array_equal(self.table, self.table.T)))
 
@@ -269,9 +264,6 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def is_full(self) -> bool:
-        return self.order == self.parent.order
-
     def is_normal(self) -> bool:
         def compute():
             conj = _conjugates(self.parent, np.arange(self.parent.order), self.array)
@@ -279,29 +271,17 @@ class Subgroup:
 
         return _memo(self, "normal", compute)
 
-    def conjugate_by(self, g: int) -> "Subgroup":
-        """The subgroup g^-1 * H * g."""
-        G = self.parent
-        moved = G.table[G.table[G.inverse[g], self.array], g]
-        return Subgroup(G, moved.tolist(), validate=False)
-
     def intersect(self, other: "Subgroup") -> "Subgroup":
         return Subgroup(self.parent, self.members & other.members, validate=False)
 
     def as_group(self) -> Group:
-        """This subgroup reindexed as a standalone group.
-
-        The returned group carries ``parent_group`` and ``parent_index`` (a
-        local-index -> parent-index array) so results can be lifted back.
-        """
+        """This subgroup reindexed as a standalone group; ``lift`` maps its
+        subgroups back."""
         def compute():
             mem = self.array
             sub = self.parent.table[np.ix_(mem, mem)]
             local = np.searchsorted(mem, sub)
-            grp = Group(local, label=f"{self.parent.label}.sub{self.order}", validate="none")
-            grp.parent_group = self.parent
-            grp.parent_index = mem.copy()
-            return grp
+            return Group(local, label=f"{self.parent.label}.sub{self.order}", validate="none")
 
         return _memo(self, "group", compute)
 

@@ -30,7 +30,7 @@ class SubgroupLattice:
     """The complete subgroup lattice of a group.
 
     Subgroups are deduplicated and sorted by (order, member tuple); the
-    inclusion relation and the conjugation orbits are precomputed.
+    inclusion relation is precomputed.
     """
 
     def __init__(self, parent: Group, subgroups: list[Subgroup]):
@@ -42,25 +42,6 @@ class SubgroupLattice:
         for i, a in enumerate(self.subgroups):
             for j, b in enumerate(self.subgroups):
                 self.inclusion[i, j] = a.members <= b.members
-        self.conjugacy_classes: list[list[int]] = []
-        self.class_of = np.full(n, -1, dtype=np.int32)
-        for i, s in enumerate(self.subgroups):
-            if self.class_of[i] >= 0:
-                continue
-            orbit = {i}
-            frontier = [s]
-            while frontier:
-                t = frontier.pop()
-                for gen in range(parent.order):
-                    c = t.conjugate_by(gen)
-                    ci = self._index[c.members]
-                    if ci not in orbit:
-                        orbit.add(ci)
-                        frontier.append(c)
-            cls = sorted(orbit)
-            for ci in cls:
-                self.class_of[ci] = len(self.conjugacy_classes)
-            self.conjugacy_classes.append(cls)
 
     def __len__(self) -> int:
         return len(self.subgroups)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .formations import (
 from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
+    Section,
     Subgroup,
     centralizer,
     generated_subgroup,
@@ -45,6 +46,7 @@ from .groups import (
 )
 from .lattice import (
     DEFAULT_LATTICE_BUDGET,
+    SubgroupLattice,
     all_subgroups,
     chief_series,
     frattini,
@@ -249,6 +251,32 @@ class _Timer:
         return False
 
 
+def _skip(rep: VerificationReport, G: Group, reason: str, detail: str, **where) -> None:
+    """Record a skipped instance on G; ``where`` locates it inside G."""
+    rep.skipped.append({"group": G.label, **where, "reason": reason, "detail": detail})
+
+
+def _lattice_walk(catalog: Catalog, rep: VerificationReport, budget: int):
+    """Yield (G, subgroup lattice of G) for each catalog group; a group over
+    the lattice budget is recorded on ``rep`` as a budget-exceeded skip."""
+    for G in catalog:
+        try:
+            lat = all_subgroups(G, budget=budget)
+        except LatticeBudgetExceeded as e:
+            _skip(rep, G, "budget-exceeded", str(e))
+            continue
+        yield G, lat
+
+
+def _escape(G: Group, D: Subgroup) -> dict | None:
+    """None when C_G(D) <= D (the residual D is large), else the members of D
+    and of the centralizer that escapes it."""
+    C = centralizer(G, D)
+    if C.members <= D.members:
+        return None
+    return {"residual": _members(D), "centralizer": _members(C)}
+
+
 # -- Theorem B ---------------------------------------------------------------
 
 
@@ -262,24 +290,16 @@ def verify_theorem_b(catalog: Catalog, F: Formation) -> VerificationReport:
             rep.checked += 1
             Z = f_hypercentre(G, F)
             if Z.order != 1:
-                rep.skipped.append(
-                    {
-                        "group": G.label,
-                        "reason": "hypothesis-failed",
-                        "detail": f"hypercentre has order {Z.order}",
-                    }
-                )
+                _skip(rep, G, "hypothesis-failed", f"hypercentre has order {Z.order}")
                 continue
             rep.asserted += 1
-            D = residual(G, F)
-            C = centralizer(G, D)
-            if not (C.members <= D.members):
+            escape = _escape(G, residual(G, F))
+            if escape:
                 rep.failures.append(
                     _failure_record(
                         G,
                         {
-                            "residual": _members(D),
-                            "centralizer": _members(C),
+                            **escape,
                             "detail": "centralizer of the residual escapes the residual",
                         },
                     )
@@ -289,11 +309,6 @@ def verify_theorem_b(catalog: Catalog, F: Formation) -> VerificationReport:
 
 
 # -- Theorem A family --------------------------------------------------------
-
-
-def _zf_trivial(E: Subgroup, hyper_fn) -> bool:
-    grp = E.as_group()
-    return hyper_fn(grp).order == 1
 
 
 def _theorem_a_sweep(
@@ -312,14 +327,7 @@ def _theorem_a_sweep(
     """
     rep = VerificationReport(claim, formation.name, sigma_key, catalog.description)
     with _Timer() as t:
-        for G in catalog:
-            try:
-                lat = all_subgroups(G, budget=lattice_budget)
-            except LatticeBudgetExceeded as e:
-                rep.skipped.append(
-                    {"group": G.label, "reason": "budget-exceeded", "detail": str(e)}
-                )
-                continue
+        for G, lat in _lattice_walk(catalog, rep, lattice_budget):
             for S in lat.subgroups:
                 chain = chain_fn(G, S)
                 if chain is None:
@@ -328,33 +336,27 @@ def _theorem_a_sweep(
                 bad = None
                 for ei in lat.overgroups_of(S):
                     E = lat.subgroups[ei]
-                    if not _zf_trivial(E, hyper_fn):
+                    if hyper_fn(E.as_group()).order != 1:
                         bad = E
                         break
                 if bad is not None:
-                    rep.skipped.append(
-                        {
-                            "group": G.label,
-                            "subgroup": _members(S),
-                            "reason": "hypothesis-failed",
-                            "detail": f"overgroup of order {bad.order} has "
-                            "nontrivial hypercentre",
-                        }
+                    _skip(
+                        rep, G, "hypothesis-failed",
+                        f"overgroup of order {bad.order} has nontrivial hypercentre",
+                        subgroup=_members(S),
                     )
                     continue
                 rep.asserted += 1
-                Sgrp = S.as_group()
-                D = S.lift(residual(Sgrp, formation).members_tuple)
-                C = centralizer(G, D)
-                if not (C.members <= D.members):
+                D = S.lift(residual(S.as_group(), formation).members_tuple)
+                escape = _escape(G, D)
+                if escape:
                     rep.failures.append(
                         _failure_record(
                             G,
                             {
                                 "subgroup": _members(S),
                                 "chain": list(chain.order_trail()),
-                                "residual": _members(D),
-                                "centralizer": _members(C),
+                                **escape,
                                 "detail": "centralizer of the subgroup's residual "
                                 "escapes it",
                             },
@@ -392,40 +394,28 @@ def verify_schenkman_classic(
     overgroup."""
     rep = VerificationReport("schenkman", NILPOTENT.name, None, catalog.description)
     with _Timer() as t:
-        for G in catalog:
-            try:
-                lat = all_subgroups(G, budget=lattice_budget)
-            except LatticeBudgetExceeded as e:
-                rep.skipped.append(
-                    {"group": G.label, "reason": "budget-exceeded", "detail": str(e)}
-                )
-                continue
+        for G, lat in _lattice_walk(catalog, rep, lattice_budget):
             for S in lat.subgroups:
                 if is_subnormal(G, S) is None:
                     continue
                 rep.checked += 1
                 if centralizer(G, S).order != 1:
-                    rep.skipped.append(
-                        {
-                            "group": G.label,
-                            "subgroup": _members(S),
-                            "reason": "hypothesis-failed",
-                            "detail": "centralizer of the subgroup is nontrivial",
-                        }
+                    _skip(
+                        rep, G, "hypothesis-failed",
+                        "centralizer of the subgroup is nontrivial",
+                        subgroup=_members(S),
                     )
                     continue
                 rep.asserted += 1
-                Sgrp = S.as_group()
-                D = S.lift(residual(Sgrp, NILPOTENT).members_tuple)
-                C = centralizer(G, D)
-                if not (C.members <= D.members):
+                D = S.lift(residual(S.as_group(), NILPOTENT).members_tuple)
+                escape = _escape(G, D)
+                if escape:
                     rep.failures.append(
                         _failure_record(
                             G,
                             {
                                 "subgroup": _members(S),
-                                "residual": _members(D),
-                                "centralizer": _members(C),
+                                **escape,
                                 "detail": "nilpotent residual is not large",
                             },
                         )
@@ -469,20 +459,13 @@ def verify_holomorph_bound(
             U = residual(G, F)
             Z = f_hypercentre(G, F)
             if U.members & Z.members != frozenset((0,)):
-                rep.skipped.append(
-                    {
-                        "group": G.label,
-                        "reason": "hypothesis-failed",
-                        "detail": "residual meets the hypercentre nontrivially",
-                    }
-                )
+                _skip(rep, G, "hypothesis-failed",
+                      "residual meets the hypercentre nontrivially")
                 continue
             try:
                 aut_n = automorphism_count(U.as_group(), budget=aut_budget)
             except SearchBudgetExceeded as e:
-                rep.skipped.append(
-                    {"group": G.label, "reason": "budget-exceeded", "detail": str(e)}
-                )
+                _skip(rep, G, "budget-exceeded", str(e))
                 continue
             rep.asserted += 1
             lhs = G.order // Z.order
@@ -558,14 +541,7 @@ def verify_section3_corollaries(
         "section3-sigma-chain-agreement", nsigma.name, sigma.key, catalog.description
     )
     with _Timer() as t:
-        for G in catalog:
-            try:
-                lat = all_subgroups(G, budget=lattice_budget)
-            except LatticeBudgetExceeded as e:
-                agreement.skipped.append(
-                    {"group": G.label, "reason": "budget-exceeded", "detail": str(e)}
-                )
-                continue
+        for G, lat in _lattice_walk(catalog, agreement, lattice_budget):
             for S in lat.subgroups:
                 agreement.checked += 1
                 agreement.asserted += 1
@@ -590,6 +566,10 @@ def verify_section3_corollaries(
 
 # -- lemma suite ---------------------------------------------------------------
 
+# Normal-subgroup pairs tried by the section-product law; four times as many
+# subgroup pairs are drawn for the hypercentre-meets-subgroups law.
+PAIR_SAMPLE = 8
+
 
 def _central_normal_pairs(G: Group, F: Formation) -> list[tuple[Subgroup, Subgroup]]:
     """Pairs (S, R) of normal subgroups, S <= R, with R/S F-central in G."""
@@ -610,271 +590,6 @@ def _relabel(G: Group, perm: np.ndarray) -> Group:
     return Group(table, label=f"{G.label}'", validate="none")
 
 
-def verify_lemma_suite(
-    catalog: Catalog,
-    F: Formation,
-    sigma: SigmaPartition | None = None,
-    lattice_budget: int = DEFAULT_LATTICE_BUDGET,
-    pair_sample: int = 8,
-) -> VerificationReport:
-    """Property sweep of the supporting lemmas over the catalog.
-
-    Covers: formation quotient/hereditary/saturation laws, centrality of
-    chief factors in member groups, the membership equivalences, stability
-    of central sections under subgroups and refinement, the section-product
-    isomorphisms, hypercentre quotient/intersection laws, minimal
-    supplements, and equivalent-pair isomorphism; when a sigma partition is
-    supplied, chief-factor sigma-centrality is cross-checked against
-    centrality for the sigma-nilpotent class.
-    """
-    rep = VerificationReport(
-        "lemmas", F.name, sigma.key if sigma else None, catalog.description
-    )
-    rng = np.random.default_rng(20240601)
-    with _Timer() as t:
-        for G in catalog:
-            in_f = F.contains(G)
-            D = residual(G, F)
-            Q, _ = quotient(G, D)
-
-            def fail(detail: dict, group: Group = G):
-                rep.failures.append(_failure_record(group, detail))
-
-            # residual-quotient law: every quotient of G/G^F stays in F
-            for N in normal_subgroups(Q):
-                rep.checked += 1
-                rep.asserted += 1
-                if not F.contains(quotient(Q, N)[0]):
-                    fail({"law": "residual-quotient", "normal": _members(N)})
-
-            # saturation: membership follows once the residual is Frattini-small
-            rep.checked += 1
-            rep.asserted += 1
-            if not in_f and D.members <= frattini(G, budget=lattice_budget).members:
-                fail({"law": "saturation", "residual": _members(D)})
-
-            # hereditary law and chief-factor centrality for member groups
-            if in_f and F.hereditary:
-                for S in all_subgroups(G, budget=lattice_budget).subgroups:
-                    rep.checked += 1
-                    rep.asserted += 1
-                    if not F.contains(S.as_group()):
-                        fail({"law": "hereditary", "subgroup": _members(S)})
-            series = chief_series(G)
-            factors = series.factors()
-            if in_f:
-                for sec in factors:
-                    rep.checked += 1
-                    rep.asserted += 1
-                    if not is_f_central(G, sec.top, sec.bottom, F):
-                        fail(
-                            {
-                                "law": "chief-factors-central-in-members",
-                                "factor": [sec.top.order, sec.bottom.order],
-                            }
-                        )
-
-            # membership equivalences for a saturated class: all chief
-            # factors central <-> member, and a hypercentral normal with
-            # member quotient forces membership
-            all_central = all(
-                is_f_central(G, sec.top, sec.bottom, F) for sec in factors
-            )
-            rep.checked += 1
-            rep.asserted += 1
-            if all_central != in_f:
-                fail({"law": "membership-by-central-factors", "member": in_f})
-            for N in normal_subgroups(G):
-                if is_f_hypercentral(G, N, F) and F.contains(quotient(G, N)[0]):
-                    rep.checked += 1
-                    rep.asserted += 1
-                    if not in_f:
-                        fail(
-                            {
-                                "law": "hypercentral-normal-with-member-quotient",
-                                "normal": _members(N),
-                            }
-                        )
-
-            # sigma-centrality coherence on chief factors
-            if sigma is not None:
-                nsig = sigma_nilpotent_formation(sigma)
-                for sec in factors:
-                    rep.checked += 1
-                    rep.asserted += 1
-                    if is_sigma_central(G, sec.top, sec.bottom, sigma) != is_f_central(
-                        G, sec.top, sec.bottom, nsig
-                    ):
-                        fail(
-                            {
-                                "law": "sigma-centrality-coherence",
-                                "factor": [sec.top.order, sec.bottom.order],
-                            }
-                        )
-
-            # central sections: stability under subgroups and refinement
-            central_pairs = _central_normal_pairs(G, F)
-            lat = all_subgroups(G, budget=lattice_budget)
-            for S, R in central_pairs:
-                if F.hereditary:
-                    for E in lat.subgroups:
-                        rep.checked += 1
-                        rep.asserted += 1
-                        Egrp = E.as_group()
-                        er = Subgroup(
-                            Egrp, E.local_members(E.intersect(R)).tolist(), validate=False
-                        )
-                        es = Subgroup(
-                            Egrp, E.local_members(E.intersect(S)).tolist(), validate=False
-                        )
-                        if not is_f_central(Egrp, er, es, F):
-                            fail(
-                                {
-                                    "law": "central-sections-restrict-to-subgroups",
-                                    "section": [R.order, S.order],
-                                    "subgroup": _members(E),
-                                }
-                            )
-                for T in normal_subgroups(G):
-                    if S.members <= T.members <= R.members:
-                        rep.checked += 1
-                        rep.asserted += 1
-                        if not (
-                            is_f_central(G, T, S, F) and is_f_central(G, R, T, F)
-                        ):
-                            fail(
-                                {
-                                    "law": "central-sections-refine",
-                                    "section": [R.order, S.order],
-                                    "middle": T.order,
-                                }
-                            )
-
-            # section-product isomorphism across the two standard presentations
-            normals = normal_subgroups(G)
-            pairs = [
-                (M, N)
-                for M in normals
-                for N in normals
-                if M.members != N.members
-            ][:pair_sample]
-            for M, N in pairs:
-                rep.checked += 1
-                rep.asserted += 1
-                MN = generated_subgroup(G, M.members | N.members)
-                lhs = section_product(G, MN, N)
-                rhs = section_product(G, M, M.intersect(N))
-                if is_isomorphic(lhs, rhs) is None:
-                    fail(
-                        {
-                            "law": "section-product-isomorphism",
-                            "pair": [M.order, N.order],
-                        }
-                    )
-
-            # hypercentre laws: quotient by a central normal, and intersections
-            Z = f_hypercentre(G, F)
-            for N in normals:
-                if N.members <= Z.members:
-                    rep.checked += 1
-                    rep.asserted += 1
-                    Qn, proj = quotient(G, N)
-                    image = Subgroup(
-                        Qn, np.unique(proj.mapping[Z.array]).tolist(), validate=False
-                    )
-                    if image.members != f_hypercentre(Qn, F).members:
-                        fail(
-                            {
-                                "law": "hypercentre-of-quotient",
-                                "normal": _members(N),
-                            }
-                        )
-            subs = lat.subgroups
-            idx_pairs = [
-                (i, j) for i in range(len(subs)) for j in range(len(subs))
-            ]
-            if len(idx_pairs) > 4 * pair_sample:
-                pick = rng.choice(len(idx_pairs), size=4 * pair_sample, replace=False)
-                idx_pairs = [idx_pairs[int(k)] for k in sorted(pick)]
-            for i, j in idx_pairs:
-                A, B = subs[i], subs[j]
-                rep.checked += 1
-                rep.asserted += 1
-                Bgrp = B.as_group()
-                zb = B.lift(f_hypercentre(Bgrp, F).members_tuple)
-                meet = B.intersect(A)
-                meet_grp = meet.as_group()
-                z_meet = meet.lift(f_hypercentre(meet_grp, F).members_tuple)
-                if not ((zb.members & A.members) <= z_meet.members):
-                    fail(
-                        {
-                            "law": "hypercentre-meets-subgroups",
-                            "pair": [_members(A), _members(B)],
-                        }
-                    )
-
-            # minimal supplements and central complements to normal subgroups
-            for N in normals:
-                if F.contains(quotient(G, N)[0]):
-                    supplements = [
-                        U
-                        for U in subs
-                        if N.order * U.order // N.intersect(U).order == G.order
-                    ]
-                    minimal = [
-                        U
-                        for U in supplements
-                        if not any(V.members < U.members for V in supplements)
-                    ]
-                    for U in minimal:
-                        rep.checked += 1
-                        rep.asserted += 1
-                        if not F.contains(U.as_group()):
-                            fail(
-                                {
-                                    "law": "minimal-supplement-membership",
-                                    "normal": _members(N),
-                                    "supplement": _members(U),
-                                }
-                            )
-                for U in subs:
-                    if (
-                        N.order * U.order // N.intersect(U).order == G.order
-                        and F.contains(U.as_group())
-                    ):
-                        rep.checked += 1
-                        rep.asserted += 1
-                        Zu = U.intersect(centralizer(G, N))
-                        if not (Zu.is_normal() and Zu.members <= Z.members):
-                            fail(
-                                {
-                                    "law": "member-supplement-central-core",
-                                    "normal": _members(N),
-                                    "supplement": _members(U),
-                                }
-                            )
-
-            # equivalent-pair isomorphism: transport both coordinates of a
-            # semidirect product through bijections; the transported table is
-            # the product built from the equivalent pair, so the two must be
-            # isomorphic
-            if G.order > 1:
-                minimal_normal = min(
-                    (n for n in normals if n.order > 1),
-                    key=lambda s: (s.order, s.members_tuple),
-                )
-                P1 = section_product(G, minimal_normal, G.trivial_subgroup())
-                sec_order = minimal_normal.order
-                quo_order = P1.order // sec_order
-                rep.checked += 1
-                rep.asserted += 1
-                twisted = _relabel(P1, _pair_permutation(sec_order, quo_order, rng))
-                if is_isomorphic(P1, twisted) is None:
-                    fail({"law": "equivalent-pairs-isomorphic"})
-    rep.elapsed_ms = t.ms
-    return rep
-
-
 def _pair_permutation(n_size: int, h_size: int, rng: np.random.Generator) -> np.ndarray:
     """A bijection of pair codes induced by coordinate bijections fixing 0."""
     pn = np.concatenate(([0], 1 + rng.permutation(n_size - 1))) if n_size > 1 else np.zeros(1, dtype=np.int64)
@@ -884,6 +599,252 @@ def _pair_permutation(n_size: int, h_size: int, rng: np.random.Generator) -> np.
         for h in range(h_size):
             out[n * h_size + h] = pn[n] * h_size + ph[h]
     return out
+
+
+@dataclass
+class _LawContext:
+    """What every lemma law reads about one catalog group."""
+
+    G: Group
+    F: Formation
+    sigma: SigmaPartition | None
+    rng: np.random.Generator  # one stream for the whole suite
+    lat: SubgroupLattice
+    normals: list[Subgroup]
+    factors: list[Section]  # chief factors of G
+    in_f: bool
+    Z: Subgroup  # Z_F(G)
+    central_pairs: list[tuple[Subgroup, Subgroup]]
+
+
+# Each law yields one item per instance it checks: None where the law holds,
+# else the detail of its failure record.
+
+
+def _residual_quotient(c: _LawContext):
+    """Every quotient of G/G^F is in F."""
+    Q, _ = quotient(c.G, residual(c.G, c.F))
+    for N in normal_subgroups(Q):
+        ok = c.F.contains(quotient(Q, N)[0])
+        yield None if ok else {"normal": _members(N)}
+
+
+def _saturation(c: _LawContext):
+    """G is in F once its residual lies in the Frattini subgroup (the lattice
+    walk has already enumerated the lattice Frattini needs)."""
+    D = residual(c.G, c.F)
+    ok = c.in_f or not D.members <= frattini(c.G, budget=None).members
+    yield None if ok else {"residual": _members(D)}
+
+
+def _hereditary(c: _LawContext):
+    """Every subgroup of a member group is a member."""
+    if c.in_f and c.F.hereditary:
+        for S in c.lat.subgroups:
+            ok = c.F.contains(S.as_group())
+            yield None if ok else {"subgroup": _members(S)}
+
+
+def _chief_factors_central_in_members(c: _LawContext):
+    """Every chief factor of a member group is F-central."""
+    if c.in_f:
+        for sec in c.factors:
+            ok = is_f_central(c.G, sec.top, sec.bottom, c.F)
+            yield None if ok else {"factor": [sec.top.order, sec.bottom.order]}
+
+
+def _membership_by_central_factors(c: _LawContext):
+    """G is in F exactly when all its chief factors are F-central."""
+    all_central = all(is_f_central(c.G, sec.top, sec.bottom, c.F) for sec in c.factors)
+    yield None if all_central == c.in_f else {"member": c.in_f}
+
+
+def _hypercentral_normal_with_member_quotient(c: _LawContext):
+    """An F-hypercentral normal N with G/N in F forces G into F."""
+    for N in c.normals:
+        if is_f_hypercentral(c.G, N, c.F) and c.F.contains(quotient(c.G, N)[0]):
+            yield None if c.in_f else {"normal": _members(N)}
+
+
+def _sigma_centrality_coherence(c: _LawContext):
+    """A chief factor is sigma-central exactly when it is central for the
+    sigma-nilpotent class."""
+    if c.sigma is not None:
+        nsig = sigma_nilpotent_formation(c.sigma)
+        for sec in c.factors:
+            ok = is_sigma_central(c.G, sec.top, sec.bottom, c.sigma) == is_f_central(
+                c.G, sec.top, sec.bottom, nsig
+            )
+            yield None if ok else {"factor": [sec.top.order, sec.bottom.order]}
+
+
+def _central_sections_restrict_to_subgroups(c: _LawContext):
+    """An F-central section R/S stays F-central when cut down to a subgroup."""
+    if c.F.hereditary:
+        for S, R in c.central_pairs:
+            for E in c.lat.subgroups:
+                Egrp = E.as_group()
+                er = Subgroup(Egrp, E.local_members(E.intersect(R)), validate=False)
+                es = Subgroup(Egrp, E.local_members(E.intersect(S)), validate=False)
+                ok = is_f_central(Egrp, er, es, c.F)
+                yield None if ok else {
+                    "section": [R.order, S.order], "subgroup": _members(E)
+                }
+
+
+def _central_sections_refine(c: _LawContext):
+    """A normal T between S and R splits an F-central R/S into F-central parts."""
+    for S, R in c.central_pairs:
+        for T in c.normals:
+            if S.members <= T.members <= R.members:
+                ok = is_f_central(c.G, T, S, c.F) and is_f_central(c.G, R, T, c.F)
+                yield None if ok else {"section": [R.order, S.order], "middle": T.order}
+
+
+def _section_product_isomorphism(c: _LawContext):
+    """The section products of MN/N and M/(M meet N) are isomorphic."""
+    pairs = [(M, N) for M in c.normals for N in c.normals if M.members != N.members]
+    for M, N in pairs[:PAIR_SAMPLE]:
+        MN = generated_subgroup(c.G, M.members | N.members)
+        lhs = section_product(c.G, MN, N)
+        rhs = section_product(c.G, M, M.intersect(N))
+        ok = is_isomorphic(lhs, rhs) is not None
+        yield None if ok else {"pair": [M.order, N.order]}
+
+
+def _hypercentre_of_quotient(c: _LawContext):
+    """Z_F(G/N) = Z_F(G)/N for every normal N inside Z_F(G)."""
+    for N in c.normals:
+        if N.members <= c.Z.members:
+            Qn, proj = quotient(c.G, N)
+            image = Subgroup(
+                Qn, np.unique(proj.mapping[c.Z.array]).tolist(), validate=False
+            )
+            ok = image.members == f_hypercentre(Qn, c.F).members
+            yield None if ok else {"normal": _members(N)}
+
+
+def _hypercentre_meets_subgroups(c: _LawContext):
+    """Z_F(B) meet A lies in Z_F(B meet A), on a sample of subgroup pairs."""
+    subs = c.lat.subgroups
+    idx_pairs = [(i, j) for i in range(len(subs)) for j in range(len(subs))]
+    if len(idx_pairs) > 4 * PAIR_SAMPLE:
+        pick = c.rng.choice(len(idx_pairs), size=4 * PAIR_SAMPLE, replace=False)
+        idx_pairs = [idx_pairs[int(k)] for k in sorted(pick)]
+    for i, j in idx_pairs:
+        A, B = subs[i], subs[j]
+        zb = B.lift(f_hypercentre(B.as_group(), c.F).members_tuple)
+        meet = B.intersect(A)
+        z_meet = meet.lift(f_hypercentre(meet.as_group(), c.F).members_tuple)
+        ok = (zb.members & A.members) <= z_meet.members
+        yield None if ok else {"pair": [_members(A), _members(B)]}
+
+
+def _supplements(c: _LawContext, N: Subgroup) -> list[Subgroup]:
+    """The subgroups U with NU = G."""
+    return [
+        U
+        for U in c.lat.subgroups
+        if N.order * U.order // N.intersect(U).order == c.G.order
+    ]
+
+
+def _minimal_supplement_membership(c: _LawContext):
+    """A minimal supplement of a normal N with G/N in F is in F."""
+    for N in c.normals:
+        if c.F.contains(quotient(c.G, N)[0]):
+            supplements = _supplements(c, N)
+            for U in supplements:
+                if not any(V.members < U.members for V in supplements):
+                    ok = c.F.contains(U.as_group())
+                    yield None if ok else {
+                        "normal": _members(N), "supplement": _members(U)
+                    }
+
+
+def _member_supplement_central_core(c: _LawContext):
+    """For a supplement U in F of a normal N, U meet C_G(N) is normal in G
+    and lies in Z_F(G)."""
+    for N in c.normals:
+        for U in _supplements(c, N):
+            if c.F.contains(U.as_group()):
+                Zu = U.intersect(centralizer(c.G, N))
+                ok = Zu.is_normal() and Zu.members <= c.Z.members
+                yield None if ok else {
+                    "normal": _members(N), "supplement": _members(U)
+                }
+
+
+def _equivalent_pairs_isomorphic(c: _LawContext):
+    """Transporting both coordinates of a semidirect product through
+    bijections gives the product built from the equivalent pair, so the two
+    are isomorphic."""
+    if c.G.order > 1:
+        minimal_normal = min(
+            (n for n in c.normals if n.order > 1),
+            key=lambda s: (s.order, s.members_tuple),
+        )
+        P1 = section_product(c.G, minimal_normal, c.G.trivial_subgroup())
+        sec_order = minimal_normal.order
+        twisted = _relabel(P1, _pair_permutation(sec_order, P1.order // sec_order, c.rng))
+        yield None if is_isomorphic(P1, twisted) is not None else {}
+
+
+# The lemma laws in the order the suite checks them on each group; a
+# failure record's "law" field is its law's name here.
+LAWS: dict[str, Callable[[_LawContext], Iterator[dict | None]]] = {
+    "residual-quotient": _residual_quotient,
+    "saturation": _saturation,
+    "hereditary": _hereditary,
+    "chief-factors-central-in-members": _chief_factors_central_in_members,
+    "membership-by-central-factors": _membership_by_central_factors,
+    "hypercentral-normal-with-member-quotient": _hypercentral_normal_with_member_quotient,
+    "sigma-centrality-coherence": _sigma_centrality_coherence,
+    "central-sections-restrict-to-subgroups": _central_sections_restrict_to_subgroups,
+    "central-sections-refine": _central_sections_refine,
+    "section-product-isomorphism": _section_product_isomorphism,
+    "hypercentre-of-quotient": _hypercentre_of_quotient,
+    "hypercentre-meets-subgroups": _hypercentre_meets_subgroups,
+    "minimal-supplement-membership": _minimal_supplement_membership,
+    "member-supplement-central-core": _member_supplement_central_core,
+    "equivalent-pairs-isomorphic": _equivalent_pairs_isomorphic,
+}
+
+
+def verify_lemma_suite(
+    catalog: Catalog,
+    F: Formation,
+    sigma: SigmaPartition | None = None,
+    lattice_budget: int = DEFAULT_LATTICE_BUDGET,
+) -> VerificationReport:
+    """Property sweep of the supporting lemmas over the catalog.
+
+    Runs every law of ``LAWS``, in order, on each group whose subgroup
+    lattice fits ``lattice_budget``. The sigma-centrality law applies only
+    when a sigma partition is supplied.
+    """
+    rep = VerificationReport(
+        "lemmas", F.name, sigma.key if sigma else None, catalog.description
+    )
+    rng = np.random.default_rng(20240601)
+    with _Timer() as t:
+        for G, lat in _lattice_walk(catalog, rep, lattice_budget):
+            ctx = _LawContext(
+                G, F, sigma, rng, lat,
+                normals=normal_subgroups(G),
+                factors=chief_series(G).factors(),
+                in_f=F.contains(G),
+                Z=f_hypercentre(G, F),
+                central_pairs=_central_normal_pairs(G, F),
+            )
+            for name, law in LAWS.items():
+                for detail in law(ctx):
+                    rep.checked += 1
+                    rep.asserted += 1
+                    if detail is not None:
+                        rep.failures.append(_failure_record(G, {"law": name, **detail}))
+    rep.elapsed_ms = t.ms
+    return rep
 
 
 # -- orchestration -------------------------------------------------------------

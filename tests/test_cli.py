@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,7 @@ from finform import from_cayley_table, is_isomorphic, parse_group_text, symmetri
 from finform.cli import main, parse_selector
 from finform.files import dump_group_table, format_cycles, parse_cycles
 
+GROUPS = Path(__file__).resolve().parent.parent / "groups"
 
 SECTION3_CLAIMS = [
     "section3-supersoluble-kegel-chains",
@@ -221,14 +223,34 @@ class TestCommands:
         [
             ["residual", "file:{missing}", "--formation", "nilpotent"],
             ["verify", "theorem-b", "--max-order", "6", "--input", "{missing}"],
+            ["verify", "theorem-b", "--max-order", "6", "--input", "{not_latin}"],
+            ["verify", "theorem-b", "--max-order", "6", "--order-cap", "8",
+             "--input", "{frobenius20}"],
+            ["group", "show", "file:{not_latin}"],
         ],
     )
     def test_missing_input_file_is_input_error(self, argv, tmp_path, capsys):
-        missing = str(tmp_path / "absent.grp")
-        assert main([a.format(missing=missing) for a in argv]) == 3
+        files = {
+            "missing": tmp_path / "absent.grp",
+            "not_latin": tmp_path / "not-latin.grp",
+            "frobenius20": GROUPS / "frobenius20.grp",
+        }
+        files["not_latin"].write_text("table 3\n0 1 2\n1 2 0\n2 2 1\n")
+        assert main([a.format(**files) for a in argv]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "absent.grp" in err
+        named = [path for key, path in files.items() if f"{{{key}}}" in " ".join(argv)]
+        assert named and all(path.name in err for path in named)
+
+    def test_lemmas_over_lattice_budget_is_budget_exit(self, capsys):
+        argv = ["verify", "lemmas", "--max-order", "6", "--lattice-budget", "4",
+                "--format", "structured"]
+        assert main(argv) == 2
+        data = json.loads(capsys.readouterr().out)
+        for report in data["reports"]:
+            assert report["verdict"] == "PASS"
+            assert {s["group"] for s in report["skipped"]
+                    if s["reason"] == "budget-exceeded"} == {"C5", "C6", "S3"}
 
     @pytest.mark.parametrize(
         "claim, report_claims",
@@ -252,12 +274,9 @@ class TestCommands:
         assert [r["claim"] for r in data["reports"]] == report_claims
 
     def test_shipped_sample_groups(self):
-        from pathlib import Path
-
         from finform import center, load_group_file
 
-        root = Path(__file__).resolve().parent.parent / "groups"
-        frob20 = load_group_file(root / "frobenius20.grp")
-        frob21 = load_group_file(root / "frobenius21.grp")
+        frob20 = load_group_file(GROUPS / "frobenius20.grp")
+        frob21 = load_group_file(GROUPS / "frobenius21.grp")
         assert frob20.order == 20 and center(frob20).order == 1
         assert frob21.order == 21 and center(frob21).order == 1

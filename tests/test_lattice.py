@@ -46,12 +46,6 @@ class TestAllSubgroups:
         with pytest.raises(LatticeBudgetExceeded):
             all_subgroups(cyclic(12), budget=10)
 
-    def test_conjugacy_classes_partition(self):
-        lat = all_subgroups(symmetric(4))
-        sizes = sorted(len(c) for c in lat.conjugacy_classes)
-        assert sum(sizes) == 30
-        assert lat.class_of.tolist().count(-1) == 0
-
 
 class TestNormalSubgroups:
     def test_abelian_all_normal(self):

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from finform import verify
 from finform import (
     NILPOTENT,
     SOLUBLE,
     SUPERSOLUBLE,
+    Formation,
     SigmaPartition,
     VerificationReport,
     catalog_generate,
@@ -176,6 +178,43 @@ class TestLemmaSuite:
             catalog12, sigma_nilpotent_formation(sig), sigma=sig
         )
         assert rep.passed
+
+    def test_every_law_checks_an_instance(self, catalog12, monkeypatch):
+        counts = dict.fromkeys(verify.LAWS, 0)
+
+        def counting(name, law):
+            def wrapper(ctx):
+                for detail in law(ctx):
+                    counts[name] += 1
+                    yield detail
+
+            return wrapper
+
+        for name, law in list(verify.LAWS.items()):
+            monkeypatch.setitem(verify.LAWS, name, counting(name, law))
+        sig = SigmaPartition.parse("[[2,3]]")
+        rep = verify_lemma_suite(
+            catalog12, sigma_nilpotent_formation(sig), sigma=sig
+        )
+        assert [name for name, n in counts.items() if n == 0] == []
+        assert sum(counts.values()) == rep.checked
+
+    def test_unsaturated_class_fails_named_laws(self):
+        # the abelian groups form a formation that is not saturated: D8 and
+        # Q8 are not abelian although their derived subgroup is Frattini-small
+        abelian = Formation("abelian", lambda G: G.is_abelian())
+        rep = verify_lemma_suite(catalog_generate(8), abelian)
+        assert rep.checked == 3047 and len(rep.failures) == 16
+        laws = (
+            "saturation",
+            "membership-by-central-factors",
+            "hypercentral-normal-with-member-quotient",
+            "minimal-supplement-membership",
+        )
+        assert {(f["group"], f["law"]) for f in rep.failures} == {
+            (group, law) for group in ("D8", "Q8") for law in laws
+        }
+        assert all("cayley" in f for f in rep.failures)
 
 
 class TestReports:
