@@ -151,7 +151,7 @@ def cmd_residual(args) -> int:
             "group": G.label,
             "formation": F.name,
             "residual_order": R.order,
-            "residual_members": list(R.members_tuple),
+            "residual_members": R.array.tolist(),
         },
         args.format,
     )
@@ -167,7 +167,7 @@ def cmd_hypercentre(args) -> int:
             "group": G.label,
             "formation": F.name,
             "hypercentre_order": Z.order,
-            "hypercentre_members": list(Z.members_tuple),
+            "hypercentre_members": Z.array.tolist(),
         },
         args.format,
     )

@@ -42,7 +42,7 @@ def from_cayley_table(table, label: str = "G", order_cap: int | None = DEFAULT_O
         perm = idx.copy()
         perm[[0, e]] = perm[[e, 0]]
         arr = perm[arr[np.ix_(perm, perm)]]
-    return Group(arr, label=label, validate="full")
+    return Group(arr, label=label, validate=True)
 
 
 # -- permutation closures -------------------------------------------------
@@ -93,7 +93,7 @@ def from_permutation_gens(
     for i, p in enumerate(elements):
         for j, q in enumerate(elements):
             table[i, j] = index[compose(p, q)]
-    grp = Group(table, label=label, validate="none")
+    grp = Group(table, label=label, validate=False)
     grp.permutations = elements
     return grp
 
@@ -102,7 +102,7 @@ def from_permutation_gens(
 
 
 def trivial() -> Group:
-    return Group(np.zeros((1, 1), dtype=np.int32), label="C1", validate="none")
+    return Group(np.zeros((1, 1), dtype=np.int32), label="C1", validate=False)
 
 
 def cyclic(n: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
@@ -110,7 +110,7 @@ def cyclic(n: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
         raise ValueError("cyclic group order must be >= 1")
     check_order_cap(n, order_cap)
     idx = np.arange(n, dtype=np.int32)
-    return Group((idx[:, None] + idx[None, :]) % n, label=f"C{n}", validate="none")
+    return Group((idx[:, None] + idx[None, :]) % n, label=f"C{n}", validate=False)
 
 
 def _two_part_table(n: int, flip_square: int) -> np.ndarray:
@@ -138,7 +138,7 @@ def dihedral(n: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
     if n < 1:
         raise ValueError("dihedral parameter must be >= 1")
     check_order_cap(2 * n, order_cap)
-    return Group(_two_part_table(n, 0), label=f"D{2 * n}", validate="none")
+    return Group(_two_part_table(n, 0), label=f"D{2 * n}", validate=False)
 
 
 def quaternion(order: int = 8, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
@@ -147,7 +147,7 @@ def quaternion(order: int = 8, order_cap: int | None = DEFAULT_ORDER_CAP) -> Gro
         raise ValueError("quaternion order must be a power of two >= 8")
     check_order_cap(order, order_cap)
     n = order // 2
-    return Group(_two_part_table(n, n // 2), label=f"Q{order}", validate="none")
+    return Group(_two_part_table(n, n // 2), label=f"Q{order}", validate=False)
 
 
 def symmetric(n: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
@@ -220,7 +220,7 @@ def direct_product(G: Group, H: Group, order_cap: int | None = DEFAULT_ORDER_CAP
     table = (
         G.table[np.ix_(g_part, g_part)] * nh + H.table[np.ix_(h_part, h_part)]
     ).astype(np.int32)
-    return Group(table, label=f"{G.label}x{H.label}", validate="none")
+    return Group(table, label=f"{G.label}x{H.label}", validate=False)
 
 
 def semidirect_product(
@@ -229,7 +229,6 @@ def semidirect_product(
     action: np.ndarray,
     label: str | None = None,
     order_cap: int | None = DEFAULT_ORDER_CAP,
-    validate_action: bool = True,
 ) -> Group:
     """External semidirect product N x| H for a left action of H on N.
 
@@ -241,16 +240,15 @@ def semidirect_product(
     if action.shape != (H.order, N.order):
         raise ValueError("action table has wrong shape")
     check_order_cap(N.order * H.order, order_cap)
-    if validate_action:
-        if not np.array_equal(action[0], np.arange(N.order)):
-            raise NotAGroup("action of the identity is not trivial")
-        lhs = action[:, N.table]
-        rhs = N.table[action[:, :, None], action[:, None, :]]
-        if not np.array_equal(lhs, rhs):
-            raise NotAGroup("action values are not automorphisms")
-        for h1 in range(H.order):
-            if not np.array_equal(action[H.table[h1]], action[h1][action]):
-                raise NotAGroup("action is not a homomorphism into Aut(N)")
+    if not np.array_equal(action[0], np.arange(N.order)):
+        raise NotAGroup("action of the identity is not trivial")
+    lhs = action[:, N.table]
+    rhs = N.table[action[:, :, None], action[:, None, :]]
+    if not np.array_equal(lhs, rhs):
+        raise NotAGroup("action values are not automorphisms")
+    for h1 in range(H.order):
+        if not np.array_equal(action[H.table[h1]], action[h1][action]):
+            raise NotAGroup("action is not a homomorphism into Aut(N)")
     nh = H.order
     a = np.arange(N.order * nh, dtype=np.int32)
     n_part, h_part = a // nh, a % nh
@@ -258,7 +256,7 @@ def semidirect_product(
     table = (N.table[n_part[:, None], acted] * nh + H.table[np.ix_(h_part, h_part)]).astype(
         np.int32
     )
-    return Group(table, label=label or f"{N.label}x|{H.label}", validate="none")
+    return Group(table, label=label or f"{N.label}x|{H.label}", validate=False)
 
 
 def semidirect_section(
@@ -278,23 +276,20 @@ def semidirect_section(
     for sub, name in ((H, "H"), (K, "K"), (L, "L")):
         if not sub.is_normal():
             raise NotNormal(f"{name} is not normal in {G.label}")
-    if not (K.members <= H.members):
+    if not K <= H:
         raise ValueError("section requires K <= H")
     C = centralizer_of_section(G, H, K)
-    if not (L.members <= C.members):
-        lbad = min(L.members - C.members)
+    if not L <= C:
+        lbad = next(g for g in L.array.tolist() if g not in C)
         repK = G.table[:, K.array].min(axis=1)
-        hbad = next(
-            int(h) for h in H.members_tuple if repK[G.conj(int(h), lbad)] != repK[h]
-        )
+        hbad = next(h for h in H.array.tolist() if repK[G.conj(h, lbad)] != repK[h])
         raise NotCentralized(
             f"element {lbad} does not centralize the section", witness=(lbad, hbad)
         )
     check_order_cap((H.order // K.order) * (G.order // L.order), order_cap)
 
     Hgrp = H.as_group()
-    Ksub = Subgroup(Hgrp, H.local_members(K).tolist(), validate=False)
-    sec, sec_proj = quotient(Hgrp, Ksub)
+    sec, sec_proj = quotient(Hgrp, H.localize(K))
     quo, _ = quotient(G, L)
 
     # one parent-group representative per section element (first occurrence)
@@ -317,5 +312,4 @@ def semidirect_section(
         action,
         label=f"[{H.order}/{K.order}]({G.label}/{L.order})",
         order_cap=order_cap,
-        validate_action=True,
     )

@@ -101,8 +101,9 @@ def parse_group_text(
 
 
 def load_group_file(path: str | Path, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
-    """The group in a file; a file that cannot be read, or whose contents
-    are not a group within ``order_cap``, raises GroupFileError."""
+    """The group in a file; a file that cannot be read or parsed, or whose
+    contents are not a group within ``order_cap``, raises GroupFileError
+    naming the file."""
     p = Path(path)
     try:
         text = p.read_text()
@@ -110,8 +111,10 @@ def load_group_file(path: str | Path, order_cap: int | None = DEFAULT_ORDER_CAP)
         raise GroupFileError(f"cannot read {p}: {e.strerror or e}") from None
     try:
         return parse_group_text(text, label=p.stem, order_cap=order_cap)
-    except (NotAGroup, OrderCapExceeded) as e:
-        raise GroupFileError(f"{p}: {e}") from None
+    except (GroupFileError, NotAGroup, OrderCapExceeded) as e:
+        located = GroupFileError(f"{p}: {e}")
+        located.line = getattr(e, "line", None)  # a parse error keeps its line
+        raise located from None
 
 
 def dump_group_table(G: Group) -> str:

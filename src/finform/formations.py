@@ -131,9 +131,9 @@ def _some_minimal_normal(G: Group) -> Subgroup:
     while changed:
         changed = False
         for y in reps:
-            if y in current.members:
+            if y in current:
                 smaller = _class_ncl(G, y)
-                if smaller.members < current.members:
+                if smaller < current:
                     current = smaller
                     changed = True
                     break
@@ -245,11 +245,10 @@ def residual(G: Group, F: Formation) -> Subgroup:
     silently wrong residual.
     """
     def compute():
-        members = frozenset(range(G.order))
+        out = G.full_subgroup()
         for N in normal_subgroups(G):
             if F.contains(quotient(G, N)[0]):
-                members &= N.members
-        out = Subgroup(G, members, validate=False)
+                out = out.intersect(N)
         if not F.contains(quotient(G, out)[0]):
             raise FormationLawViolated(
                 f"{F.name}: quotient by the candidate residual is not in the class"
@@ -297,7 +296,7 @@ def is_hypercentral(G: Group, N: Subgroup, central: CentralTest) -> bool:
         return True
     series = chief_series_through(G, N)
     for sec in series.factors():
-        if sec.top.members <= N.members and not central(sec.top, sec.bottom):
+        if sec.top <= N and not central(sec.top, sec.bottom):
             return False
     return True
 
@@ -318,7 +317,7 @@ def hypercentre(G: Group, central: CentralTest, cache_name: str) -> Subgroup:
         members: set[int] = {0}
         for N in normal_subgroups(G):
             if is_hypercentral(G, N, central):
-                members |= N.members
+                members.update(N.array.tolist())
         Z = generated_subgroup(G, members)
         if not is_hypercentral(G, Z, central):
             raise HypercentreNotHypercentral(
@@ -358,4 +357,4 @@ def is_large(G: Group, N: Subgroup) -> bool:
     """Whether N contains its own centralizer in G."""
     if not N.is_normal():
         raise NotNormal(f"{N} is not normal in {G.label}")
-    return centralizer(G, N).members <= N.members
+    return centralizer(G, N) <= N

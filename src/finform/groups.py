@@ -16,10 +16,6 @@ import numpy as np
 from .errors import NotAGroup, NotNormal, OrderCapExceeded
 
 DEFAULT_ORDER_CAP = 512
-# Orders up to this bound get the exhaustive associativity check; above it a
-# fixed-seed sample of triples is used instead.
-FULL_CHECK_LIMIT = 64
-_SAMPLED_TRIPLES = 4096
 
 
 def _memo(owner, key, compute):
@@ -45,42 +41,17 @@ def check_order_cap(order: int, cap: int | None) -> None:
         raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
 
 
-def _full_associativity(table: np.ndarray) -> None:
-    n = table.shape[0]
-    for a in range(n):
-        lhs = table[table[a], :]
-        rhs = table[a, table]
-        if not np.array_equal(lhs, rhs):
-            b, c = divmod(int(np.argmax(lhs != rhs)), n)
-            raise NotAGroup(
-                f"associativity fails: ({a}*{b})*{c} != {a}*({b}*{c})",
-                witness=(a, b, c),
-            )
-
-
-def _sampled_associativity(table: np.ndarray) -> None:
-    n = table.shape[0]
-    rng = np.random.default_rng(0)
-    a, b, c = rng.integers(0, n, size=(3, _SAMPLED_TRIPLES))
-    bad = table[table[a, b], c] != table[a, table[b, c]]
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NotAGroup(
-            "associativity fails on sampled triple",
-            witness=(int(a[i]), int(b[i]), int(c[i])),
-        )
-
-
 class Group:
     """An immutable finite group defined by its Cayley table.
 
     The table is a square int array; ``table[a, b]`` is the product a*b.
     Index 0 is the identity. Instances cache derived data (element orders,
     conjugacy classes, normal subgroups, ...) internally; they are safe to
-    share once constructed.
+    share once constructed. ``validate`` checks the whole table: identity
+    at 0, every row and column a permutation, and associativity.
     """
 
-    def __init__(self, table: np.ndarray, label: str = "G", validate: str = "auto"):
+    def __init__(self, table: np.ndarray, label: str = "G", validate: bool = True):
         table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise NotAGroup("table is not square")
@@ -93,8 +64,8 @@ class Group:
         self.table: np.ndarray = table
         self.label: str = label
         self._cache: dict = {}
-        if validate != "none":
-            self._validate(full=(validate == "full" or (validate == "auto" and n <= FULL_CHECK_LIMIT)))
+        if validate:
+            self._validate()
         self.table.flags.writeable = False
         self.inverse: np.ndarray = (table == 0).argmax(axis=1).astype(np.int32)
         self.inverse.flags.writeable = False
@@ -103,7 +74,7 @@ class Group:
 
     # -- validation ----------------------------------------------------
 
-    def _validate(self, full: bool) -> None:
+    def _validate(self) -> None:
         n, table = self.order, self.table
         idx = np.arange(n, dtype=np.int32)
         if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
@@ -113,10 +84,15 @@ class Group:
         if not (np.array_equal(np.sort(table, axis=1), np.tile(idx, (n, 1)))
                 and np.array_equal(np.sort(table, axis=0), np.tile(idx[:, None], (1, n)))):
             raise NotAGroup("some row or column is not a permutation")
-        if full:
-            _full_associativity(table)
-        else:
-            _sampled_associativity(table)
+        for a in range(n):
+            lhs = table[table[a], :]
+            rhs = table[a, table]
+            if not np.array_equal(lhs, rhs):
+                b, c = divmod(int(np.argmax(lhs != rhs)), n)
+                raise NotAGroup(
+                    f"associativity fails: ({a}*{b})*{c} != {a}*({b}*{c})",
+                    witness=(a, b, c),
+                )
 
     def _compute_element_orders(self) -> np.ndarray:
         n = self.order
@@ -201,6 +177,13 @@ class Subgroup:
 
     Immutable and hashable; equality compares the member set within the same
     parent. Construction checks closure and the Lagrange sanity condition.
+
+    Only this module knows how the members are stored. Elsewhere, compare
+    subgroups with ``<=``, ``<``, ``==`` and ``in``, meet them with
+    ``intersect``, read the sorted members from ``array``, and move between
+    the parent and ``as_group()`` coordinates with ``localize`` and ``lift``.
+    ``members`` is an opaque hashable key for the member set: use it as a
+    dict or memo key and for nothing else.
     """
 
     def __init__(self, parent: Group, members: Iterable[int], validate: bool = True):
@@ -211,7 +194,6 @@ class Subgroup:
         if mem[-1] >= parent.order:
             raise ValueError("subgroup member index out of range")
         self.members: frozenset[int] = frozenset(mem)
-        self.members_tuple: tuple[int, ...] = tuple(mem)
         self.array: np.ndarray = np.asarray(mem, dtype=np.int32)
         self.order: int = len(mem)
         self._cache: dict = {}
@@ -220,11 +202,9 @@ class Subgroup:
                 f"subgroup size {self.order} does not divide group order {parent.order}"
             )
         if validate:
-            prods = parent.table[np.ix_(self.array, self.array)]
-            mask = np.zeros(parent.order, dtype=bool)
-            mask[self.array] = True
-            if not mask[prods].all():
-                a, b = divmod(int(np.argmax(~mask[prods])), self.order)
+            inside = self.mask()[parent.table[np.ix_(self.array, self.array)]]
+            if not inside.all():
+                a, b = divmod(int(np.argmax(~inside)), self.order)
                 raise NotAGroup(
                     "set is not closed under multiplication",
                     witness=(int(self.array[a]), int(self.array[b])),
@@ -261,43 +241,38 @@ class Subgroup:
     def __hash__(self) -> int:
         return hash((id(self.parent), self.members))
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def is_normal(self) -> bool:
-        def compute():
-            conj = _conjugates(self.parent, np.arange(self.parent.order), self.array)
-            return bool(self.mask()[conj].all())
-
-        return _memo(self, "normal", compute)
+        return _memo(self, "normal", lambda: _normal_in(self.parent.full_subgroup(), self))
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
         return Subgroup(self.parent, self.members & other.members, validate=False)
 
     def as_group(self) -> Group:
-        """This subgroup reindexed as a standalone group; ``lift`` maps its
-        subgroups back."""
+        """This subgroup reindexed as a standalone group; ``localize`` and
+        ``lift`` map subgroups into and out of it."""
         def compute():
             mem = self.array
             sub = self.parent.table[np.ix_(mem, mem)]
             local = np.searchsorted(mem, sub)
-            return Group(local, label=f"{self.parent.label}.sub{self.order}", validate="none")
+            return Group(local, label=f"{self.parent.label}.sub{self.order}", validate=False)
 
         return _memo(self, "group", compute)
 
-    def local_members(self, sub: "Subgroup") -> np.ndarray:
-        """Indices of ``sub`` (a subgroup of the parent inside self) in as_group coordinates."""
-        if not (sub.members <= self.members):
+    def localize(self, sub: "Subgroup") -> "Subgroup":
+        """``sub`` (a subgroup of the parent inside self) as a subgroup of ``as_group()``."""
+        if not sub <= self:
             raise ValueError("subgroup is not contained in this one")
-        return np.searchsorted(self.array, sub.array)
+        return Subgroup(self.as_group(), np.searchsorted(self.array, sub.array).tolist(),
+                        validate=False)
 
-    def lift(self, local_members: Iterable[int]) -> "Subgroup":
-        """Map member indices of ``as_group()`` back to a subgroup of the parent."""
-        arr = self.array[np.asarray(sorted(local_members), dtype=np.int32)]
-        return Subgroup(self.parent, arr.tolist(), validate=False)
+    def lift(self, sub: "Subgroup") -> "Subgroup":
+        """``sub`` (a subgroup of ``as_group()``) as a subgroup of the parent."""
+        if sub.parent is not self.as_group():
+            raise ValueError("subgroup is not a subgroup of this one's as_group()")
+        return Subgroup(self.parent, self.array[sub.array].tolist(), validate=False)
 
     def __repr__(self) -> str:
-        head = ",".join(map(str, self.members_tuple[:6]))
+        head = ",".join(map(str, self.array[:6].tolist()))
         tail = ",..." if self.order > 6 else ""
         return f"Subgroup(order={self.order}, members=[{head}{tail}] of {self.parent.label})"
 
@@ -406,9 +381,9 @@ def cyclic_subgroup(G: Group, g: int) -> Subgroup:
 
 def join(a: Subgroup, b: Subgroup) -> Subgroup:
     """Smallest subgroup containing both."""
-    if a.members <= b.members:
+    if a <= b:
         return b
-    if b.members <= a.members:
+    if b <= a:
         return a
     return generated_subgroup(a.parent, a.members | b.members)
 
@@ -452,7 +427,7 @@ def core(ambient: Subgroup, inner: Subgroup) -> Subgroup:
 
     Equals the intersection of the ambient-conjugates of ``inner``.
     """
-    if not (inner.members <= ambient.members):
+    if not inner <= ambient:
         raise ValueError("core requires inner <= ambient")
     G = ambient.parent
     keep = inner.mask()[_conjugates(G, ambient.array, inner.array)].all(axis=0)
@@ -511,23 +486,25 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
         reps = np.unique(rep)
         qindex = np.searchsorted(reps, rep)
         qtable = qindex[rep[G.table[np.ix_(reps, reps)]]]
-        Q = Group(qtable, label=f"{G.label}/n{N.order}", validate="none")
+        Q = Group(qtable, label=f"{G.label}/n{N.order}", validate=False)
         return Q, Homomorphism(G, Q, qindex, validate=False)
 
     return _memo(G, ("quotient", N.members), compute)
 
 
 def _normality_witness(G: Group, N: Subgroup) -> tuple[int, int]:
-    for g in range(G.order):
-        for x in N.members_tuple:
-            if G.conj(x, g) not in N.members:
-                return g, x
-    raise AssertionError("no witness: subgroup is normal")
+    """The first (g, x), g in G and then x in N in increasing order, with
+    g^-1 x g outside N."""
+    outside = ~N.mask()[_conjugates(G, np.arange(G.order), N.array)]
+    if not outside.any():
+        raise AssertionError("no witness: subgroup is normal")
+    g, i = divmod(int(np.argmax(outside)), N.order)
+    return g, int(N.array[i])
 
 
 def centralizer_of_section(G: Group, H: Subgroup, K: Subgroup) -> Subgroup:
     """C_G(H/K) = elements whose conjugation fixes every coset hK."""
-    if not (K.members <= H.members):
+    if not K <= H:
         raise ValueError("section requires K <= H")
     if not _normal_in(H, K):
         raise NotNormal("section bottom is not normal in its top")

@@ -8,7 +8,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import LatticeBudgetExceeded, NotNormal
+from .errors import LatticeBudgetExceeded, NotAGroup, NotNormal
 from .groups import (
     Group,
     Section,
@@ -23,7 +23,7 @@ DEFAULT_LATTICE_BUDGET = 200
 
 
 def _sort_key(s: Subgroup) -> tuple:
-    return (s.order, s.members_tuple)
+    return (s.order, s.array.tolist())
 
 
 class SubgroupLattice:
@@ -41,7 +41,7 @@ class SubgroupLattice:
         self.inclusion = np.zeros((n, n), dtype=bool)
         for i, a in enumerate(self.subgroups):
             for j, b in enumerate(self.subgroups):
-                self.inclusion[i, j] = a.members <= b.members
+                self.inclusion[i, j] = a <= b
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -72,7 +72,8 @@ def _join_closure(seeds: Iterable[Subgroup]) -> list[Subgroup]:
     """The seeds closed under pairwise joins, sorted by (order, members).
 
     Each round joins the subgroups new in the last round with every one
-    found so far; the first seed with a given member set is the one kept.
+    found so far (a comparable pair joins to its larger member, which is
+    already found); the first seed with a given member set is the one kept.
     """
     found: dict[frozenset, Subgroup] = {}
     for s in seeds:
@@ -83,8 +84,6 @@ def _join_closure(seeds: Iterable[Subgroup]) -> list[Subgroup]:
         current = sorted(found.values(), key=_sort_key)
         for a in worklist:
             for b in current:
-                if a.members <= b.members or b.members <= a.members:
-                    continue
                 j = join(a, b)
                 if j.members not in found and j.members not in additions:
                     additions[j.members] = j
@@ -126,7 +125,7 @@ def minimal_normal_subgroups(G: Group) -> list[Subgroup]:
     return [
         n
         for n in normals
-        if not any(m.order < n.order and m.members < n.members for m in normals)
+        if not any(m.order < n.order and m < n for m in normals)
     ]
 
 
@@ -152,9 +151,7 @@ class ChiefSeries:
 
 def is_chief_factor(G: Group, top: Subgroup, bottom: Subgroup) -> bool:
     """No normal subgroup of G sits strictly between bottom and top."""
-    return not any(
-        bottom.members < n.members < top.members for n in normal_subgroups(G)
-    )
+    return not any(bottom < n < top for n in normal_subgroups(G))
 
 
 def chief_series_through(G: Group, N: Subgroup) -> ChiefSeries:
@@ -170,18 +167,18 @@ def chief_series_through(G: Group, N: Subgroup) -> ChiefSeries:
         normals = normal_subgroups(G)
         terms: list[Subgroup] = [G.trivial_subgroup()]
         for t in (N, G.full_subgroup()):
-            if t.members != terms[-1].members:
+            if t != terms[-1]:
                 terms.append(t)
         i = 0
         while i + 1 < len(terms):
             low, high = terms[i], terms[i + 1]
-            between = [n for n in normals if low.members < n.members < high.members]
+            between = [n for n in normals if low < n < high]
             if not between:
                 i += 1
                 continue
             minimal = [
                 n for n in between
-                if not any(m.members < n.members for m in between)
+                if not any(m < n for m in between)
             ]
             terms.insert(i + 1, min(minimal, key=_sort_key))
         return ChiefSeries(G, tuple(terms))
@@ -195,11 +192,13 @@ def chief_series(G: Group) -> ChiefSeries:
 
 def frattini(G: Group, budget: int = DEFAULT_LATTICE_BUDGET) -> Subgroup:
     """Intersection of all maximal subgroups (the whole group if none)."""
+    lattice = all_subgroups(G, budget=budget)  # checks the budget, cache or not
+
     def compute():
-        members = frozenset(range(G.order))
-        for m in all_subgroups(G, budget=budget).maximal_subgroups():
-            members &= m.members
-        return Subgroup(G, members, validate=False)
+        phi = G.full_subgroup()
+        for m in lattice.maximal_subgroups():
+            phi = phi.intersect(m)
+        return phi
 
     return _memo(G, "frattini", compute)
 
@@ -256,9 +255,8 @@ def normal_hall_subgroup(G: Group, primes: Iterable[int]) -> Subgroup | None:
     )
     if len(candidates) != part:
         return None
-    mask = np.zeros(G.order, dtype=bool)
-    mask[candidates] = True
-    if not mask[G.table[np.ix_(candidates, candidates)]].all():
+    try:
+        return Subgroup(G, candidates.tolist())
+    except NotAGroup:  # the candidate set is not closed
         return None
-    return Subgroup(G, candidates.tolist(), validate=False)
 

@@ -49,7 +49,7 @@ def generating_set(G: Group) -> list[int]:
         for g in by_order:
             if current.order == G.order:
                 break
-            if g in current.members:
+            if g in current:
                 continue
             gens.append(g)
             current = generated_subgroup(G, gens)
@@ -201,7 +201,7 @@ def automorphism_group(
     for i, p in enumerate(perms):
         for j, q in enumerate(perms):
             table[i, j] = index[p[q].tobytes()]  # function composition p.q
-    aut = Group(table, label=f"Aut({G.label})", validate="none")
+    aut = Group(table, label=f"Aut({G.label})", validate=False)
     aut.action = np.stack(perms) if perms else np.zeros((1, G.order), dtype=np.int32)
     return aut
 
@@ -214,6 +214,5 @@ def holomorph(
     """Hol(G) = G x| Aut(G) with the natural action."""
     aut = automorphism_group(G, budget=budget)
     return semidirect_product(
-        G, aut, aut.action, label=f"Hol({G.label})", order_cap=order_cap,
-        validate_action=True,
+        G, aut, aut.action, label=f"Hol({G.label})", order_cap=order_cap
     )

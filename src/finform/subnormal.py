@@ -53,7 +53,7 @@ class WitnessChain:
         """
         for i, kind in enumerate(self.step_kinds):
             low, high = self.terms[i], self.terms[i + 1]
-            if not (low.members < high.members):
+            if not low < high:
                 return False
             if kind == NORMAL_STEP:
                 if not _normal_in(high, low):
@@ -71,10 +71,7 @@ class WitnessChain:
 def _core_quotient(low: Subgroup, high: Subgroup) -> Group:
     """The group high / core(high, low)."""
     def compute():
-        cored = core(high, low)
-        Hgrp = high.as_group()
-        local = Subgroup(Hgrp, high.local_members(cored).tolist(), validate=False)
-        return quotient(Hgrp, local)[0]
+        return quotient(high.as_group(), high.localize(core(high, low)))[0]
 
     return _memo(low.parent, ("core_quotient", low.members, high.members), compute)
 
@@ -88,10 +85,10 @@ def is_subnormal(G: Group, A: Subgroup) -> WitnessChain | None:
     chain = [G.full_subgroup()]
     while True:
         current = chain[-1]
-        if current.members == A.members:
+        if current == A:
             break
         nxt = normal_closure_in(current, A)
-        if nxt.members == current.members:
+        if nxt == current:
             return None
         chain.append(nxt)
     chain.reverse()

@@ -40,13 +40,14 @@ from .groups import (
     Section,
     Subgroup,
     centralizer,
-    generated_subgroup,
     hypercentre_classical,
+    join,
     quotient,
 )
 from .lattice import (
     DEFAULT_LATTICE_BUDGET,
     SubgroupLattice,
+    _sort_key,
     all_subgroups,
     chief_series,
     frattini,
@@ -229,16 +230,12 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _failure_record(G: Group, detail: dict, include_cayley: bool = True) -> dict:
-    rec = {"group": G.label, "order": G.order}
-    rec.update(detail)
-    if include_cayley:
-        rec["cayley"] = G.table.tolist()
-    return rec
+def _failure_record(G: Group, detail: dict) -> dict:
+    return {"group": G.label, "order": G.order, **detail, "cayley": G.table.tolist()}
 
 
 def _members(S: Subgroup) -> list[int]:
-    return list(S.members_tuple)
+    return S.array.tolist()
 
 
 class _Timer:
@@ -272,7 +269,7 @@ def _escape(G: Group, D: Subgroup) -> dict | None:
     """None when C_G(D) <= D (the residual D is large), else the members of D
     and of the centralizer that escapes it."""
     C = centralizer(G, D)
-    if C.members <= D.members:
+    if C <= D:
         return None
     return {"residual": _members(D), "centralizer": _members(C)}
 
@@ -347,7 +344,7 @@ def _theorem_a_sweep(
                     )
                     continue
                 rep.asserted += 1
-                D = S.lift(residual(S.as_group(), formation).members_tuple)
+                D = S.lift(residual(S.as_group(), formation))
                 escape = _escape(G, D)
                 if escape:
                     rep.failures.append(
@@ -407,7 +404,7 @@ def verify_schenkman_classic(
                     )
                     continue
                 rep.asserted += 1
-                D = S.lift(residual(S.as_group(), NILPOTENT).members_tuple)
+                D = S.lift(residual(S.as_group(), NILPOTENT))
                 escape = _escape(G, D)
                 if escape:
                     rep.failures.append(
@@ -425,7 +422,7 @@ def verify_schenkman_classic(
                     Egrp = E.as_group()
                     zn = f_hypercentre(Egrp, NILPOTENT)
                     zc = hypercentre_classical(Egrp)
-                    if zn.order != 1 or zc.order != 1 or zn.members != zc.members:
+                    if zn.order != 1 or zc.order != 1 or zn != zc:
                         rep.failures.append(
                             _failure_record(
                                 G,
@@ -458,7 +455,7 @@ def verify_holomorph_bound(
             rep.checked += 1
             U = residual(G, F)
             Z = f_hypercentre(G, F)
-            if U.members & Z.members != frozenset((0,)):
+            if U.intersect(Z).order != 1:
                 _skip(rep, G, "hypothesis-failed",
                       "residual meets the hypercentre nontrivially")
                 continue
@@ -577,7 +574,7 @@ def _central_normal_pairs(G: Group, F: Formation) -> list[tuple[Subgroup, Subgro
     normals = normal_subgroups(G)
     for S in normals:
         for R in normals:
-            if S.members <= R.members and is_f_central(G, R, S, F):
+            if S <= R and is_f_central(G, R, S, F):
                 out.append((S, R))
     return out
 
@@ -587,7 +584,7 @@ def _relabel(G: Group, perm: np.ndarray) -> Group:
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm))
     table = perm[G.table[np.ix_(inv, inv)]]
-    return Group(table, label=f"{G.label}'", validate="none")
+    return Group(table, label=f"{G.label}'", validate=False)
 
 
 def _pair_permutation(n_size: int, h_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -633,7 +630,7 @@ def _saturation(c: _LawContext):
     """G is in F once its residual lies in the Frattini subgroup (the lattice
     walk has already enumerated the lattice Frattini needs)."""
     D = residual(c.G, c.F)
-    ok = c.in_f or not D.members <= frattini(c.G, budget=None).members
+    ok = c.in_f or not D <= frattini(c.G, budget=None)
     yield None if ok else {"residual": _members(D)}
 
 
@@ -683,10 +680,8 @@ def _central_sections_restrict_to_subgroups(c: _LawContext):
     if c.F.hereditary:
         for S, R in c.central_pairs:
             for E in c.lat.subgroups:
-                Egrp = E.as_group()
-                er = Subgroup(Egrp, E.local_members(E.intersect(R)), validate=False)
-                es = Subgroup(Egrp, E.local_members(E.intersect(S)), validate=False)
-                ok = is_f_central(Egrp, er, es, c.F)
+                er, es = E.localize(E.intersect(R)), E.localize(E.intersect(S))
+                ok = is_f_central(E.as_group(), er, es, c.F)
                 yield None if ok else {
                     "section": [R.order, S.order], "subgroup": _members(E)
                 }
@@ -696,17 +691,16 @@ def _central_sections_refine(c: _LawContext):
     """A normal T between S and R splits an F-central R/S into F-central parts."""
     for S, R in c.central_pairs:
         for T in c.normals:
-            if S.members <= T.members <= R.members:
+            if S <= T <= R:
                 ok = is_f_central(c.G, T, S, c.F) and is_f_central(c.G, R, T, c.F)
                 yield None if ok else {"section": [R.order, S.order], "middle": T.order}
 
 
 def _section_product_isomorphism(c: _LawContext):
     """The section products of MN/N and M/(M meet N) are isomorphic."""
-    pairs = [(M, N) for M in c.normals for N in c.normals if M.members != N.members]
+    pairs = [(M, N) for M in c.normals for N in c.normals if M != N]
     for M, N in pairs[:PAIR_SAMPLE]:
-        MN = generated_subgroup(c.G, M.members | N.members)
-        lhs = section_product(c.G, MN, N)
+        lhs = section_product(c.G, join(M, N), N)
         rhs = section_product(c.G, M, M.intersect(N))
         ok = is_isomorphic(lhs, rhs) is not None
         yield None if ok else {"pair": [M.order, N.order]}
@@ -715,12 +709,12 @@ def _section_product_isomorphism(c: _LawContext):
 def _hypercentre_of_quotient(c: _LawContext):
     """Z_F(G/N) = Z_F(G)/N for every normal N inside Z_F(G)."""
     for N in c.normals:
-        if N.members <= c.Z.members:
+        if N <= c.Z:
             Qn, proj = quotient(c.G, N)
             image = Subgroup(
                 Qn, np.unique(proj.mapping[c.Z.array]).tolist(), validate=False
             )
-            ok = image.members == f_hypercentre(Qn, c.F).members
+            ok = image == f_hypercentre(Qn, c.F)
             yield None if ok else {"normal": _members(N)}
 
 
@@ -733,10 +727,10 @@ def _hypercentre_meets_subgroups(c: _LawContext):
         idx_pairs = [idx_pairs[int(k)] for k in sorted(pick)]
     for i, j in idx_pairs:
         A, B = subs[i], subs[j]
-        zb = B.lift(f_hypercentre(B.as_group(), c.F).members_tuple)
+        zb = B.lift(f_hypercentre(B.as_group(), c.F))
         meet = B.intersect(A)
-        z_meet = meet.lift(f_hypercentre(meet.as_group(), c.F).members_tuple)
-        ok = (zb.members & A.members) <= z_meet.members
+        z_meet = meet.lift(f_hypercentre(meet.as_group(), c.F))
+        ok = zb.intersect(A) <= z_meet
         yield None if ok else {"pair": [_members(A), _members(B)]}
 
 
@@ -755,7 +749,7 @@ def _minimal_supplement_membership(c: _LawContext):
         if c.F.contains(quotient(c.G, N)[0]):
             supplements = _supplements(c, N)
             for U in supplements:
-                if not any(V.members < U.members for V in supplements):
+                if not any(V < U for V in supplements):
                     ok = c.F.contains(U.as_group())
                     yield None if ok else {
                         "normal": _members(N), "supplement": _members(U)
@@ -769,7 +763,7 @@ def _member_supplement_central_core(c: _LawContext):
         for U in _supplements(c, N):
             if c.F.contains(U.as_group()):
                 Zu = U.intersect(centralizer(c.G, N))
-                ok = Zu.is_normal() and Zu.members <= c.Z.members
+                ok = Zu.is_normal() and Zu <= c.Z
                 yield None if ok else {
                     "normal": _members(N), "supplement": _members(U)
                 }
@@ -782,7 +776,7 @@ def _equivalent_pairs_isomorphic(c: _LawContext):
     if c.G.order > 1:
         minimal_normal = min(
             (n for n in c.normals if n.order > 1),
-            key=lambda s: (s.order, s.members_tuple),
+            key=_sort_key,
         )
         P1 = section_product(c.G, minimal_normal, c.G.trivial_subgroup())
         sec_order = minimal_normal.order

@@ -227,6 +227,7 @@ class TestCommands:
             ["verify", "theorem-b", "--max-order", "6", "--order-cap", "8",
              "--input", "{frobenius20}"],
             ["group", "show", "file:{not_latin}"],
+            ["verify", "theorem-b", "--max-order", "4", "--input", "{bad_header}"],
         ],
     )
     def test_missing_input_file_is_input_error(self, argv, tmp_path, capsys):
@@ -234,8 +235,10 @@ class TestCommands:
             "missing": tmp_path / "absent.grp",
             "not_latin": tmp_path / "not-latin.grp",
             "frobenius20": GROUPS / "frobenius20.grp",
+            "bad_header": tmp_path / "hdr.grp",
         }
         files["not_latin"].write_text("table 3\n0 1 2\n1 2 0\n2 2 1\n")
+        files["bad_header"].write_text("tabel 2\n0 1\n1 0\n")
         assert main([a.format(**files) for a in argv]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

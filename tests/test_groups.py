@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,7 @@ from finform import (
     upper_central_series,
 )
 from finform.groups import cyclic_subgroup, derived_series, join, set_product
+from finform.lattice import all_subgroups
 
 
 def subgroup_of_order(G, n):
@@ -182,6 +186,20 @@ class TestQuotient:
         with pytest.raises(NotNormal):
             quotient(s3, cyclic_subgroup(s3, t))
 
+    def test_not_normal_witness_is_first_failing_pair(self):
+        s3 = symmetric(3)
+        t = next(e for e in range(6) if s3.element_orders[e] == 2)
+        N = cyclic_subgroup(s3, t)
+        with pytest.raises(NotNormal) as err:
+            quotient(s3, N)
+        g, x = err.value.witness
+        assert x in N and s3.conj(x, g) not in N
+        first = next(
+            (h, y) for h in range(s3.order) for y in N.array.tolist()
+            if s3.conj(y, h) not in N
+        )
+        assert (g, x) == first
+
 
 class TestCentralizersAndCores:
     def test_centralizer_of_trivial(self):
@@ -273,13 +291,27 @@ class TestSubgroupBasics:
         with pytest.raises(NotAGroup):
             Subgroup(s3, [0] + elements_of_order_2[:2])
 
+    def test_localize_then_lift_is_identity(self):
+        s4 = symmetric(4)
+        subgroups = all_subgroups(s4).subgroups
+        for H in subgroups:
+            for K in subgroups:
+                if K <= H:
+                    local = H.localize(K)
+                    assert local.parent is H.as_group() and local.order == K.order
+                    assert H.lift(local) == K
+                    with pytest.raises(ValueError):
+                        H.lift(K)  # a subgroup of S4, not of H.as_group()
+                else:
+                    with pytest.raises(ValueError):
+                        H.localize(K)
+
     def test_as_group_round_trip(self):
         s4 = symmetric(4)
         d4 = subgroup_of_order(s4, 8)
         inner = d4.as_group()
         assert inner.order == 8
-        lifted = d4.lift(range(inner.order))
-        assert lifted.members == d4.members
+        assert d4.lift(inner.full_subgroup()) == d4
 
     def test_join_and_set_product(self):
         s3 = symmetric(3)
@@ -315,10 +347,10 @@ class TestSeriesHelpers:
 
 
 def test_exhaustive_axioms_small_groups():
-    # full associativity/identity/inverse checks run at construction <= 64
+    # full associativity/identity/inverse checks run at construction
     for g in (symmetric(4), dihedral(6), quaternion(16), elem_abelian(2, 4)):
         table = g.table
-        Group(table, validate="full")  # would raise on any violation
+        Group(table, validate=True)  # would raise on any violation
         n = g.order
         assert np.array_equal(table[0], np.arange(n))
         assert all(g.mul(x, g.inv(x)) == 0 for x in range(n))
@@ -372,3 +404,45 @@ def test_memoised_results_are_per_group_objects():
         first = lookup(G)
         assert lookup(G) is first, name
         assert lookup(H) is not first, name
+
+
+# Comparisons and set operators that would read a subgroup's stored member set.
+_MEMBER_SET_OPS = (ast.LtE, ast.Lt, ast.GtE, ast.Gt, ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+_MEMBER_SET_BINOPS = (ast.BitAnd, ast.BitOr, ast.BitXor, ast.Sub)
+
+
+def _is_members(node):
+    return isinstance(node, ast.Attribute) and node.attr == "members"
+
+
+def test_only_groups_module_reads_member_storage():
+    # Outside groups.py a subgroup's ``members`` is only a hash key: code
+    # compares and meets subgroups through Subgroup's operators, intersect,
+    # localize and lift. ``key in mapping`` is a hash lookup, so ``in`` and
+    # ``not in`` count only where ``.members`` is the container.
+    src = Path(__file__).resolve().parents[1] / "src" / "finform"
+    offences = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "groups.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and node.attr in ("members_tuple", "local_members"):
+                offences.append(f"{where} .{node.attr}")
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                for op, left, right in zip(node.ops, operands, operands[1:]):
+                    if not isinstance(op, _MEMBER_SET_OPS):
+                        continue
+                    if _is_members(right) or (
+                        not isinstance(op, (ast.In, ast.NotIn)) and _is_members(left)
+                    ):
+                        offences.append(f"{where} {type(op).__name__} on .members")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+                left = node.left if isinstance(node, ast.BinOp) else node.target
+                right = node.right if isinstance(node, ast.BinOp) else node.value
+                if isinstance(node.op, _MEMBER_SET_BINOPS) and (
+                    _is_members(left) or _is_members(right)
+                ):
+                    offences.append(f"{where} {type(node.op).__name__} on .members")
+    assert not offences, "\n".join(offences)

@@ -110,7 +110,7 @@ class TestChiefSeries:
         # so the multisets of those two invariants must agree.
         def invariants(g, series):
             return sorted(
-                (sec.order, centralizer_of_section(g, sec.top, sec.bottom).members_tuple)
+                (sec.order, centralizer_of_section(g, sec.top, sec.bottom).array.tolist())
                 for sec in series.factors()
             )
 
@@ -128,6 +128,12 @@ class TestFrattini:
 
     def test_s4(self):
         assert frattini(symmetric(4)).order == 1
+
+    def test_budget_holds_on_a_warm_cache(self):
+        s4 = symmetric(4)
+        assert frattini(s4).order == 1
+        with pytest.raises(LatticeBudgetExceeded):
+            frattini(s4, budget=10)
 
     def test_d8_center(self):
         d8 = dihedral(4)

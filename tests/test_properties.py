@@ -89,8 +89,9 @@ def test_witness_chains_revalidate(g, data):
 def test_subgroup_as_group_consistency(g):
     sub = generated_subgroup(g, [min(1, g.order - 1)])
     inner = sub.as_group()
-    Group(inner.table, validate="full")
+    Group(inner.table, validate=True)
     assert inner.order == sub.order
-    for i, a in enumerate(sub.members_tuple):
-        for j, b in enumerate(sub.members_tuple):
-            assert sub.members_tuple[inner.table[i, j]] == g.mul(a, b)
+    members = sub.array.tolist()
+    for i, a in enumerate(members):
+        for j, b in enumerate(members):
+            assert members[inner.table[i, j]] == g.mul(a, b)

@@ -151,8 +151,4 @@ class TestImplicationSweeps:
                         continue
                     for wi in lat.overgroups_of(S):
                         W = lat.subgroups[wi]
-                        Wgrp = W.as_group()
-                        S_in_W = Wgrp.subgroup(
-                            W.local_members(S).tolist(), validate=False
-                        )
-                        assert is_k_f_subnormal(Wgrp, S_in_W, F) is not None
+                        assert is_k_f_subnormal(W.as_group(), W.localize(S), F) is not None
