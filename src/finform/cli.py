@@ -22,7 +22,14 @@ import sys
 import numpy as np
 
 from . import construct, verify
-from .errors import GroupError, GroupFileError, UnknownFormation
+from .errors import (
+    GroupError,
+    GroupFileError,
+    LatticeBudgetExceeded,
+    OrderCapExceeded,
+    SearchBudgetExceeded,
+    UnknownFormation,
+)
 from .files import load_group_file
 from .formations import (
     SigmaPartition,
@@ -98,7 +105,10 @@ def parse_selector(text: str, order_cap: int | None = DEFAULT_ORDER_CAP) -> Grou
 def _resolve_group(args) -> Group:
     if args.input:
         return load_group_file(args.input, order_cap=args.order_cap)
-    return parse_selector(args.selector, order_cap=args.order_cap)
+    try:
+        return parse_selector(args.selector, order_cap=args.order_cap)
+    except OrderCapExceeded as e:
+        raise ValueError(f"{args.selector}: {e}") from e
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -332,12 +342,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, UnknownFormation, GroupFileError) as e:
+    except (ValueError, GroupError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except GroupError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        if isinstance(e, (ValueError, UnknownFormation, GroupFileError)):
+            return 3
+        return 2 if isinstance(e, (LatticeBudgetExceeded, SearchBudgetExceeded)) else 1
 
 
 if __name__ == "__main__":

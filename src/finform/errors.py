@@ -51,7 +51,7 @@ class FormationLawViolated(GroupError):
 
 
 class HypercentreNotHypercentral(GroupError):
-    """The join of hypercentral normal subgroups failed its own re-check."""
+    """A computed hypercentre failed its own chief-factor re-check."""
 
 
 class UnknownFormation(GroupError):

@@ -117,16 +117,28 @@ def normal_subgroups(G: Group) -> list[Subgroup]:
         normal_closure(G, [int(cls[0])]) for cls in G.conjugacy_classes()))
 
 
+def normal_covers(G: Group, low: Subgroup) -> list[Subgroup]:
+    """Normal subgroups M > low with no normal subgroup strictly between.
+
+    One pass in (order, members) order: every normal subgroup above `low`
+    contains a cover, and a cover comes before anything larger, so M is a
+    cover exactly when no cover kept so far lies below it.
+    """
+    def compute():
+        covers: list[Subgroup] = []
+        for M in normal_subgroups(G):
+            if low < M and not any(C < M for C in covers):
+                covers.append(M)
+        return covers
+
+    return _memo(G, ("normal_covers", low.members), compute)
+
+
 def minimal_normal_subgroups(G: Group) -> list[Subgroup]:
     """Normal subgroups minimal among the nontrivial ones."""
     if G.order == 1:
         raise ValueError("the trivial group has no minimal normal subgroups")
-    normals = [s for s in normal_subgroups(G) if s.order > 1]
-    return [
-        n
-        for n in normals
-        if not any(m.order < n.order and m < n for m in normals)
-    ]
+    return normal_covers(G, G.trivial_subgroup())
 
 
 @dataclass(frozen=True)
@@ -149,38 +161,21 @@ class ChiefSeries:
         )
 
 
-def is_chief_factor(G: Group, top: Subgroup, bottom: Subgroup) -> bool:
-    """No normal subgroup of G sits strictly between bottom and top."""
-    return not any(bottom < n < top for n in normal_subgroups(G))
-
-
 def chief_series_through(G: Group, N: Subgroup) -> ChiefSeries:
     """A chief series of G with N as a term.
 
-    1 <= N <= G is refined pair by pair, always inserting the least minimal
-    choice, so the result is deterministic.
+    Climbs from 1 to N and then to G, each step taking the least normal
+    cover that lies inside the current target, so the result is
+    deterministic.
     """
     if not N.is_normal():
         raise NotNormal(f"{N} is not normal in {G.label}")
 
     def compute():
-        normals = normal_subgroups(G)
-        terms: list[Subgroup] = [G.trivial_subgroup()]
-        for t in (N, G.full_subgroup()):
-            if t != terms[-1]:
-                terms.append(t)
-        i = 0
-        while i + 1 < len(terms):
-            low, high = terms[i], terms[i + 1]
-            between = [n for n in normals if low < n < high]
-            if not between:
-                i += 1
-                continue
-            minimal = [
-                n for n in between
-                if not any(m < n for m in between)
-            ]
-            terms.insert(i + 1, min(minimal, key=_sort_key))
+        terms = [G.trivial_subgroup()]
+        for target in (N, G.full_subgroup()):
+            while terms[-1] != target:
+                terms.append(next(M for M in normal_covers(G, terms[-1]) if M <= target))
         return ChiefSeries(G, tuple(terms))
 
     return _memo(G, ("chief_series", N.members), compute)

@@ -98,31 +98,12 @@ def is_subnormal(G: Group, A: Subgroup) -> WitnessChain | None:
 StepTest = Callable[[Subgroup, Subgroup], str | None]
 
 
-def _kf_step(F: Formation) -> StepTest:
+def _step(quotient_ok: Callable[[Group], bool], normal_steps: bool = True) -> StepTest:
+    """A step is normal (when allowed) or has its core-quotient pass the test."""
     def test(low: Subgroup, high: Subgroup) -> str | None:
-        if _normal_in(high, low):
+        if normal_steps and _normal_in(high, low):
             return NORMAL_STEP
-        if F.contains(_core_quotient(low, high)):
-            return F_STEP
-        return None
-
-    return test
-
-
-def _f_only_step(F: Formation) -> StepTest:
-    def test(low: Subgroup, high: Subgroup) -> str | None:
-        if F.contains(_core_quotient(low, high)):
-            return F_STEP
-        return None
-
-    return test
-
-
-def _sigma_step(sigma: SigmaPartition) -> StepTest:
-    def test(low: Subgroup, high: Subgroup) -> str | None:
-        if _normal_in(high, low):
-            return NORMAL_STEP
-        if is_sigma_primary(_core_quotient(low, high), sigma):
+        if quotient_ok(_core_quotient(low, high)):
             return F_STEP
         return None
 
@@ -187,7 +168,7 @@ def is_k_f_subnormal(
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> WitnessChain | None:
     """Kegel chain: each step normal or with core-quotient in F."""
-    return _chain_search(G, A, _kf_step(F), f"kf:{F.name}", lattice_budget)
+    return _chain_search(G, A, _step(F.contains), f"kf:{F.name}", lattice_budget)
 
 
 def is_f_subnormal(
@@ -197,7 +178,8 @@ def is_f_subnormal(
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> WitnessChain | None:
     """Chain of core-quotient steps only."""
-    return _chain_search(G, A, _f_only_step(F), f"f:{F.name}", lattice_budget)
+    return _chain_search(G, A, _step(F.contains, normal_steps=False),
+                         f"f:{F.name}", lattice_budget)
 
 
 def is_sigma_subnormal(
@@ -207,4 +189,5 @@ def is_sigma_subnormal(
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> WitnessChain | None:
     """Chain of normal steps or sigma-primary core-quotient steps."""
-    return _chain_search(G, A, _sigma_step(sigma), f"sigma:{sigma.key}", lattice_budget)
+    return _chain_search(G, A, _step(lambda Q: is_sigma_primary(Q, sigma)),
+                         f"sigma:{sigma.key}", lattice_budget)

@@ -47,11 +47,11 @@ from .groups import (
 from .lattice import (
     DEFAULT_LATTICE_BUDGET,
     SubgroupLattice,
-    _sort_key,
     all_subgroups,
     chief_series,
     frattini,
     is_prime,
+    minimal_normal_subgroups,
     normal_subgroups,
 )
 from .morphisms import automorphism_count, is_isomorphic, fingerprint
@@ -774,10 +774,7 @@ def _equivalent_pairs_isomorphic(c: _LawContext):
     bijections gives the product built from the equivalent pair, so the two
     are isomorphic."""
     if c.G.order > 1:
-        minimal_normal = min(
-            (n for n in c.normals if n.order > 1),
-            key=_sort_key,
-        )
+        minimal_normal = minimal_normal_subgroups(c.G)[0]
         P1 = section_product(c.G, minimal_normal, c.G.trivial_subgroup())
         sec_order = minimal_normal.order
         twisted = _relabel(P1, _pair_permutation(sec_order, P1.order // sec_order, c.rng))

@@ -245,6 +245,23 @@ class TestCommands:
         named = [path for key, path in files.items() if f"{{{key}}}" in " ".join(argv)]
         assert named and all(path.name in err for path in named)
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["group", "show", "cyclic:1000"], 3),
+            (["residual", "cyclic:600", "--formation", "nilpotent"], 3),
+            (["group", "show", "sym:5", "--lattice-budget", "10"], 2),
+            (["subnormal", "sym:4", "--gens", "1", "--lattice-budget", "10"], 2),
+            (["hypercentre", "cyclic:6", "--formation", "sigma-nilpotent",
+              "--sigma", "[[3.9,2]]"], 3),
+        ],
+    )
+    def test_caps_budgets_and_sigma_entries_exit_codes(self, argv, code, capsys):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_lemmas_over_lattice_budget_is_budget_exit(self, capsys):
         argv = ["verify", "lemmas", "--max-order", "6", "--lattice-budget", "4",
                 "--format", "structured"]

@@ -35,7 +35,8 @@ from finform import (
     symmetric,
     trivial,
 )
-from finform.formations import section_product
+from finform import formations
+from finform.formations import is_hypercentral, is_prime, section_product
 
 import oracles
 
@@ -105,6 +106,9 @@ class TestSigma:
             SigmaPartition.from_lists([[2, 3], [3, 5]])
         with pytest.raises(ValueError):
             SigmaPartition.parse("[2,3]")
+        for entries in ([[3.9, 2]], [[2.5]], [[2.0]], [[True]], [["2"]], [[[2]]]):
+            with pytest.raises(ValueError):
+                SigmaPartition.from_lists(entries)
 
     def test_selector(self):
         sig = SigmaPartition.parse("[[2,3]]")
@@ -235,6 +239,40 @@ class TestHypercentre:
             assert (
                 sigma_hypercentre(g, sig).members == f_hypercentre(g, nsig).members
             )
+
+    def test_ascending_walk_matches_all_normals_reference(self, catalog24):
+        # The join of every normal subgroup whose own chief series passes the
+        # test: the definition the ascending walk replaces.
+        def reference(G, central):
+            members = {0}
+            for N in normal_subgroups(G):
+                if is_hypercentral(G, N, central):
+                    members.update(N.array.tolist())
+            return generated_subgroup(G, members)
+
+        sig = SigmaPartition.parse("[[2,3]]")
+        forms = builtin_formations(sig)
+        for g in catalog24.groups:
+            for f in forms:
+                expected = reference(g, lambda t, b: is_f_central(g, t, b, f))
+                assert f_hypercentre(g, f) == expected, (g.label, f.name)
+            cyclic_chief = reference(g, lambda t, b: is_prime(t.order // b.order))
+            assert supersoluble_hypercentre(g) == cyclic_chief, g.label
+            sigma_central = reference(g, lambda t, b: is_sigma_central(g, t, b, sig))
+            assert sigma_hypercentre(g, sig) == sigma_central, g.label
+
+    @pytest.mark.parametrize("form", [NILPOTENT, SUPERSOLUBLE], ids=lambda f: f.name)
+    def test_hypercentre_builds_at_most_one_chief_series(self, form, monkeypatch):
+        calls = []
+        real = formations.chief_series_through
+
+        def counting(G, N):
+            calls.append(N.order)
+            return real(G, N)
+
+        monkeypatch.setattr(formations, "chief_series_through", counting)
+        formations.f_hypercentre(elem_abelian(2, 4), form)
+        assert len(calls) <= 1, calls
 
     def test_not_normal_raises(self):
         s3 = symmetric(3)

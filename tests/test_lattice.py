@@ -18,7 +18,7 @@ from finform import (
     trivial,
 )
 from finform.groups import centralizer_of_section, join
-from finform.lattice import is_chief_factor
+from finform.lattice import normal_covers
 
 
 class TestAllSubgroups:
@@ -75,6 +75,32 @@ class TestNormalSubgroups:
             minimal_normal_subgroups(trivial())
 
 
+class TestNormalCovers:
+    def test_s4_climbs_one_cover_at_a_time(self):
+        s4 = symmetric(4)
+        low = s4.trivial_subgroup()
+        for order in (4, 12, 24):
+            covers = normal_covers(s4, low)
+            assert [c.order for c in covers] == [order]
+            low = covers[0]
+        assert normal_covers(s4, low) == []
+
+    def test_c6(self):
+        c6 = cyclic(6)
+        assert [c.order for c in normal_covers(c6, c6.trivial_subgroup())] == [2, 3]
+
+    def test_covers_are_exactly_the_minimal_normals_above(self, catalog12):
+        for g in catalog12.groups:
+            normals = normal_subgroups(g)
+            for low in normals:
+                covers = normal_covers(g, low)
+                for c in covers:
+                    assert low < c and not any(low < n < c for n in normals)
+                for n in normals:
+                    if low < n:
+                        assert any(c <= n for c in covers), (g.label, low, n)
+
+
 class TestChiefSeries:
     def test_s4_series(self):
         series = chief_series(symmetric(4))
@@ -101,8 +127,10 @@ class TestChiefSeries:
     def test_every_factor_chief(self, catalog12):
         for g in catalog12.groups:
             series = chief_series(g)
+            normals = normal_subgroups(g)
             for sec in series.factors():
-                assert is_chief_factor(g, sec.top, sec.bottom)
+                assert sec.top.is_normal() and sec.bottom.is_normal()
+                assert not any(sec.bottom < n < sec.top for n in normals)
 
     def test_jordan_holder_matching(self, catalog24):
         # Two chief series have pairwise G-isomorphic factors, and
