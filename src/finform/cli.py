@@ -223,12 +223,6 @@ def cmd_subnormal(args) -> int:
 
 def cmd_verify(args) -> int:
     sigma = SigmaPartition.parse(args.sigma) if args.sigma else None
-    if args.max_order < 1 or args.order_cap < 1:
-        raise ValueError("max-order and order-cap must be positive")
-    if args.max_order > args.order_cap:
-        raise ValueError("max-order cannot exceed order-cap")
-    if args.budget < 1 or args.lattice_budget < 1:
-        raise ValueError("budgets must be positive")
     if args.formation == "sigma-nilpotent" and sigma is None:
         raise ValueError("--formation sigma-nilpotent requires --sigma")
     catalog = catalog_generate(args.max_order, files=tuple(args.input or ()),
@@ -272,8 +266,15 @@ def render_structured(reports, include_timing: bool = False) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as bad configuration (exit 3), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="finform", description=__doc__)
+    top = _Parser(prog="finform", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, selector=True):
@@ -337,10 +338,20 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _check_ranges(args) -> None:
+    """Range checks on whichever of the numeric options the command has."""
+    if getattr(args, "max_order", 1) < 1 or args.order_cap < 1:
+        raise ValueError("max-order and order-cap must be positive")
+    if getattr(args, "max_order", 1) > args.order_cap:
+        raise ValueError("max-order cannot exceed order-cap")
+    if getattr(args, "budget", 1) < 1 or args.lattice_budget < 1:
+        raise ValueError("budgets must be positive")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        _check_ranges(args)
         return args.func(args)
     except (ValueError, GroupError) as e:
         print(f"error: {e}", file=sys.stderr)

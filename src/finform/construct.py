@@ -24,7 +24,10 @@ def from_cayley_table(table, label: str = "G", order_cap: int | None = DEFAULT_O
     If the two-sided identity sits at some index e != 0, elements are
     relabelled by the transposition (0 e) so that 0 becomes the identity.
     """
-    arr = np.asarray(table, dtype=np.int64)
+    try:
+        arr = np.asarray(table, dtype=np.int64)
+    except OverflowError:  # an entry beyond int64 is out of range too
+        raise NotAGroup("table entries out of range 0..n-1") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotAGroup("table is not square")
     n = arr.shape[0]

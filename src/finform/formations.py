@@ -31,10 +31,10 @@ from .groups import (
     quotient,
 )
 from .lattice import (
+    _class_closure,
     chief_series_through,
     group_primes,
     is_prime,
-    normal_closure,
     normal_covers,
     normal_hall_subgroup,
     normal_subgroups,
@@ -124,20 +124,16 @@ def is_soluble(G: Group) -> bool:
     return _memo(G, "soluble", lambda: derived_series(G)[-1].order == 1)
 
 
-def _class_ncl(G: Group, rep: int) -> Subgroup:
-    return _memo(G, ("class_ncl", int(G.class_of()[rep])), lambda: normal_closure(G, [rep]))
-
-
 def _some_minimal_normal(G: Group) -> Subgroup:
     """Any minimal normal subgroup, found by normal-closure descent."""
     reps = [int(c[0]) for c in G.conjugacy_classes() if int(c[0]) != 0]
-    current = _class_ncl(G, reps[0])
+    current = _class_closure(G, reps[0])
     changed = True
     while changed:
         changed = False
         for y in reps:
             if y in current:
-                smaller = _class_ncl(G, y)
+                smaller = _class_closure(G, y)
                 if smaller < current:
                     current = smaller
                     changed = True

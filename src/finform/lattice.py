@@ -29,13 +29,13 @@ def _sort_key(s: Subgroup) -> tuple:
 class SubgroupLattice:
     """The complete subgroup lattice of a group.
 
-    Subgroups are deduplicated and sorted by (order, member tuple); the
+    ``subgroups`` comes distinct and sorted by (order, member tuple); the
     inclusion relation is precomputed.
     """
 
     def __init__(self, parent: Group, subgroups: list[Subgroup]):
         self.parent = parent
-        self.subgroups: list[Subgroup] = sorted(set(subgroups), key=_sort_key)
+        self.subgroups = subgroups
         self._index = {s.members: i for i, s in enumerate(self.subgroups)}
         n = len(self.subgroups)
         self.inclusion = np.zeros((n, n), dtype=bool)
@@ -68,66 +68,60 @@ class SubgroupLattice:
         return out
 
 
-def _join_closure(seeds: Iterable[Subgroup]) -> list[Subgroup]:
-    """The seeds closed under pairwise joins, sorted by (order, members).
+def _join_closure(bottom: Subgroup, seeds: Iterable[Subgroup]) -> list[Subgroup]:
+    """Every join of `bottom` with some of the seeds, sorted by (order, members).
 
-    Each round joins the subgroups new in the last round with every one
-    found so far (a comparable pair joins to its larger member, which is
-    already found); the first seed with a given member set is the one kept.
+    Each subgroup found is joined once with each distinct seed, so the cost
+    is #found x #seeds joins.
     """
-    found: dict[frozenset, Subgroup] = {}
-    for s in seeds:
-        found.setdefault(s.members, s)
-    worklist = list(found.values())
-    while worklist:
-        additions: dict[frozenset, Subgroup] = {}
-        current = sorted(found.values(), key=_sort_key)
-        for a in worklist:
-            for b in current:
-                j = join(a, b)
-                if j.members not in found and j.members not in additions:
-                    additions[j.members] = j
-        found.update(additions)
-        worklist = sorted(additions.values(), key=_sort_key)
+    distinct = {s.members: s for s in seeds}
+    found = {bottom.members: bottom}
+    grown = [bottom]
+    for a in grown:
+        for s in distinct.values():
+            j = join(a, s)
+            if j.members not in found:
+                found[j.members] = j
+                grown.append(j)
     return sorted(found.values(), key=_sort_key)
 
 
 def all_subgroups(G: Group, budget: int = DEFAULT_LATTICE_BUDGET) -> SubgroupLattice:
-    """Every subgroup, built from cyclic seeds closed under pairwise joins."""
+    """Every subgroup: each is the join of its cyclic subgroups."""
     if budget is not None and G.order > budget:
         raise LatticeBudgetExceeded(
             f"lattice enumeration limited to order {budget}, group has {G.order}"
         )
+    return _memo(G, "lattice", lambda: SubgroupLattice(G, _join_closure(
+        G.trivial_subgroup(), (cyclic_subgroup(G, g) for g in range(1, G.order)))))
 
-    def compute():
-        cyclics = sorted((cyclic_subgroup(G, g) for g in range(G.order)), key=_sort_key)
-        return SubgroupLattice(G, _join_closure(cyclics))
 
-    return _memo(G, "lattice", compute)
+def _class_closure(G: Group, x: int) -> Subgroup:
+    """The normal closure of x, memoised per conjugacy class."""
+    return _memo(G, ("class_closure", int(G.class_of()[x])), lambda: normal_closure(G, [x]))
+
+
+def _class_closures(G: Group) -> list[Subgroup]:
+    return [_class_closure(G, int(cls[0])) for cls in G.conjugacy_classes()[1:]]
 
 
 def normal_subgroups(G: Group) -> list[Subgroup]:
-    """All conjugation-invariant subgroups, by normal-closure seeding.
-
-    Every normal subgroup is a join of closures of conjugacy classes, so the
-    join-closure of the class closures is the full normal lattice; no
-    subgroup lattice is needed.
-    """
-    return _memo(G, "normals", lambda: _join_closure(
-        normal_closure(G, [int(cls[0])]) for cls in G.conjugacy_classes()))
+    """All normal subgroups: each is the join of the closures ncl(x) of its elements."""
+    return _memo(G, "normals", lambda: _join_closure(G.trivial_subgroup(), _class_closures(G)))
 
 
 def normal_covers(G: Group, low: Subgroup) -> list[Subgroup]:
-    """Normal subgroups M > low with no normal subgroup strictly between.
+    """Normal subgroups M > low (low normal) with no normal subgroup strictly between.
 
-    One pass in (order, members) order: every normal subgroup above `low`
-    contains a cover, and a cover comes before anything larger, so M is a
-    cover exactly when no cover kept so far lies below it.
+    A normal M > low contains low*ncl(x) for any x in M outside low, so the
+    covers are the least of those joins; in (order, members) order, a join
+    is least when no cover kept so far lies below it.
     """
     def compute():
         covers: list[Subgroup] = []
-        for M in normal_subgroups(G):
-            if low < M and not any(C < M for C in covers):
+        above = {j.members: j for j in (join(low, C) for C in _class_closures(G) if not C <= low)}
+        for M in sorted(above.values(), key=_sort_key):
+            if not any(C < M for C in covers):
                 covers.append(M)
         return covers
 

@@ -230,10 +230,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _failure_record(G: Group, detail: dict) -> dict:
-    return {"group": G.label, "order": G.order, **detail, "cayley": G.table.tolist()}
-
-
 def _members(S: Subgroup) -> list[int]:
     return S.array.tolist()
 
@@ -251,6 +247,12 @@ class _Timer:
 def _skip(rep: VerificationReport, G: Group, reason: str, detail: str, **where) -> None:
     """Record a skipped instance on G; ``where`` locates it inside G."""
     rep.skipped.append({"group": G.label, **where, "reason": reason, "detail": detail})
+
+
+def _fail(rep: VerificationReport, G: Group, **fields) -> None:
+    """Record a failure on G, with G's Cayley table so it can be replayed."""
+    rep.failures.append({"group": G.label, "order": G.order, **fields,
+                         "cayley": G.table.tolist()})
 
 
 def _lattice_walk(catalog: Catalog, rep: VerificationReport, budget: int):
@@ -292,15 +294,8 @@ def verify_theorem_b(catalog: Catalog, F: Formation) -> VerificationReport:
             rep.asserted += 1
             escape = _escape(G, residual(G, F))
             if escape:
-                rep.failures.append(
-                    _failure_record(
-                        G,
-                        {
-                            **escape,
-                            "detail": "centralizer of the residual escapes the residual",
-                        },
-                    )
-                )
+                _fail(rep, G, **escape,
+                      detail="centralizer of the residual escapes the residual")
     rep.elapsed_ms = t.ms
     return rep
 
@@ -347,18 +342,8 @@ def _theorem_a_sweep(
                 D = S.lift(residual(S.as_group(), formation))
                 escape = _escape(G, D)
                 if escape:
-                    rep.failures.append(
-                        _failure_record(
-                            G,
-                            {
-                                "subgroup": _members(S),
-                                "chain": list(chain.order_trail()),
-                                **escape,
-                                "detail": "centralizer of the subgroup's residual "
-                                "escapes it",
-                            },
-                        )
-                    )
+                    _fail(rep, G, subgroup=_members(S), chain=list(chain.order_trail()),
+                          **escape, detail="centralizer of the subgroup's residual escapes it")
     rep.elapsed_ms = t.ms
     return rep
 
@@ -407,33 +392,17 @@ def verify_schenkman_classic(
                 D = S.lift(residual(S.as_group(), NILPOTENT))
                 escape = _escape(G, D)
                 if escape:
-                    rep.failures.append(
-                        _failure_record(
-                            G,
-                            {
-                                "subgroup": _members(S),
-                                **escape,
-                                "detail": "nilpotent residual is not large",
-                            },
-                        )
-                    )
+                    _fail(rep, G, subgroup=_members(S), **escape,
+                          detail="nilpotent residual is not large")
                 for ei in lat.overgroups_of(S):
                     E = lat.subgroups[ei]
                     Egrp = E.as_group()
                     zn = f_hypercentre(Egrp, NILPOTENT)
                     zc = hypercentre_classical(Egrp)
                     if zn.order != 1 or zc.order != 1 or zn != zc:
-                        rep.failures.append(
-                            _failure_record(
-                                G,
-                                {
-                                    "subgroup": _members(S),
-                                    "overgroup": _members(E),
-                                    "detail": "bridging claim failed: expected "
-                                    "trivial nilpotent and classical hypercentres",
-                                },
-                            )
-                        )
+                        _fail(rep, G, subgroup=_members(S), overgroup=_members(E),
+                              detail="bridging claim failed: expected "
+                              "trivial nilpotent and classical hypercentres")
     rep.elapsed_ms = t.ms
     return rep
 
@@ -468,17 +437,8 @@ def verify_holomorph_bound(
             lhs = G.order // Z.order
             rhs = U.order * aut_n
             if lhs > rhs:
-                rep.failures.append(
-                    _failure_record(
-                        G,
-                        {
-                            "residual": _members(U),
-                            "quotient_order": lhs,
-                            "holomorph_order": rhs,
-                            "detail": "holomorph bound violated",
-                        },
-                    )
-                )
+                _fail(rep, G, residual=_members(U), quotient_order=lhs,
+                      holomorph_order=rhs, detail="holomorph bound violated")
             else:
                 max_slack = max(max_slack, rhs - lhs)
                 if lhs == rhs:
@@ -545,17 +505,9 @@ def verify_section3_corollaries(
                 via_sigma = is_sigma_subnormal(G, S, sigma, lattice_budget) is not None
                 via_kegel = is_k_f_subnormal(G, S, nsigma, lattice_budget) is not None
                 if via_sigma != via_kegel:
-                    agreement.failures.append(
-                        _failure_record(
-                            G,
-                            {
-                                "subgroup": _members(S),
-                                "sigma_subnormal": via_sigma,
-                                "kegel_subnormal": via_kegel,
-                                "detail": "sigma-chain and Kegel-chain verdicts differ",
-                            },
-                        )
-                    )
+                    _fail(agreement, G, subgroup=_members(S), sigma_subnormal=via_sigma,
+                          kegel_subnormal=via_kegel,
+                          detail="sigma-chain and Kegel-chain verdicts differ")
     agreement.elapsed_ms = t.ms
     reports.append(agreement)
     return reports
@@ -833,7 +785,7 @@ def verify_lemma_suite(
                     rep.checked += 1
                     rep.asserted += 1
                     if detail is not None:
-                        rep.failures.append(_failure_record(G, {"law": name, **detail}))
+                        _fail(rep, G, law=name, **detail)
     rep.elapsed_ms = t.ms
     return rep
 

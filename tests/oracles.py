@@ -46,14 +46,26 @@ def closure(gens, mul, e):
 
 
 def all_subgroups(elems, mul):
-    """Closures of all generator sets of size <= 2 (enough below order 30)."""
+    """Every subgroup: {e} closed under adding one element at a time.
+
+    <S, a> = <S, x*a> for x in S, so one element per coset S*a is enough.
+    """
     e = identity_of(elems, mul)
-    subs = {frozenset([e])}
-    for a in elems:
-        subs.add(closure([a], mul, e))
-    for a in elems:
-        for b in elems:
-            subs.add(closure([a, b], mul, e))
+    subs = {frozenset([e]): ()}  # each subgroup with the generators it was found by
+    frontier = list(subs)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            seen = set(s)
+            for a in elems:
+                if a not in seen:
+                    seen.update(mul(x, a) for x in s)
+                    gens = subs[s] + (a,)
+                    t = closure(gens, mul, e)
+                    if t not in subs:
+                        subs[t] = gens
+                        nxt.append(t)
+        frontier = nxt
     return sorted(subs, key=lambda s: (len(s), sorted(map(str, s))))
 
 

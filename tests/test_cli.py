@@ -2,10 +2,18 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from finform import from_cayley_table, is_isomorphic, parse_group_text, symmetric
+from finform import (
+    Group,
+    GroupFileError,
+    from_cayley_table,
+    is_isomorphic,
+    parse_group_text,
+    symmetric,
+)
 from finform.cli import main, parse_selector
-from finform.files import dump_group_table, format_cycles, parse_cycles
+from finform.files import dump_group_table, format_cycles, load_group_file, parse_cycles
 
 GROUPS = Path(__file__).resolve().parent.parent / "groups"
 
@@ -61,6 +69,39 @@ class TestGroupFiles:
         with pytest.raises(GroupFileError) as err:
             parse_group_text("perm 3\n(0 9)\n")
         assert err.value.line == 2
+
+
+_INT = st.one_of(
+    st.integers(0, 6), st.integers(-(2**70), -1), st.integers(2**63, 2**70)
+).map(str)
+_TOKEN = st.one_of(
+    _INT,
+    st.sampled_from(["x", "1.5", "#", "--", "0x1"]),
+    st.lists(st.integers(-2, 7), max_size=4).map(lambda ps: "(" + " ".join(map(str, ps)) + ")"),
+)
+
+
+@st.composite
+def group_file_text(draw):
+    """A header of size 0-6, then rows that are square (size x size) half the time."""
+    size = draw(st.integers(0, 6))
+    token = draw(st.sampled_from([_INT, _TOKEN]))
+    square = draw(st.booleans())
+    row = st.lists(token, min_size=size, max_size=size) if square else st.lists(token, max_size=7)
+    rows = draw(st.lists(row, min_size=size, max_size=size) if square else st.lists(row, max_size=7))
+    head = f"{draw(st.sampled_from(['table', 'perm']))} {size}"
+    return "\n".join([head, *map(" ".join, rows)]) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_file_text())
+def test_group_file_is_group_or_file_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "g.grp"
+    path.write_text(text)
+    try:
+        assert isinstance(load_group_file(path), Group)
+    except GroupFileError as e:
+        assert str(path) in str(e)
 
 
 class TestCommands:
@@ -228,6 +269,8 @@ class TestCommands:
              "--input", "{frobenius20}"],
             ["group", "show", "file:{not_latin}"],
             ["verify", "theorem-b", "--max-order", "4", "--input", "{bad_header}"],
+            ["group", "show", "file:{big_entry}"],
+            ["verify", "theorem-b", "--max-order", "4", "--input", "{big_entry}"],
         ],
     )
     def test_missing_input_file_is_input_error(self, argv, tmp_path, capsys):
@@ -236,9 +279,11 @@ class TestCommands:
             "not_latin": tmp_path / "not-latin.grp",
             "frobenius20": GROUPS / "frobenius20.grp",
             "bad_header": tmp_path / "hdr.grp",
+            "big_entry": tmp_path / "big.grp",
         }
         files["not_latin"].write_text("table 3\n0 1 2\n1 2 0\n2 2 1\n")
         files["bad_header"].write_text("tabel 2\n0 1\n1 0\n")
+        files["big_entry"].write_text("table 2\n0 1\n1 99999999999999999999\n")
         assert main([a.format(**files) for a in argv]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -254,6 +299,12 @@ class TestCommands:
             (["subnormal", "sym:4", "--gens", "1", "--lattice-budget", "10"], 2),
             (["hypercentre", "cyclic:6", "--formation", "sigma-nilpotent",
               "--sigma", "[[3.9,2]]"], 3),
+            (["group", "show", "sym:3", "--lattice-budget", "0"], 3),
+            (["residual", "sym:3", "--formation", "nilpotent", "--lattice-budget", "-5"], 3),
+            (["hypercentre", "sym:3", "--formation", "nilpotent", "--lattice-budget", "0"], 3),
+            (["subnormal", "sym:3", "--gens", "1", "--lattice-budget", "-5"], 3),
+            (["verify", "theorem-b", "--lattice-budget", "0"], 3),
+            (["group", "show", "sym:3", "--order-cap", "0"], 3),
         ],
     )
     def test_caps_budgets_and_sigma_entries_exit_codes(self, argv, code, capsys):
@@ -261,6 +312,26 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "nonsense"],
+            ["verify", "theorem-b", "--max-order", "abc"],
+            ["group", "show", "sym:3", "--no-such-flag"],
+            ["residual", "sym:3"],
+        ],
+    )
+    def test_usage_error_is_config_error(self, argv, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: finform") and err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["verify", "--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: finform verify")
 
     def test_lemmas_over_lattice_budget_is_budget_exit(self, capsys):
         argv = ["verify", "lemmas", "--max-order", "6", "--lattice-budget", "4",

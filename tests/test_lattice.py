@@ -2,13 +2,18 @@ import pytest
 
 from finform import (
     LatticeBudgetExceeded,
+    NILPOTENT,
+    SUPERSOLUBLE,
     all_subgroups,
     alternating,
+    catalog_generate,
     chief_series,
     chief_series_through,
     cyclic,
     dihedral,
+    direct_product,
     elem_abelian,
+    f_hypercentre,
     frattini,
     generated_subgroup,
     minimal_normal_subgroups,
@@ -17,8 +22,11 @@ from finform import (
     symmetric,
     trivial,
 )
-from finform.groups import centralizer_of_section, join
+from finform import formations, lattice
+from finform.groups import centralizer_of_section, cyclic_subgroup, join
 from finform.lattice import normal_covers
+
+import oracles
 
 
 class TestAllSubgroups:
@@ -75,6 +83,17 @@ class TestNormalSubgroups:
             minimal_normal_subgroups(trivial())
 
 
+def test_both_lattices_match_oracles():
+    for g in catalog_generate(16).groups:
+        table = g.table.tolist()
+        elems, mul = tuple(range(g.order)), lambda a, b: table[a][b]
+        for engine, oracle in ((all_subgroups(g), oracles.all_subgroups),
+                               (normal_subgroups(g), oracles.normal_subgroups)):
+            got = [frozenset(s.array.tolist()) for s in engine]
+            want = oracle(elems, mul)
+            assert len(set(got)) == len(got) and set(got) == set(want), g.label
+
+
 class TestNormalCovers:
     def test_s4_climbs_one_cover_at_a_time(self):
         s4 = symmetric(4)
@@ -99,6 +118,41 @@ class TestNormalCovers:
                 for n in normals:
                     if low < n:
                         assert any(c <= n for c in covers), (g.label, low, n)
+
+
+def _count_calls(monkeypatch, modules, name):
+    """Wrap ``name`` wherever ``modules`` bind it; the list collects one entry per call."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestGrowthIsLinearInSeeds:
+    def test_joins_per_seed(self, monkeypatch):
+        joins = _count_calls(monkeypatch, [lattice], "join")
+        assert len(normal_subgroups(elem_abelian(2, 4))) == 67
+        assert len(joins) <= 67 * 15
+        g = direct_product(symmetric(4), cyclic(2))
+        cyclics = {cyclic_subgroup(g, x).members for x in range(1, g.order)}
+        joins.clear()
+        lat = all_subgroups(g)
+        assert 0 < len(joins) <= len(lat) * len(cyclics)
+
+    def test_covers_skip_the_normal_lattice(self, monkeypatch):
+        calls = _count_calls(monkeypatch, [lattice, formations], "normal_subgroups")
+        for g in (elem_abelian(2, 4), direct_product(symmetric(4), cyclic(2))):
+            for F in (NILPOTENT, SUPERSOLUBLE):
+                f_hypercentre(g, F)
+            chief_series(g)
+            minimal_normal_subgroups(g)
+        assert calls == []
 
 
 class TestChiefSeries:

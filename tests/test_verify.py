@@ -219,10 +219,13 @@ class TestLemmaSuite:
 
 class TestReports:
     def test_failure_record_carries_cayley(self):
-        from finform.verify import _failure_record
+        from finform.verify import _fail
 
         s3 = symmetric(3)
-        rec = _failure_record(s3, {"detail": "synthetic"})
+        rep = VerificationReport("x", None, None, "cov")
+        _fail(rep, s3, subgroup=[0], detail="synthetic")
+        (rec,) = rep.failures
+        assert list(rec) == ["group", "order", "subgroup", "detail", "cayley"]
         assert rec["group"] == "S3" and rec["order"] == 6
         assert rec["cayley"] == s3.table.tolist()
 
