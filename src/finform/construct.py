@@ -96,9 +96,7 @@ def from_permutation_gens(
     for i, p in enumerate(elements):
         for j, q in enumerate(elements):
             table[i, j] = index[compose(p, q)]
-    grp = Group(table, label=label, validate=False)
-    grp.permutations = elements
-    return grp
+    return Group(table, label=label, validate=False)
 
 
 # -- named families --------------------------------------------------------

@@ -21,42 +21,23 @@ from .construct import from_cayley_table, from_permutation_gens
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
-    """A permutation of 0..degree-1 from disjoint-cycle notation."""
-    perm = list(range(degree))
+def parse_cycles(text: str, degree: int) -> dict[int, int]:
+    """The points written in disjoint-cycle notation over 0..degree-1, each
+    mapped to its image; every other point is fixed."""
     if re.sub(_CYCLE_RE, "", text.replace(" ", "")) not in ("", "()"):
         raise ValueError(f"bad cycle notation {text!r}")
-    moved: set[int] = set()
+    images: dict[int, int] = {}
     for body in _CYCLE_RE.findall(text):
         points = [int(tok) for tok in body.split()]
-        if not points:
-            continue
         for p in points:
             if p < 0 or p >= degree:
                 raise ValueError(f"point {p} out of range for degree {degree}")
-            if p in moved:
+            if p in images:
                 raise ValueError(f"point {p} repeated across cycles")
-            moved.add(p)
+            images[p] = p
         for i, p in enumerate(points):
-            perm[p] = points[(i + 1) % len(points)]
-    return tuple(perm)
-
-
-def format_cycles(perm: tuple[int, ...]) -> str:
-    seen: set[int] = set()
-    out = []
-    for start in range(len(perm)):
-        if start in seen or perm[start] == start:
-            continue
-        cyc = [start]
-        seen.add(start)
-        x = perm[start]
-        while x != start:
-            cyc.append(x)
-            seen.add(x)
-            x = perm[x]
-        out.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(out) or "()"
+            images[p] = points[(i + 1) % len(points)]
+    return images
 
 
 def parse_group_text(
@@ -78,13 +59,18 @@ def parse_group_text(
         raise GroupFileError("size must be >= 1", head_no)
 
     if parts[0] == "perm":
-        gens = []
+        maps = []
         for line_no, ln in lines[1:]:
             try:
-                gens.append(parse_cycles(ln, size))
+                maps.append(parse_cycles(ln, size))
             except ValueError as e:
                 raise GroupFileError(str(e), line_no) from None
-        return from_permutation_gens(size, gens, label=label, order_cap=order_cap)
+        # Points no cycle names are fixed by every generator, so the closure
+        # runs over the written points only, whatever the declared degree.
+        points = sorted(set().union(*maps))
+        local = {p: i for i, p in enumerate(points)}
+        gens = [tuple(local[m.get(p, p)] for p in points) for m in maps]
+        return from_permutation_gens(len(points), gens, label=label, order_cap=order_cap)
 
     rows = []
     for line_no, ln in lines[1:]:

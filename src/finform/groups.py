@@ -3,7 +3,9 @@
 A group of order n lives on the indices 0..n-1 with 0 always the identity.
 All bulk operations (closures, conjugation, centralizers, coset maps) are
 vectorised over the table, which keeps everything exhaustive and still fast
-at desk scale.
+at desk scale. A subgroup is an int bitmask over the indices, interned per
+parent group, and every generated subgroup comes from one boolean-mask
+closure, ``_closure``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,14 @@ def _memo(owner, key, compute):
 
 def _conjugates(G: "Group", ambient: np.ndarray, sub: np.ndarray) -> np.ndarray:
     """Matrix of g^-1 * x * g, one row per g in ``ambient``, one column per x in ``sub``."""
-    return G.table[G.table[np.ix_(G.inverse[ambient], sub)], ambient[:, None]]
+    return G.table[G.table[G.inverse[ambient][:, None], sub], ambient[:, None]]
+
+
+def _marked(n: int, idx) -> np.ndarray:
+    """A boolean array of length n, True at the indices ``idx``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[idx] = True
+    return mask
 
 
 def check_order_cap(order: int, cap: int | None) -> None:
@@ -141,11 +150,11 @@ class Group:
         return Subgroup(self, members, validate=validate)
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (0,), validate=False)
+        return _interned(self, 1)
 
     def full_subgroup(self) -> "Subgroup":
         return _memo(self, "full_subgroup",
-                     lambda: Subgroup(self, range(self.order), validate=False))
+                     lambda: _subgroup(self, np.ones(self.order, dtype=bool)))
 
     def _classes(self) -> tuple[list[np.ndarray], np.ndarray]:
         """The conjugacy classes and the element -> class index array."""
@@ -156,7 +165,8 @@ class Group:
         for x in range(n):
             if class_of[x] >= 0:
                 continue
-            cls = np.unique(self.table[self.table[self.inverse, x], everyone])
+            conjugates = self.table[self.table[self.inverse, x], everyone]
+            cls = _marked(n, conjugates).nonzero()[0].astype(np.int32)
             class_of[cls] = len(classes)
             classes.append(cls)
         return classes, class_of
@@ -173,88 +183,68 @@ class Group:
 
 
 class Subgroup:
-    """A subgroup of a fixed parent group, stored as a set of element indices.
+    """A subgroup of a fixed parent group, interned per parent.
 
-    Immutable and hashable; equality compares the member set within the same
-    parent. Construction checks closure and the Lagrange sanity condition.
+    ``Subgroup(parent, members)`` returns the parent's one object for that
+    member set, so ``==`` is identity and what a subgroup memoises
+    (``as_group()``, normality, ...) is computed once per member set.
+    ``members`` is an int bitmask over element indices: ``<=`` is
+    ``a & ~b == 0`` and ``order`` is its popcount. Construction checks the
+    identity, the index range and Lagrange; ``validate`` also checks closure
+    when a member set is first seen (this module's own constructions are
+    closed by construction and skip that check).
 
     Only this module knows how the members are stored. Elsewhere, compare
     subgroups with ``<=``, ``<``, ``==`` and ``in``, meet them with
     ``intersect``, read the sorted members from ``array``, and move between
     the parent and ``as_group()`` coordinates with ``localize`` and ``lift``.
-    ``members`` is an opaque hashable key for the member set: use it as a
-    dict or memo key and for nothing else.
+    ``members`` is an opaque hashable key: use it as a dict or memo key and
+    for nothing else.
     """
 
-    def __init__(self, parent: Group, members: Iterable[int], validate: bool = True):
-        self.parent = parent
-        mem = sorted({int(m) for m in members})
-        if not mem or mem[0] != 0:
+    def __new__(cls, parent: Group, members: Iterable[int], validate: bool = True):
+        mem = [int(m) for m in members]
+        if not mem or min(mem) != 0:
             raise NotAGroup("subgroup must contain the identity (index 0)")
-        if mem[-1] >= parent.order:
+        if max(mem) >= parent.order:
             raise ValueError("subgroup member index out of range")
-        self.members: frozenset[int] = frozenset(mem)
-        self.array: np.ndarray = np.asarray(mem, dtype=np.int32)
-        self.order: int = len(mem)
-        self._cache: dict = {}
-        if parent.order % self.order:
-            raise NotAGroup(
-                f"subgroup size {self.order} does not divide group order {parent.order}"
-            )
-        if validate:
-            inside = self.mask()[parent.table[np.ix_(self.array, self.array)]]
-            if not inside.all():
-                a, b = divmod(int(np.argmax(~inside)), self.order)
-                raise NotAGroup(
-                    "set is not closed under multiplication",
-                    witness=(int(self.array[a]), int(self.array[b])),
-                )
+        return _subgroup(parent, _marked(parent.order, mem), validate)
+
+    def __init__(self, *args, **kwargs):
+        """Empty: ``__new__`` returns a built, interned object."""
 
     def mask(self) -> np.ndarray:
-        def compute():
-            m = np.zeros(self.parent.order, dtype=bool)
-            m[self.array] = True
-            m.flags.writeable = False
-            return m
-
-        return _memo(self, "mask", compute)
+        """The members as a read-only boolean array over the parent's elements."""
+        return self._mask
 
     def __contains__(self, g: int) -> bool:
-        return int(g) in self.members
+        g = int(g)
+        return g >= 0 and (self.members >> g) & 1 == 1
 
     def __len__(self) -> int:
         return self.order
 
     def __le__(self, other: "Subgroup") -> bool:
-        return self.parent is other.parent and self.members <= other.members
+        return self.parent is other.parent and self.members & ~other.members == 0
 
     def __lt__(self, other: "Subgroup") -> bool:
-        return self.parent is other.parent and self.members < other.members
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Subgroup)
-            and self.parent is other.parent
-            and self.members == other.members
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.parent), self.members))
+        return self is not other and self <= other
 
     def is_normal(self) -> bool:
         return _memo(self, "normal", lambda: _normal_in(self.parent.full_subgroup(), self))
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup(self.parent, self.members & other.members, validate=False)
+        return _interned(self.parent, self.members & other.members)
 
     def as_group(self) -> Group:
         """This subgroup reindexed as a standalone group; ``localize`` and
         ``lift`` map subgroups into and out of it."""
         def compute():
             mem = self.array
-            sub = self.parent.table[np.ix_(mem, mem)]
-            local = np.searchsorted(mem, sub)
-            return Group(local, label=f"{self.parent.label}.sub{self.order}", validate=False)
+            local = np.zeros(self.parent.order, dtype=np.int32)
+            local[mem] = np.arange(self.order, dtype=np.int32)
+            return Group(local[self.parent.table[mem[:, None], mem]],
+                         label=f"{self.parent.label}.sub{self.order}", validate=False)
 
         return _memo(self, "group", compute)
 
@@ -262,19 +252,52 @@ class Subgroup:
         """``sub`` (a subgroup of the parent inside self) as a subgroup of ``as_group()``."""
         if not sub <= self:
             raise ValueError("subgroup is not contained in this one")
-        return Subgroup(self.as_group(), np.searchsorted(self.array, sub.array).tolist(),
-                        validate=False)
+        return _memo(self, ("localize", sub.members),
+                     lambda: _subgroup(self.as_group(), sub.mask()[self.array]))
 
     def lift(self, sub: "Subgroup") -> "Subgroup":
         """``sub`` (a subgroup of ``as_group()``) as a subgroup of the parent."""
         if sub.parent is not self.as_group():
             raise ValueError("subgroup is not a subgroup of this one's as_group()")
-        return Subgroup(self.parent, self.array[sub.array].tolist(), validate=False)
+        return _memo(self, ("lift", sub.members), lambda: _subgroup(
+            self.parent, _marked(self.parent.order, self.array[sub.array])))
 
     def __repr__(self) -> str:
         head = ",".join(map(str, self.array[:6].tolist()))
         tail = ",..." if self.order > 6 else ""
         return f"Subgroup(order={self.order}, members=[{head}{tail}] of {self.parent.label})"
+
+
+def _interned(G: Group, bits: int, mask: np.ndarray | None = None,
+              validate: bool = False) -> Subgroup:
+    """G's subgroup with member bitmask ``bits``, built from ``mask`` (or
+    ``bits``) on first use; nothing is kept when a check fails."""
+    def build():
+        m = mask if mask is not None else np.unpackbits(
+            np.frombuffer(bits.to_bytes(-(-G.order // 8), "little"), dtype=np.uint8),
+            count=G.order, bitorder="little").view(bool)
+        array = m.nonzero()[0].astype(np.int32)
+        if G.order % len(array):
+            raise NotAGroup(f"subgroup size {len(array)} does not divide group order {G.order}")
+        if validate:
+            inside = m[G.table[array[:, None], array]]
+            if not inside.all():
+                a, b = divmod(int(np.argmax(~inside)), len(array))
+                raise NotAGroup("set is not closed under multiplication",
+                                witness=(int(array[a]), int(array[b])))
+        sub = object.__new__(Subgroup)
+        sub.parent, sub.members, sub.order, sub.array, sub._mask = G, bits, len(array), array, m
+        sub._cache = {}
+        array.flags.writeable = m.flags.writeable = False
+        return sub
+
+    return _memo(G, ("subgroup", bits), build)
+
+
+def _subgroup(G: Group, mask: np.ndarray, validate: bool = False) -> Subgroup:
+    """G's subgroup whose members are the True entries of a boolean ``mask``."""
+    bits = int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+    return _interned(G, bits, mask, validate)
 
 
 class Homomorphism:
@@ -300,10 +323,10 @@ class Homomorphism:
         return int(self.mapping[g])
 
     def kernel(self) -> Subgroup:
-        return Subgroup(self.source, np.nonzero(self.mapping == 0)[0].tolist(), validate=False)
+        return _subgroup(self.source, self.mapping == 0)
 
     def image(self) -> Subgroup:
-        return Subgroup(self.target, np.unique(self.mapping).tolist(), validate=False)
+        return _subgroup(self.target, _marked(self.target.order, self.mapping))
 
     def is_injective(self) -> bool:
         return len(np.unique(self.mapping)) == self.source.order
@@ -358,16 +381,23 @@ def _normal_in(ambient: Subgroup, sub: Subgroup) -> bool:
 
 def generated_subgroup(G: Group, gens: Iterable[int]) -> Subgroup:
     """The subgroup generated by ``gens``, by right-multiplication closure."""
-    gens_arr = np.unique(np.asarray(list(gens) + [0], dtype=np.int32))
-    member = np.zeros(G.order, dtype=bool)
+    return _closure(G, _marked(G.order, np.fromiter(gens, dtype=np.int64)))
+
+
+def _closure(G: Group, gens: np.ndarray) -> Subgroup:
+    """The subgroup generated by the True entries of the boolean mask ``gens``:
+    each round multiplies the elements new in the round before by the generators."""
+    member = gens.copy()
+    member[0] = False
+    frontier = gen = member.nonzero()[0]
     member[0] = True
-    frontier = np.array([0], dtype=np.int32)
     while frontier.size:
-        prods = np.unique(G.table[np.ix_(frontier, gens_arr)])
-        new = prods[~member[prods]]
-        member[new] = True
-        frontier = new
-    return Subgroup(G, np.nonzero(member)[0].tolist(), validate=False)
+        new = np.zeros(G.order, dtype=bool)
+        new[G.table[frontier[:, None], gen]] = True
+        new[member] = False
+        member |= new
+        frontier = new.nonzero()[0]
+    return _subgroup(G, member)
 
 
 def cyclic_subgroup(G: Group, g: int) -> Subgroup:
@@ -376,7 +406,7 @@ def cyclic_subgroup(G: Group, g: int) -> Subgroup:
     while x != 0:
         out.append(x)
         x = int(G.table[x, g])
-    return Subgroup(G, out, validate=False)
+    return _subgroup(G, _marked(G.order, out))
 
 
 def join(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -385,20 +415,12 @@ def join(a: Subgroup, b: Subgroup) -> Subgroup:
         return b
     if b <= a:
         return a
-    return generated_subgroup(a.parent, a.members | b.members)
-
-
-def set_product(a: Subgroup, b: Subgroup) -> frozenset[int]:
-    """The set {x*y : x in a, y in b}; a subgroup iff it equals the join."""
-    G = a.parent
-    return frozenset(np.unique(G.table[np.ix_(a.array, b.array)]).tolist())
+    return _closure(a.parent, a.mask() | b.mask())
 
 
 def centralizer(G: Group, S: Subgroup) -> Subgroup:
     """C_G(S) = elements commuting with every member of S."""
-    left = G.table[:, S.array]
-    right = G.table[S.array, :].T
-    return Subgroup(G, np.nonzero((left == right).all(axis=1))[0].tolist(), validate=False)
+    return _subgroup(G, (G.table[:, S.array] == G.table[S.array, :].T).all(axis=1))
 
 
 def center(G: Group) -> Subgroup:
@@ -407,19 +429,15 @@ def center(G: Group) -> Subgroup:
 
 def normal_closure(G: Group, elems: Iterable[int]) -> Subgroup:
     """Smallest normal subgroup of G containing ``elems``."""
-    gens: set[int] = {0}
     class_of = G.class_of()
-    classes = G.conjugacy_classes()
-    for x in set(elems):
-        gens.update(classes[class_of[x]].tolist())
-    return generated_subgroup(G, gens)
+    hit = _marked(len(G.conjugacy_classes()), class_of[np.fromiter(elems, dtype=np.int64)])
+    return _closure(G, hit[class_of])
 
 
 def normal_closure_in(ambient: Subgroup, sub: Subgroup) -> Subgroup:
     """Smallest subgroup of ``ambient`` containing ``sub`` and normal in it."""
     G = ambient.parent
-    conj = _conjugates(G, ambient.array, sub.array)
-    return generated_subgroup(G, np.unique(conj).tolist())
+    return _closure(G, _marked(G.order, _conjugates(G, ambient.array, sub.array)))
 
 
 def core(ambient: Subgroup, inner: Subgroup) -> Subgroup:
@@ -431,40 +449,34 @@ def core(ambient: Subgroup, inner: Subgroup) -> Subgroup:
         raise ValueError("core requires inner <= ambient")
     G = ambient.parent
     keep = inner.mask()[_conjugates(G, ambient.array, inner.array)].all(axis=0)
-    return Subgroup(G, inner.array[keep].tolist(), validate=False)
+    return _subgroup(G, _marked(G.order, inner.array[keep]))
 
 
 def commutator_subgroup(G: Group, A: Subgroup, B: Subgroup) -> Subgroup:
     """[A, B] generated by commutators a^-1 b^-1 a b."""
-    t = G.table
-    left = t[np.ix_(G.inverse[A.array], G.inverse[B.array])]
-    right = t[np.ix_(A.array, B.array)]
-    gens = np.unique(t[left, right])
-    return generated_subgroup(G, gens.tolist())
+    t, inv = G.table, G.inverse
+    comms = t[t[inv[A.array][:, None], inv[B.array]], t[A.array[:, None], B.array]]
+    return _closure(G, _marked(G.order, comms))
+
+
+def _until_stable(first: Subgroup, step) -> list[Subgroup]:
+    """[first, step(first), step(step(first)), ...] while the order changes."""
+    series = [first]
+    while (nxt := step(series[-1])).order != series[-1].order:
+        series.append(nxt)
+    return series
 
 
 def derived_series(G: Group) -> list[Subgroup]:
     """Descending derived series until it stabilises."""
-    def compute():
-        series = [G.full_subgroup()]
-        while True:
-            nxt = commutator_subgroup(G, series[-1], series[-1])
-            if nxt.order == series[-1].order:
-                return series
-            series.append(nxt)
-
-    return _memo(G, "derived_series", compute)
+    return _memo(G, "derived_series", lambda: _until_stable(
+        G.full_subgroup(), lambda X: commutator_subgroup(G, X, X)))
 
 
 def lower_central_series(G: Group) -> list[Subgroup]:
     """Descending series G >= [G,G] >= [[G,G],G] >= ... until stable."""
-    series = [G.full_subgroup()]
-    while True:
-        nxt = commutator_subgroup(G, series[-1], G.full_subgroup())
-        if nxt.order == series[-1].order:
-            break
-        series.append(nxt)
-    return series
+    return _until_stable(G.full_subgroup(),
+                         lambda X: commutator_subgroup(G, X, G.full_subgroup()))
 
 
 # -- quotients and section machinery -------------------------------------
@@ -472,7 +484,7 @@ def lower_central_series(G: Group) -> list[Subgroup]:
 
 def coset_representatives(G: Group, N: Subgroup) -> np.ndarray:
     """Array r with r[g] the least element of the coset N*g."""
-    return G.table[np.ix_(N.array, np.arange(G.order))].min(axis=0)
+    return G.table[N.array].min(axis=0)
 
 
 def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
@@ -485,7 +497,7 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
         rep = coset_representatives(G, N)
         reps = np.unique(rep)
         qindex = np.searchsorted(reps, rep)
-        qtable = qindex[rep[G.table[np.ix_(reps, reps)]]]
+        qtable = qindex[rep[G.table[reps[:, None], reps]]]
         Q = Group(qtable, label=f"{G.label}/n{N.order}", validate=False)
         return Q, Homomorphism(G, Q, qindex, validate=False)
 
@@ -504,29 +516,25 @@ def _normality_witness(G: Group, N: Subgroup) -> tuple[int, int]:
 
 def centralizer_of_section(G: Group, H: Subgroup, K: Subgroup) -> Subgroup:
     """C_G(H/K) = elements whose conjugation fixes every coset hK."""
-    if not K <= H:
-        raise ValueError("section requires K <= H")
-    if not _normal_in(H, K):
-        raise NotNormal("section bottom is not normal in its top")
-    repK = G.table[:, K.array].min(axis=1)  # x -> least element of xK
-    conj = _conjugates(G, np.arange(G.order, dtype=np.int32), H.array)  # g^-1 h g
-    fixed = (repK[conj] == repK[H.array][None, :]).all(axis=1)
-    return Subgroup(G, np.nonzero(fixed)[0].tolist(), validate=False)
+    def compute():
+        if not K <= H:
+            raise ValueError("section requires K <= H")
+        if not _normal_in(H, K):
+            raise NotNormal("section bottom is not normal in its top")
+        repK = G.table[:, K.array].min(axis=1)  # x -> least element of xK
+        conj = _conjugates(G, np.arange(G.order, dtype=np.int32), H.array)  # g^-1 h g
+        return _subgroup(G, (repK[conj] == repK[H.array][None, :]).all(axis=1))
+
+    return _memo(G, ("centralizer_of_section", H.members, K.members), compute)
 
 
 def upper_central_series(G: Group) -> list[Subgroup]:
     """Ascending series 1 <= Z(G) <= Z_2(G) <= ... until it stabilises."""
-    series = [G.trivial_subgroup()]
-    while True:
-        Z = series[-1]
+    def step(Z: Subgroup) -> Subgroup:
         Q, proj = quotient(G, Z)
-        zq = center(Q)
-        pre = np.nonzero(np.isin(proj.mapping, zq.array))[0]
-        nxt = Subgroup(G, pre.tolist(), validate=False)
-        if nxt.order == Z.order:
-            break
-        series.append(nxt)
-    return series
+        return _subgroup(G, center(Q).mask()[proj.mapping])
+
+    return _until_stable(G.trivial_subgroup(), step)
 
 
 def hypercentre_classical(G: Group) -> Subgroup:

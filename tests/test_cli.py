@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +13,13 @@ from finform import (
     Group,
     GroupFileError,
     from_cayley_table,
+    from_permutation_gens,
     is_isomorphic,
     parse_group_text,
     symmetric,
 )
 from finform.cli import main, parse_selector
-from finform.files import dump_group_table, format_cycles, load_group_file, parse_cycles
+from finform.files import dump_group_table, load_group_file, parse_cycles
 
 GROUPS = Path(__file__).resolve().parent.parent / "groups"
 
@@ -47,9 +53,9 @@ class TestSelectors:
 
 class TestGroupFiles:
     def test_cycle_notation(self):
-        assert parse_cycles("(0 1 2)(3 4)", 5) == (1, 2, 0, 4, 3)
-        assert parse_cycles("()", 3) == (0, 1, 2)
-        assert format_cycles((1, 2, 0, 4, 3)) == "(0 1 2)(3 4)"
+        assert parse_cycles("(0 1 2)(3 4)", 5) == {0: 1, 1: 2, 2: 0, 3: 4, 4: 3}
+        assert parse_cycles("()", 3) == {}
+        assert parse_cycles("(5)(0 7)", 10**9) == {5: 5, 0: 7, 7: 0}
         with pytest.raises(ValueError):
             parse_cycles("(0 1)(1 2)", 3)
 
@@ -62,6 +68,38 @@ class TestGroupFiles:
         text = dump_group_table(s3)
         back = parse_group_text(text)
         assert is_isomorphic(back, s3) is not None
+
+    @pytest.mark.parametrize("text", [
+        "perm 3\n(0 1)\n(0 1 2)\n",
+        "perm 9\n(2 7)(4)\n(7 5 2)\n()\n",
+        "perm 12\n(11 0 3)(6 8)\n(3 8)\n",
+        "perm 40\n(30 31 32 33)\n(30 32)\n(10 20)\n",
+        "perm 5\n",
+        "perm 4\n()\n",
+    ], ids=["s3", "fixed-points", "unordered-points", "gaps", "no-generators", "identity"])
+    def test_perm_file_table_over_every_point(self, text):
+        # closing over the written points gives the table that closing the
+        # full-degree permutations gives
+        head, *lines = text.splitlines()
+        degree = int(head.split()[1])
+        gens = []
+        for ln in lines:
+            images = parse_cycles(ln, degree)
+            gens.append(tuple(images.get(p, p) for p in range(degree)))
+        full = from_permutation_gens(degree, gens)
+        assert np.array_equal(parse_group_text(text).table, full.table)
+
+    def test_perm_degree_costs_no_memory(self, tmp_path):
+        # C2 on 10^8 declared points loads in a process limited to 1 GiB of
+        # address space: only the points the cycles name are stored
+        path = tmp_path / "c2.grp"
+        path.write_text("perm 100000000\n(0 1)\n")
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from finform.files import load_group_file; print(load_group_file(sys.argv[1]).order)")
+        env = dict(os.environ, PYTHONPATH=str(GROUPS.parent / "src"), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout.strip()) == (0, "2"), proc.stderr[-500:]
 
     def test_error_carries_line(self):
         from finform import GroupFileError

@@ -12,6 +12,7 @@ from finform import (
     OrderCapExceeded,
     Section,
     Subgroup,
+    catalog_generate,
     center,
     centralizer,
     centralizer_of_section,
@@ -33,7 +34,7 @@ from finform import (
     trivial,
     upper_central_series,
 )
-from finform.groups import cyclic_subgroup, derived_series, join, set_product
+from finform.groups import cyclic_subgroup, derived_series, join
 from finform.lattice import all_subgroups
 
 
@@ -171,7 +172,7 @@ class TestQuotient:
         a3 = generated_subgroup(s3, [e for e in range(6) if s3.element_orders[e] == 3])
         q, proj = quotient(s3, a3)
         assert q.order == 2
-        assert proj.kernel().members == a3.members
+        assert proj.kernel() == a3
         assert proj.is_surjective()
 
     def test_s4_by_v4_nonabelian(self):
@@ -227,7 +228,7 @@ class TestCentralizersAndCores:
     def test_core_of_sylow2(self):
         s4 = symmetric(4)
         d4 = subgroup_of_order(s4, 8)
-        assert core(s4.full_subgroup(), d4).members == v4_in(s4).members
+        assert core(s4.full_subgroup(), d4) == v4_in(s4)
 
     def test_core_trivial(self):
         s3 = symmetric(3)
@@ -239,8 +240,8 @@ class TestCentralizersAndCores:
         v4 = v4_in(s4)
         a4 = generated_subgroup(s4, [e for e in range(24) if s4.element_orders[e] == 3])
         assert centralizer_of_section(s4, v4, v4).order == 24  # trivial section
-        assert centralizer_of_section(s4, v4, s4.trivial_subgroup()).members == v4.members
-        assert centralizer_of_section(s4, a4, v4).members == a4.members
+        assert centralizer_of_section(s4, v4, s4.trivial_subgroup()) == v4
+        assert centralizer_of_section(s4, a4, v4) == a4
 
 
 class TestSemidirectSection:
@@ -271,6 +272,31 @@ class TestSemidirectSection:
         a4 = generated_subgroup(s4, [e for e in range(24) if s4.element_orders[e] == 3])
         with pytest.raises(NotCentralized):
             semidirect_section(s4, v4, s4.trivial_subgroup(), a4)
+
+    def test_non_centralizing_witness(self):
+        s4 = symmetric(4)
+        v4 = v4_in(s4)
+        a4 = generated_subgroup(s4, [e for e in range(24) if s4.element_orders[e] == 3])
+        centralizer_of_section(s4, v4, s4.trivial_subgroup())  # a memoised centralizer
+        with pytest.raises(NotCentralized) as err:
+            semidirect_section(s4, v4, s4.trivial_subgroup(), a4)
+        l, h = err.value.witness
+        assert l in a4 and h in v4 and s4.conj(h, l) != h
+
+    def test_centralizer_of_section_is_computed_once(self, monkeypatch):
+        # section_product and semidirect_section's L <= C check share it
+        from finform import groups
+
+        s4 = symmetric(4)
+        v4 = v4_in(s4)
+        a4 = generated_subgroup(s4, [e for e in range(24) if s4.element_orders[e] == 3])
+        first = centralizer_of_section(s4, a4, v4)
+
+        def no_conjugation(*args):
+            raise AssertionError("conjugation matrix built again")
+
+        monkeypatch.setattr(groups, "_conjugates", no_conjugation)
+        assert centralizer_of_section(s4, a4, v4) is first
 
     def test_rejects_non_normal(self):
         s4 = symmetric(4)
@@ -313,13 +339,12 @@ class TestSubgroupBasics:
         assert inner.order == 8
         assert d4.lift(inner.full_subgroup()) == d4
 
-    def test_join_and_set_product(self):
+    def test_join(self):
         s3 = symmetric(3)
         a3 = generated_subgroup(s3, [e for e in range(6) if s3.element_orders[e] == 3])
         t = next(e for e in range(6) if s3.element_orders[e] == 2)
         c2 = cyclic_subgroup(s3, t)
         assert join(a3, c2).order == 6
-        assert len(set_product(a3, c2)) == 6
 
     def test_section_validation(self):
         s4 = symmetric(4)
@@ -329,6 +354,80 @@ class TestSubgroupBasics:
         d4 = subgroup_of_order(s4, 8)
         with pytest.raises(ValueError):
             Section(s4, v4, d4)
+
+
+class TestInternedSubgroups:
+    def test_operators_match_frozenset_reference(self):
+        for g in catalog_generate(16).groups:
+            subs = all_subgroups(g).subgroups
+            ref = {s: frozenset(s.array.tolist()) for s in subs}
+            for a in subs:
+                assert a.order == len(ref[a])
+                assert [x in a for x in range(g.order)] == [x in ref[a] for x in range(g.order)]
+                for b in subs:
+                    assert (a <= b) == (ref[a] <= ref[b])
+                    assert (a < b) == (ref[a] < ref[b])
+                    assert (a == b) == (ref[a] == ref[b])
+                    assert frozenset(a.intersect(b).array.tolist()) == ref[a] & ref[b]
+                    if b <= a:
+                        local = a.localize(b)
+                        assert frozenset(a.array[local.array].tolist()) == ref[b]
+                        assert a.lift(local) is b
+
+    def test_member_set_is_one_object(self):
+        s4 = symmetric(4)
+        xs = v4_in(s4).array.tolist()
+        assert Subgroup(s4, xs) is Subgroup(s4, reversed(xs))
+        assert Subgroup(s4, xs) is v4_in(s4)
+        assert Subgroup(s4, xs) != Subgroup(from_cayley_table(s4.table), xs)
+
+    def test_meet_is_the_lattice_member(self):
+        lat = all_subgroups(symmetric(4))
+        for a in lat:
+            for b in lat:
+                meet = a.intersect(b)
+                assert lat.subgroups[lat.index_of(meet)] is meet
+
+    def test_validate_errors(self):
+        s3 = symmetric(3)
+        with pytest.raises(NotAGroup, match="must contain the identity"):
+            Subgroup(s3, [1, 2])
+        with pytest.raises(NotAGroup, match="must contain the identity"):
+            Subgroup(s3, [])
+        with pytest.raises(NotAGroup, match="must contain the identity"):
+            Subgroup(s3, [-2**70, 0])
+        with pytest.raises(ValueError, match="index out of range"):
+            Subgroup(s3, [0, 6])
+        with pytest.raises(ValueError, match="index out of range"):
+            Subgroup(s3, [0, 2**70])
+        with pytest.raises(NotAGroup, match="size 4 does not divide group order 6"):
+            Subgroup(s3, [0, 1, 2, 3])
+        involutions = [e for e in range(6) if s3.element_orders[e] == 2]
+        members = sorted([0] + involutions[:2])
+        with pytest.raises(NotAGroup, match="not closed") as err:
+            Subgroup(s3, members)
+        # the first (a, b) in row-major order over the sorted members
+        first = next((a, b) for a in members for b in members if s3.mul(a, b) not in members)
+        assert err.value.witness == first
+        with pytest.raises(NotAGroup, match="not closed"):
+            Subgroup(s3, members)  # a failed check leaves nothing behind
+
+    def test_meet_keeps_its_memos(self, monkeypatch):
+        from finform import NILPOTENT, formations
+
+        checks = []
+        original = formations.is_hypercentral
+        monkeypatch.setattr(formations, "is_hypercentral",
+                            lambda *args: checks.append(args) or original(*args))
+        s4 = symmetric(4)
+        a4 = Subgroup(s4, [e for e in range(24) if s4.element_orders[e] in (1, 3)]
+                      + v4_in(s4).array.tolist())
+        d8 = subgroup_of_order(s4, 8)
+        meet = d8.intersect(a4).as_group()
+        assert d8.intersect(a4).as_group() is meet
+        first = formations.f_hypercentre(meet, NILPOTENT)
+        assert formations.f_hypercentre(d8.intersect(a4).as_group(), NILPOTENT) is first
+        assert len(checks) == 1
 
 
 class TestSeriesHelpers:
@@ -416,17 +515,18 @@ def _is_members(node):
 
 
 def test_only_groups_module_reads_member_storage():
-    # Outside groups.py a subgroup's ``members`` is only a hash key: code
-    # compares and meets subgroups through Subgroup's operators, intersect,
-    # localize and lift. ``key in mapping`` is a hash lookup, so ``in`` and
-    # ``not in`` count only where ``.members`` is the container.
-    src = Path(__file__).resolve().parents[1] / "src" / "finform"
+    # Outside groups.py, tests included, a subgroup's ``members`` is only a
+    # hash key: code compares and meets subgroups through Subgroup's
+    # operators, intersect, localize and lift. ``key in mapping`` is a hash
+    # lookup, so ``in`` and ``not in`` count only where ``.members`` is the
+    # container.
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for p in sorted((root / "src" / "finform").glob("*.py")) if p.name != "groups.py"]
+    paths += sorted((root / "tests").glob("*.py"))
     offences = []
-    for path in sorted(src.glob("*.py")):
-        if path.name == "groups.py":
-            continue
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            where = f"{path.relative_to(root)}:{getattr(node, 'lineno', '?')}"
             if isinstance(node, ast.Attribute) and node.attr in ("members_tuple", "local_members"):
                 offences.append(f"{where} .{node.attr}")
             elif isinstance(node, ast.Compare):
