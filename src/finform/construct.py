@@ -56,6 +56,23 @@ def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return tuple(q[p[i]] for i in range(len(p)))
 
 
+def _longest_orbit(degree: int, gens: list[tuple[int, ...]]) -> int:
+    """The length of the longest orbit of <gens> on {0..degree-1}."""
+    seen = [False] * degree
+    longest = 0
+    for start in range(degree):
+        if not seen[start]:
+            seen[start] = True
+            orbit = [start]
+            for x in orbit:  # the list grows while it is read
+                for g in gens:
+                    if not seen[g[x]]:
+                        seen[g[x]] = True
+                        orbit.append(g[x])
+            longest = max(longest, len(orbit))
+    return longest
+
+
 def from_permutation_gens(
     degree: int,
     gens: Iterable[Sequence[int]],
@@ -74,6 +91,9 @@ def from_permutation_gens(
         if sorted(p) != list(range(degree)):
             raise NotAGroup(f"generator {p} is not a permutation of 0..{degree - 1}")
         gen_list.append(p)
+    longest = _longest_orbit(degree, gen_list)  # |G| is at least every orbit's length
+    if order_cap is not None and longest > order_cap:
+        raise OrderCapExceeded(f"an orbit of length {longest} exceeds order cap {order_cap}")
     index: dict[tuple[int, ...], int] = {identity: 0}
     elements = [identity]
     frontier = [identity]

@@ -272,7 +272,7 @@ def section_product(G: Group, H: Subgroup, K: Subgroup) -> Group:
         C = centralizer_of_section(G, H, K)
         return semidirect_section(G, H, K, C, order_cap=SECTION_PRODUCT_CAP)
 
-    return _memo(G, ("section_product", H.members, K.members), compute)
+    return _memo(G, ("section_product", H, K), compute)
 
 
 def is_f_central(G: Group, H: Subgroup, K: Subgroup, F: Formation) -> bool:

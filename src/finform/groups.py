@@ -23,8 +23,8 @@ DEFAULT_ORDER_CAP = 512
 def _memo(owner, key, compute):
     """``owner._cache[key]``, filled by ``compute()`` on first use.
 
-    Every engine cache goes through here: groups and subgroups own a
-    ``_cache`` dict, and each result is computed once per owner object.
+    Every engine cache goes through here: groups, subgroups and subgroup
+    lattices own a ``_cache`` dict, and each result is computed once per owner.
     """
     cache = owner._cache
     if key in cache:
@@ -186,20 +186,19 @@ class Subgroup:
     """A subgroup of a fixed parent group, interned per parent.
 
     ``Subgroup(parent, members)`` returns the parent's one object for that
-    member set, so ``==`` is identity and what a subgroup memoises
-    (``as_group()``, normality, ...) is computed once per member set.
+    member set, so ``==`` and ``hash`` are identity and what a subgroup
+    memoises (``as_group()``, normality, ...) is computed once per member set.
     ``members`` is an int bitmask over element indices: ``<=`` is
     ``a & ~b == 0`` and ``order`` is its popcount. Construction checks the
     identity, the index range and Lagrange; ``validate`` also checks closure
     when a member set is first seen (this module's own constructions are
     closed by construction and skip that check).
 
-    Only this module knows how the members are stored. Elsewhere, compare
-    subgroups with ``<=``, ``<``, ``==`` and ``in``, meet them with
+    Only this module knows how the members are stored, and nothing outside
+    it reads ``members``. Elsewhere, a subgroup is its own dict and memo key;
+    compare subgroups with ``<=``, ``<``, ``==`` and ``in``, meet them with
     ``intersect``, read the sorted members from ``array``, and move between
     the parent and ``as_group()`` coordinates with ``localize`` and ``lift``.
-    ``members`` is an opaque hashable key: use it as a dict or memo key and
-    for nothing else.
     """
 
     def __new__(cls, parent: Group, members: Iterable[int], validate: bool = True):
@@ -252,14 +251,14 @@ class Subgroup:
         """``sub`` (a subgroup of the parent inside self) as a subgroup of ``as_group()``."""
         if not sub <= self:
             raise ValueError("subgroup is not contained in this one")
-        return _memo(self, ("localize", sub.members),
+        return _memo(self, ("localize", sub),
                      lambda: _subgroup(self.as_group(), sub.mask()[self.array]))
 
     def lift(self, sub: "Subgroup") -> "Subgroup":
         """``sub`` (a subgroup of ``as_group()``) as a subgroup of the parent."""
         if sub.parent is not self.as_group():
             raise ValueError("subgroup is not a subgroup of this one's as_group()")
-        return _memo(self, ("lift", sub.members), lambda: _subgroup(
+        return _memo(self, ("lift", sub), lambda: _subgroup(
             self.parent, _marked(self.parent.order, self.array[sub.array])))
 
     def __repr__(self) -> str:
@@ -501,7 +500,7 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
         Q = Group(qtable, label=f"{G.label}/n{N.order}", validate=False)
         return Q, Homomorphism(G, Q, qindex, validate=False)
 
-    return _memo(G, ("quotient", N.members), compute)
+    return _memo(G, ("quotient", N), compute)
 
 
 def _normality_witness(G: Group, N: Subgroup) -> tuple[int, int]:
@@ -525,7 +524,7 @@ def centralizer_of_section(G: Group, H: Subgroup, K: Subgroup) -> Subgroup:
         conj = _conjugates(G, np.arange(G.order, dtype=np.int32), H.array)  # g^-1 h g
         return _subgroup(G, (repK[conj] == repK[H.array][None, :]).all(axis=1))
 
-    return _memo(G, ("centralizer_of_section", H.members, K.members), compute)
+    return _memo(G, ("centralizer_of_section", H, K), compute)
 
 
 def upper_central_series(G: Group) -> list[Subgroup]:

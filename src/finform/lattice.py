@@ -29,19 +29,15 @@ def _sort_key(s: Subgroup) -> tuple:
 class SubgroupLattice:
     """The complete subgroup lattice of a group.
 
-    ``subgroups`` comes distinct and sorted by (order, member tuple); the
-    inclusion relation is precomputed.
+    ``subgroups`` comes distinct and sorted by (order, member tuple).
+    Subgroups are interned per parent, so each one is its own key and
+    inclusion is ``<=``.
     """
 
     def __init__(self, parent: Group, subgroups: list[Subgroup]):
         self.parent = parent
         self.subgroups = subgroups
-        self._index = {s.members: i for i, s in enumerate(self.subgroups)}
-        n = len(self.subgroups)
-        self.inclusion = np.zeros((n, n), dtype=bool)
-        for i, a in enumerate(self.subgroups):
-            for j, b in enumerate(self.subgroups):
-                self.inclusion[i, j] = a <= b
+        self._cache: dict = {}
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -49,23 +45,19 @@ class SubgroupLattice:
     def __iter__(self):
         return iter(self.subgroups)
 
-    def index_of(self, s: Subgroup) -> int:
-        return self._index[s.members]
-
-    def overgroups_of(self, s: Subgroup) -> list[int]:
-        i = self.index_of(s)
-        return np.nonzero(self.inclusion[i])[0].tolist()
+    def overgroups_of(self, s: Subgroup) -> tuple[Subgroup, ...]:
+        """The subgroups containing s, in lattice order: s first, the group last
+        (memoised: sweeps and chain searches ask for them once per pass)."""
+        return _memo(self, ("overgroups", s), lambda: tuple(t for t in self.subgroups if s <= t))
 
     def maximal_subgroups(self) -> list[Subgroup]:
-        """Proper subgroups with nothing strictly between them and the group."""
-        n = len(self.subgroups)
-        full = n - 1
-        out = []
-        for i in range(n - 1):
-            above = np.nonzero(self.inclusion[i])[0]
-            if len(above) == 2 and above[1] == full:  # itself and the whole group
-                out.append(self.subgroups[i])
-        return out
+        """Proper subgroups with nothing strictly between them and the group:
+        by descending order, those in none of the maximal ones found before."""
+        found: list[Subgroup] = []
+        for s in reversed(self.subgroups[:-1]):
+            if not any(s <= m for m in found):
+                found.append(s)
+        return found[::-1]
 
 
 def _join_closure(bottom: Subgroup, seeds: Iterable[Subgroup]) -> list[Subgroup]:
@@ -74,16 +66,16 @@ def _join_closure(bottom: Subgroup, seeds: Iterable[Subgroup]) -> list[Subgroup]
     Each subgroup found is joined once with each distinct seed, so the cost
     is #found x #seeds joins.
     """
-    distinct = {s.members: s for s in seeds}
-    found = {bottom.members: bottom}
+    distinct = dict.fromkeys(seeds)
+    found = {bottom}
     grown = [bottom]
     for a in grown:
-        for s in distinct.values():
+        for s in distinct:
             j = join(a, s)
-            if j.members not in found:
-                found[j.members] = j
+            if j not in found:
+                found.add(j)
                 grown.append(j)
-    return sorted(found.values(), key=_sort_key)
+    return sorted(grown, key=_sort_key)
 
 
 def all_subgroups(G: Group, budget: int = DEFAULT_LATTICE_BUDGET) -> SubgroupLattice:
@@ -119,13 +111,13 @@ def normal_covers(G: Group, low: Subgroup) -> list[Subgroup]:
     """
     def compute():
         covers: list[Subgroup] = []
-        above = {j.members: j for j in (join(low, C) for C in _class_closures(G) if not C <= low)}
-        for M in sorted(above.values(), key=_sort_key):
+        above = {join(low, C) for C in _class_closures(G) if not C <= low}
+        for M in sorted(above, key=_sort_key):
             if not any(C < M for C in covers):
                 covers.append(M)
         return covers
 
-    return _memo(G, ("normal_covers", low.members), compute)
+    return _memo(G, ("normal_covers", low), compute)
 
 
 def minimal_normal_subgroups(G: Group) -> list[Subgroup]:
@@ -172,7 +164,7 @@ def chief_series_through(G: Group, N: Subgroup) -> ChiefSeries:
                 terms.append(next(M for M in normal_covers(G, terms[-1]) if M <= target))
         return ChiefSeries(G, tuple(terms))
 
-    return _memo(G, ("chief_series", N.members), compute)
+    return _memo(G, ("chief_series", N), compute)
 
 
 def chief_series(G: Group) -> ChiefSeries:

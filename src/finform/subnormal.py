@@ -73,7 +73,12 @@ def _core_quotient(low: Subgroup, high: Subgroup) -> Group:
     def compute():
         return quotient(high.as_group(), high.localize(core(high, low)))[0]
 
-    return _memo(low.parent, ("core_quotient", low.members, high.members), compute)
+    return _memo(low.parent, ("core_quotient", low, high), compute)
+
+
+def _check_parent(G: Group, A: Subgroup) -> None:
+    if A.parent is not G:
+        raise ValueError(f"{A} belongs to another Group object than {G!r}")
 
 
 def is_subnormal(G: Group, A: Subgroup) -> WitnessChain | None:
@@ -82,6 +87,7 @@ def is_subnormal(G: Group, A: Subgroup) -> WitnessChain | None:
     A is subnormal iff the sequence H_0 = G, H_{k+1} = <A^{H_k}> stabilises
     at A; the descent itself is the chain, read upward.
     """
+    _check_parent(G, A)
     chain = [G.full_subgroup()]
     while True:
         current = chain[-1]
@@ -119,46 +125,30 @@ def _chain_search(
 ) -> WitnessChain | None:
     """Breadth-first shortest witness chain over the overgroups of A.
 
-    Ties are broken by lattice index, so witnesses are reproducible. Edge
-    verdicts are memoised per step kind on the parent group.
+    Ties are broken in lattice order, so witnesses are reproducible. Edge
+    verdicts are memoised per step kind on the lower subgroup.
     """
-    lat = all_subgroups(G, budget=lattice_budget)
-    overs = lat.overgroups_of(A)  # ascending lattice indices
-    target = len(lat) - 1  # the whole group sorts last
-    start = lat.index_of(A)
-    if start == target:
-        return WitnessChain((lat.subgroups[start],), ())
-    prev: dict[int, tuple[int, str]] = {}
-    queue = [start]
-    seen = {start}
+    _check_parent(G, A)
+    overs = all_subgroups(G, budget=lattice_budget).overgroups_of(A)  # A first, G last
+    top = overs[-1]
+    chains = {A: ((A,), ())}  # the first (terms, step kinds) found to each subgroup reached
+    queue = [A]
     while queue:
         nxt_queue = []
-        for x in queue:
-            Xsub = lat.subgroups[x]
-            for y in overs:
-                if y in seen or not lat.inclusion[x, y] or y == x:
+        for X in queue:
+            for Y in overs:
+                if Y in chains or not X <= Y:  # X itself is in chains
                     continue
-                kind = _memo(G, ("chain_edge", step_cache_key, x, y),
-                             lambda: step(Xsub, lat.subgroups[y]))
+                kind = _memo(X, ("chain_edge", step_cache_key, Y), lambda: step(X, Y))
                 if kind is None:
                     continue
-                seen.add(y)
-                prev[y] = (x, kind)
-                if y == target:
-                    terms = [y]
-                    kinds = []
-                    while terms[-1] != start:
-                        p, k = prev[terms[-1]]
-                        kinds.append(k)
-                        terms.append(p)
-                    terms.reverse()
-                    kinds.reverse()
-                    return WitnessChain(
-                        tuple(lat.subgroups[t] for t in terms), tuple(kinds)
-                    )
-                nxt_queue.append(y)
+                terms, kinds = chains[X]
+                chains[Y] = (terms + (Y,), kinds + (kind,))
+                if Y is top:
+                    return WitnessChain(*chains[Y])
+                nxt_queue.append(Y)
         queue = nxt_queue
-    return None
+    return WitnessChain(*chains[A]) if A is top else None
 
 
 def is_k_f_subnormal(

@@ -326,8 +326,7 @@ def _theorem_a_sweep(
                     continue
                 rep.checked += 1
                 bad = None
-                for ei in lat.overgroups_of(S):
-                    E = lat.subgroups[ei]
+                for E in lat.overgroups_of(S):
                     if hyper_fn(E.as_group()).order != 1:
                         bad = E
                         break
@@ -394,8 +393,7 @@ def verify_schenkman_classic(
                 if escape:
                     _fail(rep, G, subgroup=_members(S), **escape,
                           detail="nilpotent residual is not large")
-                for ei in lat.overgroups_of(S):
-                    E = lat.subgroups[ei]
+                for E in lat.overgroups_of(S):
                     Egrp = E.as_group()
                     zn = f_hypercentre(Egrp, NILPOTENT)
                     zc = hypercentre_classical(Egrp)
@@ -672,13 +670,11 @@ def _hypercentre_of_quotient(c: _LawContext):
 
 def _hypercentre_meets_subgroups(c: _LawContext):
     """Z_F(B) meet A lies in Z_F(B meet A), on a sample of subgroup pairs."""
-    subs = c.lat.subgroups
-    idx_pairs = [(i, j) for i in range(len(subs)) for j in range(len(subs))]
-    if len(idx_pairs) > 4 * PAIR_SAMPLE:
-        pick = c.rng.choice(len(idx_pairs), size=4 * PAIR_SAMPLE, replace=False)
-        idx_pairs = [idx_pairs[int(k)] for k in sorted(pick)]
-    for i, j in idx_pairs:
-        A, B = subs[i], subs[j]
+    pairs = [(A, B) for A in c.lat.subgroups for B in c.lat.subgroups]
+    if len(pairs) > 4 * PAIR_SAMPLE:
+        pick = c.rng.choice(len(pairs), size=4 * PAIR_SAMPLE, replace=False)
+        pairs = [pairs[int(k)] for k in sorted(pick)]
+    for A, B in pairs:
         zb = B.lift(f_hypercentre(B.as_group(), c.F))
         meet = B.intersect(A)
         z_meet = meet.lift(f_hypercentre(meet.as_group(), c.F))

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from finform import (
     Group,
     GroupFileError,
+    OrderCapExceeded,
     from_cayley_table,
     from_permutation_gens,
     is_isomorphic,
@@ -100,6 +101,22 @@ class TestGroupFiles:
         proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout.strip()) == (0, "2"), proc.stderr[-500:]
+
+    def test_long_orbit_exceeds_order_cap_before_closure(self, tmp_path, capsys):
+        n = 20000
+        cycle = tuple(range(1, n)) + (0,)
+        flips = [tuple(-i % n for i in range(n)), tuple((1 - i) % n for i in range(n))]
+        for gens in ([cycle], flips):  # C_20000, and a dihedral group of order 40000
+            with pytest.raises(OrderCapExceeded, match="orbit of length 20000 exceeds order cap 512"):
+                from_permutation_gens(n, gens)
+        # |G| is at least its longest orbit, so a group at the cap still loads
+        assert from_permutation_gens(8, [cycle[:7] + (0,)], order_cap=8).order == 8
+        path = tmp_path / "long.grp"
+        path.write_text(f"perm {n}\n(" + " ".join(map(str, range(n))) + ")\n")
+        assert main(["group", "show", f"file:{path}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "orbit of length 20000" in err and path.name in err
 
     def test_error_carries_line(self):
         from finform import GroupFileError

@@ -54,6 +54,19 @@ class TestAllSubgroups:
         with pytest.raises(LatticeBudgetExceeded):
             all_subgroups(cyclic(12), budget=10)
 
+    def test_scans_match_their_definitions(self, catalog24):
+        # on member frozensets, without Subgroup's operators
+        for g in catalog24.groups:
+            lat = all_subgroups(g)
+            sets = {s: frozenset(s.array.tolist()) for s in lat}
+            whole = sets[g.full_subgroup()]
+            assert lat.maximal_subgroups() == [
+                m for m in lat
+                if sets[m] < whole and not any(sets[m] < sets[x] < whole for x in lat)
+            ]
+            for s in lat:
+                assert lat.overgroups_of(s) == tuple(e for e in lat if sets[s] <= sets[e])
+
 
 class TestNormalSubgroups:
     def test_abelian_all_normal(self):

@@ -1,9 +1,12 @@
+import pytest
+
 from finform import (
     NILPOTENT,
     SUPERSOLUBLE,
     SigmaPartition,
     all_subgroups,
     builtin_formations,
+    from_cayley_table,
     generated_subgroup,
     is_f_subnormal,
     is_k_f_subnormal,
@@ -13,7 +16,8 @@ from finform import (
     symmetric,
 )
 from finform.groups import cyclic_subgroup
-from finform.subnormal import F_STEP, NORMAL_STEP, WitnessChain, _core_quotient
+from finform.formations import is_sigma_primary
+from finform.subnormal import F_STEP, NORMAL_STEP, WitnessChain, _core_quotient, _step
 
 
 def d4_in_s4(s4):
@@ -149,6 +153,85 @@ class TestImplicationSweeps:
                 for S in lat.subgroups:
                     if is_k_f_subnormal(g, S, F) is None:
                         continue
-                    for wi in lat.overgroups_of(S):
-                        W = lat.subgroups[wi]
+                    for W in lat.overgroups_of(S):
                         assert is_k_f_subnormal(W.as_group(), W.localize(S), F) is not None
+
+
+def _reference_chain_search(G, A, step):
+    """The engine's earlier breadth-first search, kept as a reference: over
+    lattice indices, found through a member-set index and an inclusion
+    matrix, with no edge memo."""
+    subs = all_subgroups(G).subgroups
+    sets = [frozenset(s.array.tolist()) for s in subs]
+    index = {m: i for i, m in enumerate(sets)}
+    inclusion = [[a <= b for b in sets] for a in sets]
+    start = index[frozenset(A.array.tolist())]
+    overs = [j for j in range(len(subs)) if inclusion[start][j]]
+    target = len(subs) - 1
+    if start == target:
+        return WitnessChain((subs[start],), ())
+    prev = {}
+    queue = [start]
+    seen = {start}
+    while queue:
+        nxt_queue = []
+        for x in queue:
+            for y in overs:
+                if y in seen or not inclusion[x][y] or y == x:
+                    continue
+                kind = step(subs[x], subs[y])
+                if kind is None:
+                    continue
+                seen.add(y)
+                prev[y] = (x, kind)
+                if y == target:
+                    terms, kinds = [y], []
+                    while terms[-1] != start:
+                        p, k = prev[terms[-1]]
+                        kinds.append(k)
+                        terms.append(p)
+                    return WitnessChain(
+                        tuple(subs[t] for t in reversed(terms)), tuple(reversed(kinds))
+                    )
+                nxt_queue.append(y)
+        queue = nxt_queue
+    return None
+
+
+def test_chain_search_matches_index_reference(catalog24):
+    sig = SigmaPartition.parse("[[2,3]]")
+    kinds = [
+        (lambda g, S: is_k_f_subnormal(g, S, NILPOTENT), _step(NILPOTENT.contains)),
+        (lambda g, S: is_k_f_subnormal(g, S, SUPERSOLUBLE), _step(SUPERSOLUBLE.contains)),
+        (lambda g, S: is_f_subnormal(g, S, SUPERSOLUBLE),
+         _step(SUPERSOLUBLE.contains, normal_steps=False)),
+        (lambda g, S: is_sigma_subnormal(g, S, sig),
+         _step(lambda Q: is_sigma_primary(Q, sig))),
+    ]
+    found = 0
+    for g in catalog24.groups:
+        for S in all_subgroups(g):
+            for decide, step in kinds:
+                chain, ref = decide(g, S), _reference_chain_search(g, S, step)
+                assert (chain is None) == (ref is None)
+                if chain is not None:
+                    found += 1
+                    assert all(a is b for a, b in zip(chain.terms, ref.terms))
+                    assert len(chain.terms) == len(ref.terms)
+                    assert chain.step_kinds == ref.step_kinds
+    assert found > 0
+
+
+def test_subgroup_of_another_group_is_rejected():
+    # an equal copy of S4 has the same member sets, but not the same subgroups
+    s4 = symmetric(4)
+    foreign = from_cayley_table(s4.table).trivial_subgroup()
+    sig = SigmaPartition.parse("[[2,3]]")
+    for decide in (
+        is_subnormal,
+        lambda g, A: is_k_f_subnormal(g, A, NILPOTENT),
+        lambda g, A: is_f_subnormal(g, A, NILPOTENT),
+        lambda g, A: is_sigma_subnormal(g, A, sig),
+    ):
+        with pytest.raises(ValueError, match="another Group object"):
+            decide(s4, foreign)
