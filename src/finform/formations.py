@@ -5,6 +5,8 @@ hereditary/saturated metadata. The built-ins are the nilpotent,
 supersoluble, and soluble classes and the sigma-nilpotent class for a
 chosen prime partition; all four are hereditary saturated formations, and
 the verification sweeps exercise those laws rather than assuming them.
+Membership is read off the chief series and normal Hall subgroups, both of
+which the engine builds and memoises for its other work.
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ from .groups import (
     _memo,
     centralizer,
     centralizer_of_section,
-    derived_series,
-    lower_central_series,
     quotient,
 )
 from .lattice import (
-    _class_closure,
+    _prime_factors,
+    chief_series,
     chief_series_through,
     group_primes,
     is_prime,
@@ -115,46 +116,22 @@ class SigmaPartition:
 
 
 def is_nilpotent(G: Group) -> bool:
-    """Lower central series reaches the trivial subgroup."""
-    return _memo(G, "nilpotent", lambda: lower_central_series(G)[-1].order == 1)
+    """Every Sylow subgroup is normal: the singleton case of sigma-nilpotence."""
+    return is_sigma_nilpotent(G, SigmaPartition.singletons())
 
 
 def is_soluble(G: Group) -> bool:
-    """Derived series reaches the trivial subgroup."""
-    return _memo(G, "soluble", lambda: derived_series(G)[-1].order == 1)
+    """Every chief factor has prime-power order.
 
-
-def _some_minimal_normal(G: Group) -> Subgroup:
-    """Any minimal normal subgroup, found by normal-closure descent."""
-    reps = [int(c[0]) for c in G.conjugacy_classes() if int(c[0]) != 0]
-    current = _class_closure(G, reps[0])
-    changed = True
-    while changed:
-        changed = False
-        for y in reps:
-            if y in current:
-                smaller = _class_closure(G, y)
-                if smaller < current:
-                    current = smaller
-                    changed = True
-                    break
-    return current
+    A nonabelian chief factor is a power of a nonabelian simple group, whose
+    order has at least three prime divisors by Burnside's p^a q^b theorem.
+    """
+    return all(len(_prime_factors(o)) == 1 for o in chief_series(G).factor_orders())
 
 
 def is_supersoluble(G: Group) -> bool:
     """Every chief factor has prime order."""
-    def compute():
-        if not is_soluble(G):
-            return False
-        Q = G
-        while Q.order > 1:
-            M = _some_minimal_normal(Q)
-            if not is_prime(M.order):
-                return False
-            Q = quotient(Q, M)[0]
-        return True
-
-    return _memo(G, "supersoluble", compute)
+    return all(is_prime(o) for o in chief_series(G).factor_orders())
 
 
 def is_sigma_primary(G: Group, sigma: SigmaPartition) -> bool:

@@ -472,12 +472,6 @@ def derived_series(G: Group) -> list[Subgroup]:
         G.full_subgroup(), lambda X: commutator_subgroup(G, X, X)))
 
 
-def lower_central_series(G: Group) -> list[Subgroup]:
-    """Descending series G >= [G,G] >= [[G,G],G] >= ... until stable."""
-    return _until_stable(G.full_subgroup(),
-                         lambda X: commutator_subgroup(G, X, G.full_subgroup()))
-
-
 # -- quotients and section machinery -------------------------------------
 
 

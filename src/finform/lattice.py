@@ -14,6 +14,7 @@ from .groups import (
     Section,
     Subgroup,
     _memo,
+    _subgroup,
     cyclic_subgroup,
     join,
     normal_closure,
@@ -88,13 +89,10 @@ def all_subgroups(G: Group, budget: int = DEFAULT_LATTICE_BUDGET) -> SubgroupLat
         G.trivial_subgroup(), (cyclic_subgroup(G, g) for g in range(1, G.order)))))
 
 
-def _class_closure(G: Group, x: int) -> Subgroup:
-    """The normal closure of x, memoised per conjugacy class."""
-    return _memo(G, ("class_closure", int(G.class_of()[x])), lambda: normal_closure(G, [x]))
-
-
 def _class_closures(G: Group) -> list[Subgroup]:
-    return [_class_closure(G, int(cls[0])) for cls in G.conjugacy_classes()[1:]]
+    """The distinct normal closures ncl(x) of the nontrivial elements x."""
+    return _memo(G, "class_closures", lambda: list(dict.fromkeys(
+        normal_closure(G, [int(cls[0])]) for cls in G.conjugacy_classes()[1:])))
 
 
 def normal_subgroups(G: Group) -> list[Subgroup]:
@@ -226,18 +224,13 @@ def normal_hall_subgroup(G: Group, primes: Iterable[int]) -> Subgroup | None:
         while n % p == 0:
             part *= p
             n //= p
-    keys = {
-        int(o): _prime_factors(int(o)) <= prime_set
-        for o in np.unique(G.element_orders)
-    }
-    candidates = np.asarray(
-        [g for g in range(G.order) if keys[int(G.element_orders[g])]],
-        dtype=np.int32,
-    )
-    if len(candidates) != part:
+    orders, order_index = np.unique(G.element_orders, return_inverse=True)
+    inside = np.array([_prime_factors(int(o)) <= prime_set for o in orders])
+    candidates = inside[order_index]
+    if int(candidates.sum()) != part:
         return None
     try:
-        return Subgroup(G, candidates.tolist())
+        return _subgroup(G, candidates, validate=True)
     except NotAGroup:  # the candidate set is not closed
         return None
 

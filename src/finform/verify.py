@@ -541,11 +541,7 @@ def _pair_permutation(n_size: int, h_size: int, rng: np.random.Generator) -> np.
     """A bijection of pair codes induced by coordinate bijections fixing 0."""
     pn = np.concatenate(([0], 1 + rng.permutation(n_size - 1))) if n_size > 1 else np.zeros(1, dtype=np.int64)
     ph = np.concatenate(([0], 1 + rng.permutation(h_size - 1))) if h_size > 1 else np.zeros(1, dtype=np.int64)
-    out = np.empty(n_size * h_size, dtype=np.int64)
-    for n in range(n_size):
-        for h in range(h_size):
-            out[n * h_size + h] = pn[n] * h_size + ph[h]
-    return out
+    return (pn[:, None] * h_size + ph[None, :]).ravel()
 
 
 @dataclass
@@ -670,11 +666,13 @@ def _hypercentre_of_quotient(c: _LawContext):
 
 def _hypercentre_meets_subgroups(c: _LawContext):
     """Z_F(B) meet A lies in Z_F(B meet A), on a sample of subgroup pairs."""
-    pairs = [(A, B) for A in c.lat.subgroups for B in c.lat.subgroups]
-    if len(pairs) > 4 * PAIR_SAMPLE:
-        pick = c.rng.choice(len(pairs), size=4 * PAIR_SAMPLE, replace=False)
-        pairs = [pairs[int(k)] for k in sorted(pick)]
-    for A, B in pairs:
+    subs = c.lat.subgroups
+    n = len(subs)
+    # Pair k is (subs[k // n], subs[k % n]): the row-major order of all n^2 pairs.
+    codes = range(n * n)
+    if n * n > 4 * PAIR_SAMPLE:
+        codes = sorted(int(k) for k in c.rng.choice(n * n, size=4 * PAIR_SAMPLE, replace=False))
+    for A, B in ((subs[k // n], subs[k % n]) for k in codes):
         zb = B.lift(f_hypercentre(B.as_group(), c.F))
         meet = B.intersect(A)
         z_meet = meet.lift(f_hypercentre(meet.as_group(), c.F))

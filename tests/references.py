@@ -1,0 +1,61 @@
+"""Earlier engine membership tests, kept as references for the predicates
+that replaced them.
+
+Each follows its class's textbook definition through the package's own
+subgroup arithmetic: the lower central series for nilpotence, the derived
+series for solubility, and a descent through minimal normal subgroups and
+quotients for supersolubility.
+"""
+
+from finform import normal_closure, quotient
+from finform.formations import is_prime
+from finform.groups import commutator_subgroup, derived_series
+
+
+def lower_central_series(G):
+    """G >= [G,G] >= [[G,G],G] >= ... until the order stops changing."""
+    whole = G.full_subgroup()
+    series = [whole]
+    while (nxt := commutator_subgroup(G, series[-1], whole)).order != series[-1].order:
+        series.append(nxt)
+    return series
+
+
+def is_nilpotent(G) -> bool:
+    return lower_central_series(G)[-1].order == 1
+
+
+def is_soluble(G) -> bool:
+    return derived_series(G)[-1].order == 1
+
+
+def some_minimal_normal(G):
+    """Any minimal normal subgroup, found by normal-closure descent."""
+    reps = [int(c[0]) for c in G.conjugacy_classes() if int(c[0]) != 0]
+    current = normal_closure(G, [reps[0]])
+    changed = True
+    while changed:
+        changed = False
+        for y in reps:
+            if y in current:
+                smaller = normal_closure(G, [y])
+                if smaller < current:
+                    current = smaller
+                    changed = True
+                    break
+    return current
+
+
+def is_supersoluble(G) -> bool:
+    """Soluble, and every group in the tower G, G/M, (G/M)/M', ... of
+    quotients by minimal normal subgroups has a minimal normal subgroup of
+    prime order."""
+    if not is_soluble(G):
+        return False
+    Q = G
+    while Q.order > 1:
+        M = some_minimal_normal(Q)
+        if not is_prime(M.order):
+            return False
+        Q = quotient(Q, M)[0]
+    return True

@@ -3,6 +3,7 @@ import pytest
 from finform import (
     Formation,
     FormationLawViolated,
+    Group,
     NILPOTENT,
     NotNormal,
     SUPERSOLUBLE,
@@ -10,6 +11,7 @@ from finform import (
     UnknownFormation,
     alternating,
     builtin_formations,
+    chief_series,
     cyclic,
     dihedral,
     elem_abelian,
@@ -28,6 +30,7 @@ from finform import (
     is_supersoluble,
     normal_subgroups,
     quaternion,
+    quotient,
     residual,
     sigma_hypercentre,
     sigma_nilpotent_formation,
@@ -39,6 +42,7 @@ from finform import formations
 from finform.formations import is_hypercentral, is_prime, section_product
 
 import oracles
+import references
 
 
 def a3_of(s3):
@@ -310,6 +314,31 @@ class TestBuiltinLaws:
         sing = SigmaPartition.singletons()
         for g in catalog24.groups:
             assert is_nilpotent(g) == is_sigma_nilpotent(g, sing)
+            assert is_nilpotent(g) == references.is_nilpotent(g), g.label
+
+    def test_predicates_match_series_references(self, catalog24):
+        # Each group of the catalog, every quotient of it and the section
+        # product of every chief factor, each rebuilt cold from its table;
+        # the catalog is soluble, so A5 and S5 join it.
+        panel = [alternating(5), symmetric(5)]
+        for g in catalog24.groups:
+            panel.append(g)
+            panel.extend(quotient(g, N)[0] for N in normal_subgroups(g))
+            panel.extend(section_product(g, sec.top, sec.bottom)
+                         for sec in chief_series(g).factors())
+        pairs = [
+            (is_nilpotent, references.is_nilpotent),
+            (is_soluble, references.is_soluble),
+            (is_supersoluble, references.is_supersoluble),
+        ]
+        verdicts = set()
+        for X in panel:
+            for fast, reference in pairs:
+                got = fast(Group(X.table, validate=False))
+                assert got == reference(Group(X.table, validate=False)), (X.label, fast.__name__)
+                verdicts.add((fast.__name__, got))
+        # the panel holds members and non-members of every class
+        assert len(verdicts) == 6
 
     def test_sigma_primary_implies_sigma_nilpotent(self, catalog12):
         for sig in (SigmaPartition.parse("[[2,3]]"), SigmaPartition.parse("[[2,5],[3]]")):

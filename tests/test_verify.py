@@ -1,5 +1,7 @@
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from finform import verify
@@ -9,8 +11,11 @@ from finform import (
     SUPERSOLUBLE,
     Formation,
     SigmaPartition,
+    Subgroup,
     VerificationReport,
+    all_subgroups,
     catalog_generate,
+    elem_abelian,
     is_isomorphic,
     sigma_nilpotent_formation,
     symmetric,
@@ -198,6 +203,52 @@ class TestLemmaSuite:
         )
         assert [name for name, n in counts.items() if n == 0] == []
         assert sum(counts.values()) == rep.checked
+
+    def test_hereditary_meet_pairs_match_list_reference(self, monkeypatch):
+        # The law's earlier selection listed all n^2 pairs and picked from them.
+        def reference_pairs(subs, rng):
+            pairs = [(A, B) for A in subs for B in subs]
+            if len(pairs) > 4 * verify.PAIR_SAMPLE:
+                pick = rng.choice(len(pairs), size=4 * verify.PAIR_SAMPLE, replace=False)
+                pairs = [pairs[int(k)] for k in sorted(pick)]
+            return pairs
+
+        meets = []
+        real = Subgroup.intersect
+
+        def recording(sub, other):
+            meets.append((sub, other))
+            return real(sub, other)
+
+        monkeypatch.setattr(Subgroup, "intersect", recording)
+        law_rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for G in [elem_abelian(2, 4)] + catalog_generate(12).groups:
+            lat = all_subgroups(G)
+            meets.clear()
+            ctx = SimpleNamespace(lat=lat, rng=law_rng, F=NILPOTENT)
+            checked = len(list(verify._hypercentre_meets_subgroups(ctx)))
+            # per pair (A, B) the law meets B with A, then Z_F(B) with A
+            visited = [(A, B) for B, A in [m for m in meets if m[0].parent is G][::2]]
+            assert visited == reference_pairs(lat.subgroups, ref_rng), G.label
+            assert checked == len(visited)
+            assert law_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n_size,h_size", [(1, 1), (1, 5), (4, 1), (3, 8), (12, 7)])
+    def test_pair_permutation_matches_loop_reference(self, n_size, h_size):
+        def reference(n_size, h_size, rng):  # the earlier double loop
+            pn = np.concatenate(([0], 1 + rng.permutation(n_size - 1))) if n_size > 1 else np.zeros(1, dtype=np.int64)
+            ph = np.concatenate(([0], 1 + rng.permutation(h_size - 1))) if h_size > 1 else np.zeros(1, dtype=np.int64)
+            out = np.empty(n_size * h_size, dtype=np.int64)
+            for n in range(n_size):
+                for h in range(h_size):
+                    out[n * h_size + h] = pn[n] * h_size + ph[h]
+            return out
+
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = verify._pair_permutation(n_size, h_size, rng)
+        expected = reference(n_size, h_size, ref_rng)
+        assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_unsaturated_class_fails_named_laws(self):
         # the abelian groups form a formation that is not saturated: D8 and
