@@ -11,6 +11,7 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
     Subgroup,
+    _derived_group,
     centralizer_of_section,
     check_order_cap,
     coset_representatives,
@@ -255,7 +256,9 @@ def semidirect_product(
 
     ``action[h]`` is the permutation of N's elements induced by h; it must
     be a homomorphism H -> Aut(N). Pair (n, h) is encoded as n*|H| + h and
-    multiplies as (n1, h1)(n2, h2) = (n1 * action[h1][n2], h1*h2).
+    multiplies as (n1, h1)(n2, h2) = (n1 * action[h1][n2], h1*h2). The
+    product is shared with every other derived group of the same table, so
+    it keeps the label of the first one built.
     """
     action = np.asarray(action, dtype=np.int32)
     if action.shape != (H.order, N.order):
@@ -277,7 +280,7 @@ def semidirect_product(
     table = (N.table[n_part[:, None], acted] * nh + H.table[np.ix_(h_part, h_part)]).astype(
         np.int32
     )
-    return Group(table, label=label or f"{N.label}x|{H.label}", validate=False)
+    return _derived_group(table, label or f"{N.label}x|{H.label}")
 
 
 def semidirect_section(

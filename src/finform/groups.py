@@ -5,11 +5,15 @@ All bulk operations (closures, conjugation, centralizers, coset maps) are
 vectorised over the table, which keeps everything exhaustive and still fast
 at desk scale. A subgroup is an int bitmask over the indices, interned per
 parent group, and every generated subgroup comes from one boolean-mask
-closure, ``_closure``.
+closure, ``_closure``. A group built from one the engine already has (a
+quotient, a subgroup as a group, a semidirect product) is shared per Cayley
+table by ``_derived_group``, so what it memoises is computed once per table.
 """
 
 from __future__ import annotations
 
+import hashlib
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -58,6 +62,11 @@ class Group:
     conjugacy classes, normal subgroups, ...) internally; they are safe to
     share once constructed. ``validate`` checks the whole table: identity
     at 0, every row and column a permutation, and associativity.
+
+    ``Group(...)`` always builds a new object. Quotients, subgroups as groups
+    and semidirect products are shared per table instead (``_derived_group``):
+    such a group keeps the label of its first construction, which only
+    messages show.
     """
 
     def __init__(self, table: np.ndarray, label: str = "G", validate: bool = True):
@@ -182,6 +191,30 @@ class Group:
         return f"Group({self.label!r}, order={self.order})"
 
 
+def _table_key(table: np.ndarray) -> tuple[int, bytes]:
+    """The registry key of a C-contiguous int32 table: its order and digest."""
+    return len(table), hashlib.blake2b(table.tobytes(), digest_size=16).digest()
+
+
+# _table_key(table) -> the one live derived group with that table
+_DERIVED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _derived_group(table: np.ndarray, label: str) -> Group:
+    """The live derived group with this valid table, built on first use.
+
+    The registry is weak: a group lives while some memo refers to it. A key
+    hit counts only if the tables are equal, so a digest collision cannot
+    hand back a wrong group.
+    """
+    table = np.ascontiguousarray(table, dtype=np.int32)
+    key = _table_key(table)
+    G = _DERIVED.get(key)
+    if G is None or not np.array_equal(G.table, table):
+        G = _DERIVED[key] = Group(table, label=label, validate=False)
+    return G
+
+
 class Subgroup:
     """A subgroup of a fixed parent group, interned per parent.
 
@@ -236,26 +269,34 @@ class Subgroup:
         return _interned(self.parent, self.members & other.members)
 
     def as_group(self) -> Group:
-        """This subgroup reindexed as a standalone group; ``localize`` and
-        ``lift`` map subgroups into and out of it."""
+        """This subgroup reindexed as a standalone group, shared with every
+        subgroup (of any parent) whose reindexed table is the same;
+        ``localize`` and ``lift`` map subgroups into and out of it."""
         def compute():
             mem = self.array
             local = np.zeros(self.parent.order, dtype=np.int32)
             local[mem] = np.arange(self.order, dtype=np.int32)
-            return Group(local[self.parent.table[mem[:, None], mem]],
-                         label=f"{self.parent.label}.sub{self.order}", validate=False)
+            return _derived_group(local[self.parent.table[mem[:, None], mem]],
+                                  f"{self.parent.label}.sub{self.order}")
 
         return _memo(self, "group", compute)
 
     def localize(self, sub: "Subgroup") -> "Subgroup":
-        """``sub`` (a subgroup of the parent inside self) as a subgroup of ``as_group()``."""
+        """``sub`` (a subgroup of the parent inside self) as a subgroup of
+        ``as_group()``, in this subgroup's coordinates: local index i is
+        ``array[i]``."""
         if not sub <= self:
             raise ValueError("subgroup is not contained in this one")
         return _memo(self, ("localize", sub),
                      lambda: _subgroup(self.as_group(), sub.mask()[self.array]))
 
     def lift(self, sub: "Subgroup") -> "Subgroup":
-        """``sub`` (a subgroup of ``as_group()``) as a subgroup of the parent."""
+        """``sub`` (a subgroup of ``as_group()``) as a subgroup of the parent.
+
+        ``as_group()`` may be shared with other subgroups of the same table,
+        so the coordinates belong to the subgroup that lifts: local index i
+        is ``array[i]``.
+        """
         if sub.parent is not self.as_group():
             raise ValueError("subgroup is not a subgroup of this one's as_group()")
         return _memo(self, ("lift", sub), lambda: _subgroup(
@@ -491,7 +532,7 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
         reps = np.unique(rep)
         qindex = np.searchsorted(reps, rep)
         qtable = qindex[rep[G.table[reps[:, None], reps]]]
-        Q = Group(qtable, label=f"{G.label}/n{N.order}", validate=False)
+        Q = _derived_group(qtable, f"{G.label}/n{N.order}")
         return Q, Homomorphism(G, Q, qindex, validate=False)
 
     return _memo(G, ("quotient", N), compute)

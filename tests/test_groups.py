@@ -1,4 +1,7 @@
 import ast
+import gc
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -413,8 +416,11 @@ class TestInternedSubgroups:
             Subgroup(s3, members)  # a failed check leaves nothing behind
 
     def test_meet_keeps_its_memos(self, monkeypatch):
-        from finform import NILPOTENT, formations
+        from finform import NILPOTENT, formations, groups
 
+        # a cold registry: no group with the meet's table, left alive by an
+        # earlier test, brings its hypercentre along
+        monkeypatch.setattr(groups, "_DERIVED", weakref.WeakValueDictionary())
         checks = []
         original = formations.is_hypercentral
         monkeypatch.setattr(formations, "is_hypercentral",
@@ -485,7 +491,6 @@ def test_memoised_results_are_per_group_objects():
         "derived_series": derived_series,
         "quotient": lambda X: quotient(X, v4(X)),
         "Subgroup.mask": lambda X: v4(X).mask(),
-        "Subgroup.as_group": lambda X: v4(X).as_group(),
         "all_subgroups": all_subgroups,
         "normal_subgroups": normal_subgroups,
         "chief_series_through": lambda X: chief_series_through(X, v4(X)),
@@ -494,15 +499,117 @@ def test_memoised_results_are_per_group_objects():
         "generating_set": generating_set,
         "automorphisms": automorphisms,
         "residual": lambda X: residual(X, SUPERSOLUBLE),
-        "section_product": lambda X: section_product(X, v4(X), X.trivial_subgroup()),
         "f_hypercentre": lambda X: f_hypercentre(X, NILPOTENT),
+    }
+    # groups derived from a group are shared per table, so an equal copy of
+    # the parent reaches the same objects
+    derived = {
+        "quotient group": lambda X: quotient(X, v4(X))[0],
+        "Subgroup.as_group": lambda X: v4(X).as_group(),
+        "section_product": lambda X: section_product(X, v4(X), X.trivial_subgroup()),
     }
     G = symmetric(4)
     H = from_cayley_table(G.table)
-    for name, lookup in lookups.items():
+    for name, lookup in (lookups | derived).items():
         first = lookup(G)
         assert lookup(G) is first, name
-        assert lookup(H) is not first, name
+        assert (lookup(H) is first) == (name in derived), name
+
+
+class TestDerivedGroups:
+    """Quotients, subgroups as groups and semidirect products are shared per
+    Cayley table through a weak registry; public constructors stay fresh."""
+
+    @pytest.fixture
+    def registry(self, monkeypatch):
+        from finform import groups
+
+        cold = type(groups._DERIVED)()  # empty, and as weak as the real one
+        monkeypatch.setattr(groups, "_DERIVED", cold)
+        return cold
+
+    @staticmethod
+    def v4(X):
+        from finform import normal_subgroups
+
+        return normal_subgroups(X)[1]
+
+    def test_equal_parents_share_derived_groups(self):
+        G = symmetric(4)
+        H = from_cayley_table(G.table)
+        assert H is not G
+        assert self.v4(H).as_group() is self.v4(G).as_group()
+        assert quotient(H, self.v4(H))[0] is quotient(G, self.v4(G))[0]
+
+    def test_key_collision_builds_separate_groups(self, registry, monkeypatch):
+        from finform import groups
+
+        monkeypatch.setattr(groups, "_table_key", lambda table: (0, b""))
+        sources = [cyclic(4), direct_product(cyclic(2), cyclic(2)), cyclic(4)]
+        built = [X.full_subgroup().as_group() for X in sources]
+        assert built[0] is not built[1]
+        for X, B in zip(sources, built):
+            assert np.array_equal(B.table, X.table)
+        assert len(registry) == 1
+
+    def test_registry_does_not_keep_groups_alive(self, registry):
+        from finform.formations import section_product
+
+        G = symmetric(4)
+        H = from_cayley_table(G.table)
+        for X in (G, H):
+            self.v4(X).as_group()
+            quotient(X, self.v4(X))
+            section_product(X, self.v4(X), X.trivial_subgroup())
+        assert len(registry) >= 3
+        del G, H, X
+        gc.collect()
+        assert len(registry) == 0
+
+    def test_public_constructors_return_fresh_objects(self, registry):
+        from finform.groups import _table_key
+        from finform.verify import _relabel
+
+        V = direct_product(cyclic(2), cyclic(2))
+        shared = V.full_subgroup().as_group()
+        assert registry[_table_key(shared.table)] is shared
+        fresh = [
+            Group(V.table),
+            from_cayley_table(V.table),
+            direct_product(cyclic(2), cyclic(2)),
+            elem_abelian(2, 2),
+            _relabel(shared, np.arange(4)),
+        ]
+        for X in fresh:
+            assert np.array_equal(X.table, shared.table)
+            assert X is not shared
+        assert len({id(X) for X in fresh}) == len(fresh)
+
+    def test_lemma_suite_builds_each_table_once(self, registry, monkeypatch):
+        # a structural guard in place of a timing bound: outside the
+        # equivalent-pairs law's relabelled copies, no table is built twice
+        from finform import NILPOTENT, SUPERSOLUBLE, verify
+        from finform.verify import verify_lemma_suite
+
+        catalog = catalog_generate(12)
+        built = Counter()
+        init, relabel = Group.__init__, verify._relabel
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built[self.table.tobytes()] += 1
+
+        def uncounted_relabel(*args):
+            copy = relabel(*args)
+            built[copy.table.tobytes()] -= 1
+            return copy
+
+        monkeypatch.setattr(Group, "__init__", counting_init)
+        monkeypatch.setattr(verify, "_relabel", uncounted_relabel)
+        for F in (NILPOTENT, SUPERSOLUBLE):
+            assert verify_lemma_suite(catalog, F).passed
+        assert len(built) > 40
+        assert max(built.values()) == 1, sorted(built.values())[-5:]
 
 
 def test_only_groups_module_reads_member_storage():
