@@ -88,9 +88,7 @@ from .formations import (
     is_soluble,
     is_supersoluble,
     residual,
-    sigma_hypercentre,
     sigma_nilpotent_formation,
-    supersoluble_hypercentre,
 )
 from .subnormal import (
     WitnessChain,

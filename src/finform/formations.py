@@ -7,6 +7,11 @@ chosen prime partition; all four are hereditary saturated formations, and
 the verification sweeps exercise those laws rather than assuming them.
 Membership is read off the chief series and normal Hall subgroups, both of
 which the engine builds and memoises for its other work.
+
+A section H/K is F-central when (H/K)⋊(G/C_G(H/K)) lies in F. On a chief
+factor a saturated formation decides that by its local definition (Doerk &
+Hawkes, *Finite Soluble Groups*, IV.3), so the hypercentre walk builds no
+section product; ``is_f_central`` keeps the product definition.
 """
 
 from __future__ import annotations
@@ -34,15 +39,14 @@ from .lattice import (
     _prime_factors,
     chief_series,
     chief_series_through,
-    group_primes,
     is_prime,
     normal_covers,
     normal_hall_subgroup,
     normal_subgroups,
 )
 
-# Centrality tests build a semidirect product of a section by a quotient;
-# its order can exceed the group-construction cap, so it gets its own guard.
+# ``is_f_central`` (so the lemma laws) builds a section by a quotient as a
+# semidirect product, which can exceed the group cap; it gets its own guard.
 SECTION_PRODUCT_CAP = 4096
 
 
@@ -93,6 +97,10 @@ class SigmaPartition:
     def singletons() -> "SigmaPartition":
         return SigmaPartition(())
 
+    def one_class(self, n: int) -> bool:
+        """Whether all primes of n lie in a single class."""
+        return len({self.class_key(p) for p in _prime_factors(n)}) <= 1
+
     def class_key(self, p: int):
         """A hashable identifier of the class containing prime p."""
         for i, cls in enumerate(self.classes):
@@ -136,8 +144,7 @@ def is_supersoluble(G: Group) -> bool:
 
 def is_sigma_primary(G: Group, sigma: SigmaPartition) -> bool:
     """All primes of |G| lie in a single class (vacuously true when trivial)."""
-    keys = {sigma.class_key(p) for p in group_primes(G)}
-    return len(keys) <= 1
+    return sigma.one_class(G.order)
 
 
 def is_sigma_nilpotent(G: Group, sigma: SigmaPartition) -> bool:
@@ -146,7 +153,7 @@ def is_sigma_nilpotent(G: Group, sigma: SigmaPartition) -> bool:
     The internal product of those Hall subgroups is then automatically
     direct and equal to the group.
     """
-    keys = {sigma.class_key(p) for p in group_primes(G)}
+    keys = {sigma.class_key(p) for p in _prime_factors(G.order)}
     return all(
         normal_hall_subgroup(G, sigma.class_primes(k)) is not None for k in keys
     )
@@ -155,34 +162,68 @@ def is_sigma_nilpotent(G: Group, sigma: SigmaPartition) -> bool:
 # -- formations --------------------------------------------------------------
 
 
+ChiefRule = Callable[[Group, Subgroup, Subgroup], bool]
+
+
 @dataclass(frozen=True)
 class Formation:
     """A named group-class predicate with hereditary/saturated metadata.
 
-    The flags are trusted when selecting which theorems apply, but the
-    verifier's law sweeps exercise them on the whole catalog.
+    ``chief_rule(G, H, K)`` decides from the local definition whether a chief
+    factor H/K of G is F-central. A formation has one exactly when it is
+    saturated (Gaschütz–Lubeseder–Schmid); without it the section product
+    decides. The flags are trusted when selecting which theorems apply, but
+    the verifier's law sweeps exercise them on the whole catalog.
     """
 
     name: str
     predicate: Callable[[Group], bool] = field(compare=False)
     hereditary: bool = True
-    saturated: bool = True
+    chief_rule: ChiefRule | None = field(default=None, compare=False)
+
+    @property
+    def saturated(self) -> bool:
+        return self.chief_rule is not None
 
     def contains(self, G: Group) -> bool:
         return _memo(G, "in-formation:" + self.name, lambda: bool(self.predicate(G)))
+
+    def chief_central(self, G: Group, H: Subgroup, K: Subgroup) -> bool:
+        """Whether the chief factor H/K of G is F-central."""
+        if self.chief_rule is None:
+            return is_f_central(G, H, K, self)
+        return self.chief_rule(G, H, K)
 
     def __repr__(self) -> str:
         return f"Formation({self.name})"
 
 
-NILPOTENT = Formation("nilpotent", is_nilpotent)
-SUPERSOLUBLE = Formation("supersoluble", is_supersoluble)
-SOLUBLE = Formation("soluble", is_soluble)
+# Local rules for a chief factor H/K, with m = |H/K| and Q = G/C_G(H/K).
+
+
+def _sigma_rule(sigma: SigmaPartition) -> ChiefRule:
+    """All primes of m·|Q| lie in one class; this covers nonabelian factors."""
+    return lambda G, H, K: sigma.one_class(
+        H.order // K.order * (G.order // centralizer_of_section(G, H, K).order))
+
+
+def _soluble_rule(G: Group, H: Subgroup, K: Subgroup) -> bool:
+    """m is a prime power and Q is soluble."""
+    return len(_prime_factors(H.order // K.order)) == 1 and is_soluble(
+        quotient(G, centralizer_of_section(G, H, K))[0])
+
+
+NILPOTENT = Formation("nilpotent", is_nilpotent,
+                      chief_rule=_sigma_rule(SigmaPartition.singletons()))
+SUPERSOLUBLE = Formation("supersoluble", is_supersoluble,
+                         chief_rule=lambda G, H, K: is_prime(H.order // K.order))
+SOLUBLE = Formation("soluble", is_soluble, chief_rule=_soluble_rule)
 
 
 def sigma_nilpotent_formation(sigma: SigmaPartition) -> Formation:
     name = f"sigma-nilpotent{sigma.key}"
-    return Formation(name, lambda G: is_sigma_nilpotent(G, sigma))
+    return Formation(name, lambda G: is_sigma_nilpotent(G, sigma),
+                     chief_rule=_sigma_rule(sigma))
 
 
 def builtin_formations(sigma: SigmaPartition | None = None) -> list[Formation]:
@@ -265,69 +306,44 @@ def is_sigma_central(G: Group, H: Subgroup, K: Subgroup, sigma: SigmaPartition) 
 # -- hypercentres ----------------------------------------------------------------
 
 
-CentralTest = Callable[[Subgroup, Subgroup], bool]
-
-
-def is_hypercentral(G: Group, N: Subgroup, central: CentralTest) -> bool:
-    """N = 1, or every chief factor of G below N passes the centrality test."""
+def is_hypercentral(G: Group, N: Subgroup, F: Formation) -> bool:
+    """N = 1, or every chief factor of G below N is F-central."""
     if N.order == 1:
         return True
-    series = chief_series_through(G, N)
-    for sec in series.factors():
-        if sec.top <= N and not central(sec.top, sec.bottom):
-            return False
-    return True
+    return all(F.chief_central(G, sec.top, sec.bottom)
+               for sec in chief_series_through(G, N).factors() if sec.top <= N)
 
 
 def is_f_hypercentral(G: Group, N: Subgroup, F: Formation) -> bool:
     if not N.is_normal():
         raise NotNormal(f"{N} is not normal in {G.label}")
-    return is_hypercentral(G, N, lambda t, b: is_f_central(G, t, b, F))
+    return is_hypercentral(G, N, F)
 
 
-def hypercentre(G: Group, central: CentralTest, cache_name: str) -> Subgroup:
-    """The largest normal subgroup that is hypercentral for the test.
+def hypercentre(G: Group, F: Formation) -> Subgroup:
+    """Z_F(G), the largest normal subgroup that is F-hypercentral.
 
-    Climbs from 1 by central chief factors M/Z, M a normal cover of Z, until
+    Climbs from 1 by F-central chief factors M/Z, M a normal cover of Z, until
     no cover of Z passes. The result is re-verified hypercentral; a failure
     would falsify the hypercentre law and is raised rather than papered over.
     """
     def compute():
         Z = G.trivial_subgroup()
-        while (M := next((C for C in normal_covers(G, Z) if central(C, Z)), None)) is not None:
+        while (M := next((C for C in normal_covers(G, Z) if F.chief_central(G, C, Z)),
+                         None)) is not None:
             Z = M
-        if not is_hypercentral(G, Z, central):
+        if not is_hypercentral(G, Z, F):
             raise HypercentreNotHypercentral(
                 f"ascending hypercentre fails its own chief-factor test in {G.label}"
             )
         return Z
 
-    return _memo(G, "hypercentre:" + cache_name, compute)
+    return _memo(G, "hypercentre:" + F.name, compute)
 
 
 def f_hypercentre(G: Group, F: Formation) -> Subgroup:
     """Z_F(G): join of all normal subgroups whose chief factors are F-central."""
-    return hypercentre(
-        G, lambda t, b: is_f_central(G, t, b, F), cache_name=F.name
-    )
-
-
-def sigma_hypercentre(G: Group, sigma: SigmaPartition) -> Subgroup:
-    """Join of normals whose chief factors have sigma-primary section products."""
-    return hypercentre(
-        G,
-        lambda t, b: is_sigma_central(G, t, b, sigma),
-        cache_name=f"sigma-central{sigma.key}",
-    )
-
-
-def supersoluble_hypercentre(G: Group) -> Subgroup:
-    """Join of normals all of whose chief factors below are cyclic (prime order)."""
-    return hypercentre(
-        G,
-        lambda t, b: is_prime(t.order // b.order),
-        cache_name="cyclic-chief",
-    )
+    return hypercentre(G, F)
 
 
 def is_large(G: Group, N: Subgroup) -> bool:

@@ -206,10 +206,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def group_primes(G: Group) -> frozenset[int]:
-    return _prime_factors(G.order)
-
-
 def normal_hall_subgroup(G: Group, primes: Iterable[int]) -> Subgroup | None:
     """The normal subgroup of order the full `primes`-part of |G|, if any.
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import construct
-from .errors import LatticeBudgetExceeded, SearchBudgetExceeded
+from .errors import LatticeBudgetExceeded, OrderCapExceeded, SearchBudgetExceeded
 from .files import load_group_file
 from .formations import (
     Formation,
@@ -30,9 +30,7 @@ from .formations import (
     is_sigma_central,
     residual,
     section_product,
-    sigma_hypercentre,
     sigma_nilpotent_formation,
-    supersoluble_hypercentre,
 )
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -133,8 +131,6 @@ def catalog_generate(
     within the bound, and any user-supplied group files; deduplicated up to
     isomorphism (first construction wins)."""
     if order_cap is not None and max_order > order_cap:
-        from .errors import OrderCapExceeded
-
         raise OrderCapExceeded(f"max_order {max_order} exceeds order cap {order_cap}")
     base = _dedupe(_family_seeds(max_order, order_cap))
     everything = list(base)
@@ -184,7 +180,8 @@ class VerificationReport:
 
     @property
     def budget_exhausted(self) -> bool:
-        return any(s.get("reason") == "budget-exceeded" for s in self.skipped)
+        return any(s.get("reason") in ("budget-exceeded", "order-cap-exceeded")
+                   for s in self.skipped)
 
     def to_dict(self, include_timing: bool = False) -> dict:
         return {
@@ -307,7 +304,6 @@ def _theorem_a_sweep(
     catalog: Catalog,
     formation: Formation,
     chain_fn,
-    hyper_fn,
     claim: str,
     sigma_key: str | None = None,
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
@@ -315,7 +311,8 @@ def _theorem_a_sweep(
     """Shared engine for the main theorem and its section-3 specialisations.
 
     Instances are the (G, S) pairs with S chain-connected to G; for each, the
-    hypothesis scan demands a trivial hypercentre for S and every overgroup.
+    hypothesis scan demands a trivial Z_F for S and every overgroup, with F
+    the sweep's formation.
     """
     rep = VerificationReport(claim, formation.name, sigma_key, catalog.description)
     with _Timer() as t:
@@ -327,7 +324,7 @@ def _theorem_a_sweep(
                 rep.checked += 1
                 bad = None
                 for E in lat.overgroups_of(S):
-                    if hyper_fn(E.as_group()).order != 1:
+                    if f_hypercentre(E.as_group(), formation).order != 1:
                         bad = E
                         break
                 if bad is not None:
@@ -360,7 +357,6 @@ def verify_theorem_a(
         catalog,
         F,
         lambda G, S: is_k_f_subnormal(G, S, F, lattice_budget),
-        lambda grp: f_hypercentre(grp, F),
         claim="theorem-a",
         lattice_budget=lattice_budget,
     )
@@ -454,43 +450,24 @@ def verify_section3_corollaries(
 ) -> list[VerificationReport]:
     """The supersoluble and sigma-nilpotent specialisations of the main
     theorem, with chain kinds as in each corollary, plus the agreement sweep
-    between sigma chains and Kegel chains for the sigma-nilpotent class."""
+    between sigma chains and Kegel chains for the sigma-nilpotent class.
+    Each hypothesis scan reads its formation's Z_F: the cyclic-chief
+    hypercentre for supersoluble, the sigma-central one for sigma-nilpotent."""
     nsigma = sigma_nilpotent_formation(sigma)
     reports = [
-        _theorem_a_sweep(
-            catalog,
-            SUPERSOLUBLE,
-            lambda G, S: is_k_f_subnormal(G, S, SUPERSOLUBLE, lattice_budget),
-            supersoluble_hypercentre,
-            claim="section3-supersoluble-kegel-chains",
-            lattice_budget=lattice_budget,
-        ),
-        _theorem_a_sweep(
-            catalog,
-            SUPERSOLUBLE,
-            lambda G, S: is_f_subnormal(G, S, SUPERSOLUBLE, lattice_budget),
-            supersoluble_hypercentre,
-            claim="section3-supersoluble-formation-chains",
-            lattice_budget=lattice_budget,
-        ),
-        _theorem_a_sweep(
-            catalog,
-            nsigma,
-            lambda G, S: is_sigma_subnormal(G, S, sigma, lattice_budget),
-            lambda grp: sigma_hypercentre(grp, sigma),
-            claim="section3-sigma-chains",
-            sigma_key=sigma.key,
-            lattice_budget=lattice_budget,
-        ),
-        _theorem_a_sweep(
-            catalog,
-            nsigma,
-            lambda G, S: is_k_f_subnormal(G, S, nsigma, lattice_budget),
-            lambda grp: sigma_hypercentre(grp, sigma),
-            claim="section3-sigma-kegel-chains",
-            sigma_key=sigma.key,
-            lattice_budget=lattice_budget,
-        ),
+        _theorem_a_sweep(catalog, F, chain_fn, claim="section3-" + name,
+                         sigma_key=sigma.key if F is nsigma else None,
+                         lattice_budget=lattice_budget)
+        for F, name, chain_fn in (
+            (SUPERSOLUBLE, "supersoluble-kegel-chains",
+             lambda G, S: is_k_f_subnormal(G, S, SUPERSOLUBLE, lattice_budget)),
+            (SUPERSOLUBLE, "supersoluble-formation-chains",
+             lambda G, S: is_f_subnormal(G, S, SUPERSOLUBLE, lattice_budget)),
+            (nsigma, "sigma-chains",
+             lambda G, S: is_sigma_subnormal(G, S, sigma, lattice_budget)),
+            (nsigma, "sigma-kegel-chains",
+             lambda G, S: is_k_f_subnormal(G, S, nsigma, lattice_budget)),
+        )
     ]
     agreement = VerificationReport(
         "section3-sigma-chain-agreement", nsigma.name, sigma.key, catalog.description
@@ -757,8 +734,10 @@ def verify_lemma_suite(
     """Property sweep of the supporting lemmas over the catalog.
 
     Runs every law of ``LAWS``, in order, on each group whose subgroup
-    lattice fits ``lattice_budget``. The sigma-centrality law applies only
-    when a sigma partition is supplied.
+    lattice fits ``lattice_budget``. A group whose section products exceed
+    the cap is an ``order-cap-exceeded`` skip, and its items count only once
+    all of its laws have run. The sigma-centrality law applies only when a
+    sigma partition is supplied.
     """
     rep = VerificationReport(
         "lemmas", F.name, sigma.key if sigma else None, catalog.description
@@ -766,20 +745,28 @@ def verify_lemma_suite(
     rng = np.random.default_rng(20240601)
     with _Timer() as t:
         for G, lat in _lattice_walk(catalog, rep, lattice_budget):
-            ctx = _LawContext(
-                G, F, sigma, rng, lat,
-                normals=normal_subgroups(G),
-                factors=chief_series(G).factors(),
-                in_f=F.contains(G),
-                Z=f_hypercentre(G, F),
-                central_pairs=_central_normal_pairs(G, F),
-            )
-            for name, law in LAWS.items():
-                for detail in law(ctx):
-                    rep.checked += 1
-                    rep.asserted += 1
-                    if detail is not None:
-                        _fail(rep, G, law=name, **detail)
+            try:
+                ctx = _LawContext(
+                    G, F, sigma, rng, lat,
+                    normals=normal_subgroups(G),
+                    factors=chief_series(G).factors(),
+                    in_f=F.contains(G),
+                    Z=f_hypercentre(G, F),
+                    central_pairs=_central_normal_pairs(G, F),
+                )
+                items, failed = 0, []
+                for name, law in LAWS.items():
+                    for detail in law(ctx):
+                        items += 1
+                        if detail is not None:
+                            failed.append({"law": name, **detail})
+            except OrderCapExceeded as e:
+                _skip(rep, G, "order-cap-exceeded", str(e))
+                continue
+            rep.checked += items
+            rep.asserted += items
+            for detail in failed:
+                _fail(rep, G, **detail)
     rep.elapsed_ms = t.ms
     return rep
 

@@ -189,6 +189,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "hypercentre_order: 6" in out
 
+    @pytest.mark.parametrize("extra, order", [
+        (["--formation", "nilpotent"], 1),
+        (["--formation", "supersoluble"], 1),
+        (["--formation", "soluble"], 1),
+        (["--formation", "sigma-nilpotent", "--sigma", "[[2,3,5]]"], 120),
+    ], ids=["nilpotent", "supersoluble", "soluble", "sigma-nilpotent"])
+    def test_hypercentre_of_s5_file(self, extra, order, tmp_path, capsys):
+        # S5's chief factor A5 has a section product of order 7200, over the
+        # section-product cap; the hypercentre walk never builds it
+        path = tmp_path / "s5.grp"
+        path.write_text("perm 5\n(0 1 2 3 4)\n(0 1)\n")
+        assert main(["hypercentre", f"file:{path}", *extra]) == 0
+        assert f"hypercentre_order: {order}\n" in capsys.readouterr().out
+
     def test_subnormal_command_with_sylow(self, capsys):
         # generator pair for an order-8 Sylow subgroup of sym:4 in the
         # printed element indexing

@@ -11,9 +11,11 @@ from finform import (
     UnknownFormation,
     alternating,
     builtin_formations,
+    catalog_generate,
     chief_series,
     cyclic,
     dihedral,
+    direct_product,
     elem_abelian,
     f_hypercentre,
     formation_by_selector,
@@ -32,14 +34,13 @@ from finform import (
     quaternion,
     quotient,
     residual,
-    sigma_hypercentre,
     sigma_nilpotent_formation,
-    supersoluble_hypercentre,
     symmetric,
     trivial,
 )
-from finform import formations
-from finform.formations import is_hypercentral, is_prime, section_product
+from finform import construct, formations
+from finform.formations import is_prime, section_product
+from finform.lattice import _prime_factors, chief_series_through, normal_covers
 
 import oracles
 import references
@@ -229,23 +230,14 @@ class TestHypercentre:
                 if f.contains(g):
                     assert f_hypercentre(g, f).order == g.order
 
-    def test_supersoluble_hypercentre_matches_formation_route(self, catalog12):
-        for g in catalog12.groups:
-            assert supersoluble_hypercentre(g) == f_hypercentre(g, SUPERSOLUBLE)
-
-    def test_sigma_hypercentre_matches_formation_route(self, catalog12):
-        sig = SigmaPartition.parse("[[2,3]]")
-        nsig = sigma_nilpotent_formation(sig)
-        for g in catalog12.groups:
-            assert sigma_hypercentre(g, sig) == f_hypercentre(g, nsig)
-
     def test_ascending_walk_matches_all_normals_reference(self, catalog24):
         # The join of every normal subgroup whose own chief series passes the
         # test: the definition the ascending walk replaces.
         def reference(G, central):
             members = {0}
             for N in normal_subgroups(G):
-                if is_hypercentral(G, N, central):
+                factors = chief_series_through(G, N).factors()
+                if all(central(s.top, s.bottom) for s in factors if s.top <= N):
                     members.update(N.array.tolist())
             return generated_subgroup(G, members)
 
@@ -256,11 +248,54 @@ class TestHypercentre:
                 expected = reference(g, lambda t, b: is_f_central(g, t, b, f))
                 assert f_hypercentre(g, f) == expected, (g.label, f.name)
             cyclic_chief = reference(g, lambda t, b: is_prime(t.order // b.order))
-            assert supersoluble_hypercentre(g) == cyclic_chief, g.label
+            assert f_hypercentre(g, SUPERSOLUBLE) == cyclic_chief, g.label
             sigma_central = reference(g, lambda t, b: is_sigma_central(g, t, b, sig))
-            assert sigma_hypercentre(g, sig) == sigma_central, g.label
+            assert f_hypercentre(g, sigma_nilpotent_formation(sig)) == sigma_central, g.label
 
-    @pytest.mark.parametrize("form", [NILPOTENT, SUPERSOLUBLE], ids=lambda f: f.name)
+    @pytest.mark.parametrize("sigma", [None, "[[2,3]]", "[[2,3,5]]"])
+    def test_chief_rule_matches_section_product(self, catalog48, sigma):
+        # Every chief factor M/N met by the hypercentre walk: each formation's
+        # local rule against the section-product definition.
+        if sigma is None:
+            forms = builtin_formations()
+        else:
+            forms = [sigma_nilpotent_formation(SigmaPartition.parse(sigma))]
+        a5 = alternating(5)
+        panel = catalog48.groups + [a5, direct_product(a5, cyclic(2)),
+                                    direct_product(a5, cyclic(3))]
+        checks = nonabelian_central = 0
+        for g in panel:
+            for N in normal_subgroups(g):
+                for M in normal_covers(g, N):
+                    for f in forms:
+                        rule = f.chief_central(g, M, N)
+                        assert rule == is_f_central(g, M, N, f), (g.label, f.name)
+                        checks += 1
+                        nonabelian_central += rule and len(_prime_factors(M.order // N.order)) > 1
+        assert checks > 5000
+        # A5 in A5, A5xC2 and A5xC3: the A5/1 factors and A5xC_p/C_p
+        assert nonabelian_central == (5 if sigma == "[[2,3,5]]" else 0)
+
+    def test_hypercentre_builds_no_section_product(self, monkeypatch):
+        calls = []
+        real = construct.semidirect_section
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].label)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(construct, "semidirect_section", counting)
+        monkeypatch.setattr(formations, "semidirect_section", counting)
+        forms = builtin_formations(SigmaPartition.parse("[[2,3]]"))
+        for g in catalog_generate(24).groups:
+            for f in forms:
+                f_hypercentre(g, f)
+                for N in normal_subgroups(g):
+                    is_f_hypercentral(g, N, f)
+        assert calls == []
+
+    @pytest.mark.parametrize("form", builtin_formations(SigmaPartition.parse("[[2,3]]")),
+                             ids=lambda f: f.name)
     def test_hypercentre_builds_at_most_one_chief_series(self, form, monkeypatch):
         calls = []
         real = formations.chief_series_through

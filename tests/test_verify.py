@@ -10,11 +10,13 @@ from finform import (
     SOLUBLE,
     SUPERSOLUBLE,
     Formation,
+    OrderCapExceeded,
     SigmaPartition,
     Subgroup,
     VerificationReport,
     all_subgroups,
     catalog_generate,
+    dihedral,
     elem_abelian,
     is_isomorphic,
     sigma_nilpotent_formation,
@@ -95,7 +97,7 @@ class TestTheoremB:
     def test_unsaturated_formation_rejected(self, catalog12):
         from finform import Formation
 
-        fake = Formation("fake", lambda G: True, saturated=False)
+        fake = Formation("fake", lambda G: True)  # no chief-factor rule
         with pytest.raises(ValueError):
             verify_theorem_b(catalog12, fake)
 
@@ -183,6 +185,30 @@ class TestLemmaSuite:
             catalog12, sigma_nilpotent_formation(sig), sigma=sig
         )
         assert rep.passed
+
+    def test_order_cap_hit_is_a_skip(self):
+        # D66's G/1 section product has order 66 * 66, over the cap
+        s3 = symmetric(3)
+        alone = verify_lemma_suite(verify.Catalog([s3], 66, "S3"), NILPOTENT)
+        rep = verify_lemma_suite(
+            verify.Catalog([symmetric(3), dihedral(33)], 66, "S3, D66"), NILPOTENT
+        )
+        assert [(s["group"], s["reason"]) for s in rep.skipped] == [
+            ("D66", "order-cap-exceeded")
+        ]
+        assert "exceeds cap" in rep.skipped[0]["detail"]
+        assert rep.checked == alone.checked > 0
+        assert rep.passed and rep.budget_exhausted
+
+    def test_cap_hit_inside_a_law_drops_the_groups_items(self, monkeypatch):
+        def capped(ctx):
+            yield {"partial": True}
+            raise OrderCapExceeded("order 4356 exceeds cap 4096")
+
+        monkeypatch.setitem(verify.LAWS, "equivalent-pairs-isomorphic", capped)
+        rep = verify_lemma_suite(verify.Catalog([symmetric(3)], 6, "S3"), NILPOTENT)
+        assert (rep.checked, rep.failures) == (0, [])
+        assert [s["reason"] for s in rep.skipped] == ["order-cap-exceeded"]
 
     def test_every_law_checks_an_instance(self, catalog12, monkeypatch):
         counts = dict.fromkeys(verify.LAWS, 0)
