@@ -425,15 +425,30 @@ def generated_subgroup(G: Group, gens: Iterable[int]) -> Subgroup:
 
 
 def _closure(G: Group, gens: np.ndarray) -> Subgroup:
-    """The subgroup generated by the True entries of the boolean mask ``gens``:
-    each round multiplies the elements new in the round before by the generators."""
+    """The subgroup generated by the True entries of the boolean mask ``gens``.
+
+    Each round multiplies the elements new in the round before on the right
+    by every member found so far. The members always include the
+    generators, so each member times each generator is reached, and the
+    member set is the subgroup once a round adds nothing. After round k the
+    members hold every product of at most 2^k generators (split such a
+    product after its longest prefix among the members: that prefix is new
+    in round k and the rest is a member), so H closes in about log2 |H|
+    rounds, where multiplying by the generators alone takes m rounds for a
+    cyclic subgroup of order m. A round costs |frontier| x |members| table
+    reads, and a member set over half of G is G, which cuts the rounds
+    that would only confirm it.
+    """
     member = gens.copy()
-    member[0] = False
-    frontier = gen = member.nonzero()[0]
     member[0] = True
+    frontier = member.nonzero()[0][1:]
     while frontier.size:
+        members = member.nonzero()[0]
+        if 2 * members.size > G.order:  # Lagrange: no proper subgroup is this large
+            member[:] = True
+            break
         new = np.zeros(G.order, dtype=bool)
-        new[G.table[frontier[:, None], gen]] = True
+        new[G.table[frontier[:, None], members]] = True
         new[member] = False
         member |= new
         frontier = new.nonzero()[0]

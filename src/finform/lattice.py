@@ -90,9 +90,33 @@ def all_subgroups(G: Group, budget: int = DEFAULT_LATTICE_BUDGET) -> SubgroupLat
 
 
 def _class_closures(G: Group) -> list[Subgroup]:
-    """The distinct normal closures ncl(x) of the nontrivial elements x."""
-    return _memo(G, "class_closures", lambda: list(dict.fromkeys(
-        normal_closure(G, [int(cls[0])]) for cls in G.conjugacy_classes()[1:])))
+    """The distinct normal closures ncl(x) of the nontrivial elements x, in
+    the order of the first class with each closure.
+
+    One closure per rational class: every generator y of <x> has <y> = <x>
+    and so ncl(y) = ncl(x). Once ncl(x) is built, the classes of those
+    generators are done. They make up x's rational class (the generators of
+    the conjugates of <x>), all marked when its first class is reached, so
+    each skipped class comes after one with the same closure and the list
+    is the one that one closure per class gives, in the same order.
+    """
+    def compute():
+        class_of, orders = G.class_of(), G.element_orders
+        done = np.zeros(len(G.conjugacy_classes()), dtype=bool)
+        closures = {}
+        for cls in G.conjugacy_classes()[1:]:
+            x = int(cls[0])
+            if done[class_of[x]]:
+                continue
+            closures[normal_closure(G, [x])] = None
+            y = x
+            while y:  # the powers of x, of which those of x's order generate <x>
+                if orders[y] == orders[x]:
+                    done[class_of[y]] = True
+                y = int(G.table[y, x])
+        return list(closures)
+
+    return _memo(G, "class_closures", compute)
 
 
 def normal_subgroups(G: Group) -> list[Subgroup]:

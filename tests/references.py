@@ -1,10 +1,11 @@
-"""Earlier engine membership tests, kept as references for the predicates
-that replaced them.
+"""Earlier engine routines, kept as references for the ones that replaced
+them.
 
-Each follows its class's textbook definition through the package's own
-subgroup arithmetic: the lower central series for nilpotence, the derived
-series for solubility, and a descent through minimal normal subgroups and
-quotients for supersolubility.
+The membership tests each follow their class's textbook definition through
+the package's own subgroup arithmetic: the lower central series for
+nilpotence, the derived series for solubility, and a descent through
+minimal normal subgroups and quotients for supersolubility.
+``class_closures`` takes one normal closure per conjugacy class.
 """
 
 from finform import normal_closure, quotient
@@ -59,3 +60,10 @@ def is_supersoluble(G) -> bool:
             return False
         Q = quotient(Q, M)[0]
     return True
+
+
+def class_closures(G):
+    """The distinct normal closures ncl(x) of the nontrivial elements x: one
+    closure per conjugacy class, in class order."""
+    return list(dict.fromkeys(
+        normal_closure(G, [int(cls[0])]) for cls in G.conjugacy_classes()[1:]))

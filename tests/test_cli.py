@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -310,6 +311,13 @@ class TestCommands:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_theorem_b_report_at_order_48_is_pinned(self, capsys):
+        # reports stay byte-identical: a closure, or a walk built on the
+        # closures, that alters a member set changes this digest
+        assert main(["verify", "theorem-b", "--max-order", "48", "--format", "structured"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "7b331bc36f85809a646f98140330fa5ad5e4cc74dc28613243adf229e5848ff7"
 
     def test_verify_with_input_file(self, tmp_path, capsys):
         path = tmp_path / "extra.grp"

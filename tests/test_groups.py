@@ -15,6 +15,7 @@ from finform import (
     OrderCapExceeded,
     Section,
     Subgroup,
+    alternating,
     catalog_generate,
     center,
     centralizer,
@@ -39,6 +40,8 @@ from finform import (
 )
 from finform.groups import cyclic_subgroup, derived_series, join
 from finform.lattice import all_subgroups
+
+import oracles
 
 
 def subgroup_of_order(G, n):
@@ -449,6 +452,23 @@ class TestSeriesHelpers:
     def test_center_examples(self):
         assert center(symmetric(4)).order == 1
         assert center(quaternion(8)).order == 2
+
+
+def test_closure_matches_oracle(catalog24):
+    # generated_subgroup's closure against the brute-force set closure, on
+    # seeded random generator sets of one to three elements
+    rng = np.random.default_rng(2005)
+    s4 = symmetric(4)
+    section = semidirect_section(s4, s4.full_subgroup(), s4.trivial_subgroup(),
+                                 s4.trivial_subgroup(), order_cap=None)
+    assert section.order >= 300
+    panel = catalog24.groups + [alternating(5), section]
+    for g in panel:
+        table = g.table.tolist()
+        for _ in range(6):
+            gens = rng.integers(0, g.order, size=int(rng.integers(1, 4))).tolist()
+            want = oracles.closure(gens, lambda a, b: table[a][b], 0)
+            assert set(generated_subgroup(g, gens).array.tolist()) == want, (g.label, gens)
 
 
 def test_exhaustive_axioms_small_groups():

@@ -27,6 +27,7 @@ from finform.groups import centralizer_of_section, cyclic_subgroup, join
 from finform.lattice import normal_covers
 
 import oracles
+import references
 
 
 class TestAllSubgroups:
@@ -103,6 +104,32 @@ def test_both_lattices_match_oracles():
             got = [frozenset(s.array.tolist()) for s in engine]
             want = oracle(elems, mul)
             assert len(set(got)) == len(got) and set(got) == set(want), g.label
+
+
+class TestClassClosures:
+    def test_match_one_closure_per_class(self, catalog48):
+        a5 = alternating(5)
+        for g in catalog48.groups + [a5, symmetric(5), direct_product(a5, cyclic(3))]:
+            got = lattice._class_closures(g)
+            want = references.class_closures(g)
+            assert len(got) == len(want) and all(a is b for a, b in zip(got, want)), g.label
+
+    @pytest.mark.parametrize("group, calls", [
+        (lambda: cyclic(60), 11),  # one per nontrivial cyclic subgroup
+        (lambda: cyclic(256), 8),
+        (lambda: alternating(5), 3),  # the two classes of 5-cycles share one
+    ], ids=["C60", "C256", "A5"])
+    def test_one_closure_per_rational_class(self, group, calls, monkeypatch):
+        counted = []
+        real = lattice.normal_closure
+
+        def counting(G, elems):
+            counted.append(elems)
+            return real(G, elems)
+
+        monkeypatch.setattr(lattice, "normal_closure", counting)
+        lattice._class_closures(group())
+        assert len(counted) == calls
 
 
 class TestNormalCovers:
