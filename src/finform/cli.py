@@ -47,13 +47,14 @@ from .lattice import (
     frattini,
     normal_subgroups,
 )
+from .morphisms import DEFAULT_SEARCH_BUDGET
 from .subnormal import (
     is_f_subnormal,
     is_k_f_subnormal,
     is_sigma_subnormal,
     is_subnormal,
 )
-from .verify import DEFAULT_AUT_BUDGET, catalog_generate, run_all
+from .verify import catalog_generate, run_all
 
 CLAIMS = (*verify.CLAIMS, "all")
 
@@ -323,15 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--formation")
     ver.add_argument("--sigma")
     ver.add_argument("--max-order", type=int, default=24)
-    ver.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
-    ver.add_argument("--budget", type=int, default=DEFAULT_AUT_BUDGET,
-                     help="search-node budget for isomorphism/automorphism work")
-    ver.add_argument("--lattice-budget", type=int, default=DEFAULT_LATTICE_BUDGET)
+    common(ver, selector=False)
+    ver.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
+                     help="search-node budget of holomorph-bound's automorphism counts; "
+                          "other isomorphism and automorphism searches keep the default")
     ver.add_argument("--input", action="append", help="extra group file (repeatable)")
-    ver.add_argument(
-        "--format", choices=("text", "structured"), default="text",
-        help="text or json-like structured output",
-    )
     ver.add_argument("--timings", action="store_true",
                      help="include elapsed_ms in structured output")
     ver.set_defaults(func=cmd_verify)

@@ -1,4 +1,9 @@
-"""Group constructions: standard families, products, and semidirect sections."""
+"""Group constructions: standard families, products, and semidirect sections.
+
+Both semidirect constructions fill their table by one pair-table formula:
+``semidirect_product`` once it has checked its caller's action, and
+``semidirect_section`` straight from the parent's table.
+"""
 
 from __future__ import annotations
 
@@ -11,12 +16,12 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
     Subgroup,
+    _cosets,
     _derived_group,
     centralizer_of_section,
     check_order_cap,
-    coset_representatives,
-    quotient,
 )
+from .lattice import is_prime
 
 
 def from_cayley_table(table, label: str = "G", order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
@@ -204,7 +209,7 @@ def elem_abelian(p: int, k: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> G
     """Elementary abelian group of order p^k."""
     if k < 1 or p < 2:
         raise ValueError("need a prime p >= 2 and exponent k >= 1")
-    if any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     check_order_cap(p**k, order_cap)
     g = cyclic(p, order_cap=order_cap)
@@ -245,6 +250,15 @@ def direct_product(G: Group, H: Group, order_cap: int | None = DEFAULT_ORDER_CAP
     return Group(table, label=f"{G.label}x{H.label}", validate=False)
 
 
+def _pair_table(N_table: np.ndarray, H_table: np.ndarray, action: np.ndarray) -> np.ndarray:
+    """The table of N x| H on pairs (n, h) encoded as n*|H| + h, with
+    (n1, h1)(n2, h2) = (n1 * action[h1][n2], h1*h2), broadcast into one
+    int32 array indexed (n1, h1, n2, h2) with no square temporary."""
+    nn, nh = len(N_table), len(H_table)
+    left = N_table[np.arange(nn)[:, None, None], action[None, :, :]]  # n1 * action[h1][n2]
+    return (left[:, :, :, None] * nh + H_table[None, :, None, :]).reshape(nn * nh, nn * nh)
+
+
 def semidirect_product(
     N: Group,
     H: Group,
@@ -273,14 +287,8 @@ def semidirect_product(
     for h1 in range(H.order):
         if not np.array_equal(action[H.table[h1]], action[h1][action]):
             raise NotAGroup("action is not a homomorphism into Aut(N)")
-    nh = H.order
-    a = np.arange(N.order * nh, dtype=np.int32)
-    n_part, h_part = a // nh, a % nh
-    acted = action[h_part[:, None], n_part[None, :]]  # action of row's h on column's n
-    table = (N.table[n_part[:, None], acted] * nh + H.table[np.ix_(h_part, h_part)]).astype(
-        np.int32
-    )
-    return _derived_group(table, label or f"{N.label}x|{H.label}")
+    return _derived_group(_pair_table(N.table, H.table, action),
+                          label or f"{N.label}x|{H.label}")
 
 
 def semidirect_section(
@@ -296,44 +304,26 @@ def semidirect_section(
     centralizer of H/K (so the action of G/L on cosets is well defined).
     The coset gL acts by sending hK to (g h g^-1)K; reading conjugation on
     the other side yields the same group up to isomorphism.
+
+    The table is read off G's: the cosets of K in H and of L in G, each
+    numbered by its least element, with the action on those representatives
+    in one gather, valid by construction and so not checked again.
     """
     for sub, name in ((H, "H"), (K, "K"), (L, "L")):
         if not sub.is_normal():
             raise NotNormal(f"{name} is not normal in {G.label}")
     if not K <= H:
         raise ValueError("section requires K <= H")
+    sec_reps, sec_index, sec_table = _cosets(G, K, H)
     C = centralizer_of_section(G, H, K)
     if not L <= C:
         lbad = next(g for g in L.array.tolist() if g not in C)
-        repK = G.table[:, K.array].min(axis=1)
-        hbad = next(h for h in H.array.tolist() if repK[G.conj(h, lbad)] != repK[h])
+        hbad = next(h for h in H.array.tolist() if sec_index[G.conj(h, lbad)] != sec_index[h])
         raise NotCentralized(
             f"element {lbad} does not centralize the section", witness=(lbad, hbad)
         )
     check_order_cap((H.order // K.order) * (G.order // L.order), order_cap)
-
-    Hgrp = H.as_group()
-    sec, sec_proj = quotient(Hgrp, H.localize(K))
-    quo, _ = quotient(G, L)
-
-    # one parent-group representative per section element (first occurrence)
-    first_local = np.full(sec.order, -1, dtype=np.int32)
-    for local in range(Hgrp.order):
-        q = int(sec_proj.mapping[local])
-        if first_local[q] < 0:
-            first_local[q] = local
-    sec_reps = H.array[first_local]
-    quo_reps = np.unique(coset_representatives(G, L))
-
-    action = np.empty((quo.order, sec.order), dtype=np.int32)
-    for qi in range(quo.order):
-        g = int(quo_reps[qi])
-        conj = G.table[G.table[g, sec_reps], G.inverse[g]]  # stays in H since H is normal
-        action[qi] = sec_proj.mapping[np.searchsorted(H.array, conj)]
-    return semidirect_product(
-        sec,
-        quo,
-        action,
-        label=f"[{H.order}/{K.order}]({G.label}/{L.order})",
-        order_cap=order_cap,
-    )
+    quo_reps, _, quo_table = _cosets(G, L, G.full_subgroup())
+    conj = G.table[G.table[quo_reps[:, None], sec_reps], G.inverse[quo_reps][:, None]]
+    return _derived_group(_pair_table(sec_table, quo_table, sec_index[conj]),
+                          f"[{H.order}/{K.order}]({G.label}/{L.order})")

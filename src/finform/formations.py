@@ -45,8 +45,8 @@ from .lattice import (
     normal_subgroups,
 )
 
-# ``is_f_central`` (so the lemma laws) builds a section by a quotient as a
-# semidirect product, which can exceed the group cap; it gets its own guard.
+# ``is_f_central`` (so the lemma laws) builds the section product
+# [H/K](G/C_G(H/K)), which can exceed the group cap; it gets its own guard.
 SECTION_PRODUCT_CAP = 4096
 
 

@@ -531,9 +531,19 @@ def derived_series(G: Group) -> list[Subgroup]:
 # -- quotients and section machinery -------------------------------------
 
 
-def coset_representatives(G: Group, N: Subgroup) -> np.ndarray:
-    """Array r with r[g] the least element of the coset N*g."""
-    return G.table[N.array].min(axis=0)
+def _cosets(G: Group, N: Subgroup, within: Subgroup) -> tuple[np.ndarray, ...]:
+    """The cosets of N in ``within``, for N normal in ``within``.
+
+    Returns the least element of each coset, sorted (coset i is the one
+    with the i-th least representative); the coset index of every element
+    of ``within`` (an array over G's elements, -1 outside ``within``); and
+    the table of the quotient ``within``/N on those indices.
+    """
+    least = G.table[N.array].take(within.array, axis=1).min(axis=0)  # least of N*x
+    reps = np.unique(least)
+    index = np.full(G.order, -1, dtype=np.int32)
+    index[within.array] = np.searchsorted(reps, least)
+    return reps, index, index[G.table[reps[:, None], reps]]
 
 
 def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
@@ -543,12 +553,9 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
         raise NotNormal(f"{N} is not normal in {G.label}", witness=(g, x))
 
     def compute():
-        rep = coset_representatives(G, N)
-        reps = np.unique(rep)
-        qindex = np.searchsorted(reps, rep)
-        qtable = qindex[rep[G.table[reps[:, None], reps]]]
+        _, index, qtable = _cosets(G, N, G.full_subgroup())
         Q = _derived_group(qtable, f"{G.label}/n{N.order}")
-        return Q, Homomorphism(G, Q, qindex, validate=False)
+        return Q, Homomorphism(G, Q, index, validate=False)
 
     return _memo(G, ("quotient", N), compute)
 

@@ -9,6 +9,7 @@ counterexample records (including Cayley data) on any conclusion failure.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -52,16 +53,13 @@ from .lattice import (
     minimal_normal_subgroups,
     normal_subgroups,
 )
-from .morphisms import automorphism_count, is_isomorphic, fingerprint
+from .morphisms import DEFAULT_SEARCH_BUDGET, automorphism_count, is_isomorphic, fingerprint
 from .subnormal import (
     is_f_subnormal,
     is_k_f_subnormal,
     is_sigma_subnormal,
     is_subnormal,
 )
-
-DEFAULT_AUT_BUDGET = 10_000_000
-
 
 # -- catalog -----------------------------------------------------------------
 
@@ -404,7 +402,7 @@ def verify_schenkman_classic(
 def verify_holomorph_bound(
     catalog: Catalog,
     F: Formation,
-    aut_budget: int = DEFAULT_AUT_BUDGET,
+    aut_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> VerificationReport:
     """|G / Z_F(G)| is bounded by the holomorph order of the residual whenever
     the residual misses the hypercentre."""
@@ -621,8 +619,8 @@ def _central_sections_refine(c: _LawContext):
 
 def _section_product_isomorphism(c: _LawContext):
     """The section products of MN/N and M/(M meet N) are isomorphic."""
-    pairs = [(M, N) for M in c.normals for N in c.normals if M != N]
-    for M, N in pairs[:PAIR_SAMPLE]:
+    pairs = ((M, N) for M in c.normals for N in c.normals if M != N)
+    for M, N in itertools.islice(pairs, PAIR_SAMPLE):
         lhs = section_product(c.G, join(M, N), N)
         rhs = section_product(c.G, M, M.intersect(N))
         ok = is_isomorphic(lhs, rhs) is not None
@@ -830,7 +828,7 @@ def run_all(
     formations: list[Formation],
     sigma: SigmaPartition | None = None,
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
-    aut_budget: int = DEFAULT_AUT_BUDGET,
+    aut_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> list[VerificationReport]:
     """Every claim for every requested formation, in a fixed order."""
     return [

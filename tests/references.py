@@ -6,9 +6,14 @@ the package's own subgroup arithmetic: the lower central series for
 nilpotence, the derived series for solubility, and a descent through
 minimal normal subgroups and quotients for supersolubility.
 ``class_closures`` takes one normal closure per conjugacy class.
+``semidirect_section`` builds a section product through derived groups:
+the section as a quotient of ``H.as_group()``, the quotient ``G/L``, and an
+action handed to the checking ``semidirect_product``.
 """
 
-from finform import normal_closure, quotient
+import numpy as np
+
+from finform import normal_closure, quotient, semidirect_product
 from finform.formations import is_prime
 from finform.groups import commutator_subgroup, derived_series
 
@@ -67,3 +72,26 @@ def class_closures(G):
     closure per conjugacy class, in class order."""
     return list(dict.fromkeys(
         normal_closure(G, [int(cls[0])]) for cls in G.conjugacy_classes()[1:]))
+
+
+def semidirect_section(G, H, K, L):
+    """[H/K](G/L) for K <= H and L normal in G, L centralizing H/K."""
+    Hgrp = H.as_group()
+    sec, sec_proj = quotient(Hgrp, H.localize(K))
+    quo, _ = quotient(G, L)
+
+    # one parent-group representative per section element (first occurrence)
+    first_local = np.full(sec.order, -1, dtype=np.int32)
+    for local in range(Hgrp.order):
+        q = int(sec_proj.mapping[local])
+        if first_local[q] < 0:
+            first_local[q] = local
+    sec_reps = H.array[first_local]
+    quo_reps = np.unique(G.table[L.array].min(axis=0))  # least element of each coset L*g
+
+    action = np.empty((quo.order, sec.order), dtype=np.int32)
+    for qi in range(quo.order):
+        g = int(quo_reps[qi])
+        conj = G.table[G.table[g, sec_reps], G.inverse[g]]  # stays in H since H is normal
+        action[qi] = sec_proj.mapping[np.searchsorted(H.array, conj)]
+    return semidirect_product(sec, quo, action, order_cap=None)

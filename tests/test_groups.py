@@ -2,6 +2,7 @@ import ast
 import gc
 import weakref
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from finform import (
     Section,
     Subgroup,
     alternating,
+    automorphism_group,
     catalog_generate,
     center,
     centralizer,
@@ -30,18 +32,23 @@ from finform import (
     generated_subgroup,
     is_isomorphic,
     normal_closure,
+    normal_subgroups,
     quaternion,
     quotient,
+    semidirect_product,
     semidirect_section,
     standard_family,
     symmetric,
     trivial,
     upper_central_series,
 )
+from finform import construct, groups
+from finform.formations import SECTION_PRODUCT_CAP, section_product
 from finform.groups import cyclic_subgroup, derived_series, join
 from finform.lattice import all_subgroups
 
 import oracles
+import references
 
 
 def subgroup_of_order(G, n):
@@ -148,8 +155,9 @@ class TestFamilies:
         g = elem_abelian(3, 2)
         assert g.order == 9
         assert set(g.element_orders.tolist()) == {1, 3}
-        with pytest.raises(ValueError):
-            elem_abelian(4, 2)
+        for p in (4, 9, 15):
+            with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+                elem_abelian(p, 2)
 
 
 class TestDirectProduct:
@@ -309,6 +317,76 @@ class TestSemidirectSection:
         d4 = subgroup_of_order(s4, 8)
         with pytest.raises(NotNormal):
             semidirect_section(s4, d4, s4.trivial_subgroup(), s4.trivial_subgroup())
+
+    def test_matches_reference_route_on_every_admissible_kernel(self, catalog12):
+        cases = 0
+        for g in catalog12.groups:
+            normals = normal_subgroups(g)
+            for H, K in product(normals, normals):
+                if K <= H:
+                    C = centralizer_of_section(g, H, K)
+                    for L in (L for L in normals if L <= C):
+                        want = references.semidirect_section(g, H, K, L)
+                        got = semidirect_section(g, H, K, L, order_cap=None)
+                        assert np.array_equal(got.table, want.table), (g.label, H, K, L)
+                        cases += 1
+        assert cases == 2421
+
+    def test_matches_reference_route_at_the_centralizer(self, catalog24):
+        cases = 0
+        for g in catalog24.groups + [direct_product(alternating(5), cyclic(2))]:
+            normals = normal_subgroups(g)
+            for H, K in product(normals, normals):
+                if K <= H:
+                    C = centralizer_of_section(g, H, K)
+                    if H.order // K.order * (g.order // C.order) <= SECTION_PRODUCT_CAP:
+                        want = references.semidirect_section(g, H, K, C)
+                        got = semidirect_section(g, H, K, C, order_cap=SECTION_PRODUCT_CAP)
+                        assert np.array_equal(got.table, want.table), (g.label, H, K)
+                        cases += 1
+        assert cases == 2216  # 2,208 in catalog_generate(24), 8 in A5xC2
+
+    def test_builds_no_derived_group_on_the_way(self, monkeypatch):
+        # the product is read off G's table: no subgroup as a group, no
+        # quotient group and no checked semidirect product in between
+        def refuse(*args, **kwargs):
+            raise AssertionError("section product built through a derived group")
+
+        monkeypatch.setattr(groups.Subgroup, "as_group", refuse)
+        monkeypatch.setattr(groups, "quotient", refuse)
+        monkeypatch.setattr(construct, "quotient", refuse, raising=False)  # if imported again
+        monkeypatch.setattr(construct, "semidirect_product", refuse)
+        for g in (symmetric(4), direct_product(dihedral(4), cyclic(3))):
+            normals = normal_subgroups(g)
+            built = [section_product(g, H, K) for H, K in product(normals, normals) if K <= H]
+            assert len(built) >= 10 and max(p.order for p in built) > g.order
+
+
+class TestSemidirectProduct:
+    def test_table_matches_pair_definition(self):
+        # Hol(N) = N x| Aut(N) against the pair multiplication rule
+        for N in (cyclic(5), symmetric(3), elem_abelian(2, 2)):
+            aut = automorphism_group(N)
+            P = semidirect_product(N, aut, aut.action)
+            elems, mul = oracles.semidirect_pairs(
+                range(N.order), N.mul, range(aut.order), aut.mul,
+                lambda h, n: int(aut.action[h, n]))
+            code = {(n, h): n * aut.order + h for n, h in elems}
+            for a, b in product(elems, elems):
+                assert P.table[code[a], code[b]] == code[mul(a, b)], (N.label, a, b)
+
+    def test_rejects_bad_actions(self):
+        c3, c2, c4 = cyclic(3), cyclic(2), cyclic(4)
+        inversion = [0, 2, 1]
+        assert semidirect_product(c3, c2, [[0, 1, 2], inversion]).order == 6
+        with pytest.raises(ValueError, match="wrong shape"):
+            semidirect_product(c3, c2, [[0, 1, 2]])
+        with pytest.raises(NotAGroup, match="identity"):
+            semidirect_product(c3, c2, [inversion, [0, 1, 2]])
+        with pytest.raises(NotAGroup, match="automorphisms"):
+            semidirect_product(c3, c2, [[0, 1, 2], [1, 0, 2]])
+        with pytest.raises(NotAGroup, match="homomorphism"):
+            semidirect_product(c3, c4, [[0, 1, 2], inversion, inversion, inversion])
 
 
 class TestSubgroupBasics:

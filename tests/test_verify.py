@@ -19,6 +19,7 @@ from finform import (
     dihedral,
     elem_abelian,
     is_isomorphic,
+    normal_subgroups,
     sigma_nilpotent_formation,
     symmetric,
     verify_holomorph_bound,
@@ -258,6 +259,36 @@ class TestLemmaSuite:
             assert visited == reference_pairs(lat.subgroups, ref_rng), G.label
             assert checked == len(visited)
             assert law_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_isomorphism_law_forms_only_the_sampled_pairs(self, monkeypatch):
+        # The law's earlier selection listed all n(n-1) ordered pairs of
+        # distinct normal subgroups and kept the first PAIR_SAMPLE of them.
+        class CountingList(list):
+            reads = 0
+
+            def __iter__(self):
+                for x in list.__iter__(self):
+                    CountingList.reads += 1
+                    yield x
+
+        sections = []
+        real = verify.section_product
+
+        def recording(G, H, K):
+            sections.append((H, K))
+            return real(G, H, K)
+
+        monkeypatch.setattr(verify, "section_product", recording)
+        G = elem_abelian(2, 4)
+        normals = normal_subgroups(G)
+        ctx = SimpleNamespace(G=G, F=NILPOTENT, normals=CountingList(normals))
+        checked = len(list(verify._section_product_isomorphism(ctx)))
+        # per pair (M, N) the law builds [MN/N] and then [M/(M meet N)]
+        visited = [(rhs[0], lhs[1]) for lhs, rhs in zip(sections[::2], sections[1::2])]
+        reference = [(M, N) for M in normals for N in normals if M != N][:verify.PAIR_SAMPLE]
+        assert checked == len(visited) == verify.PAIR_SAMPLE and visited == reference
+        # the first M, then N over the first PAIR_SAMPLE + 1 normals (N = M is skipped)
+        assert CountingList.reads == 1 + verify.PAIR_SAMPLE + 1 < len(normals) ** 2
 
     @pytest.mark.parametrize("n_size,h_size", [(1, 1), (1, 5), (4, 1), (3, 8), (12, 7)])
     def test_pair_permutation_matches_loop_reference(self, n_size, h_size):
