@@ -23,7 +23,6 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
     Homomorphism,
-    Section,
     Subgroup,
     center,
     centralizer,

@@ -148,14 +148,14 @@ def cmd_group_show(args) -> int:
 
 def _formation_from_args(args):
     sigma = SigmaPartition.parse(args.sigma) if args.sigma else None
-    return formation_by_selector(args.formation, sigma), sigma
+    return formation_by_selector(args.formation, sigma)
 
 
 def cmd_residual(args) -> int:
     from .formations import residual
 
     G = _resolve_group(args)
-    F, _ = _formation_from_args(args)
+    F = _formation_from_args(args)
     R = residual(G, F)
     _emit(
         {
@@ -171,7 +171,7 @@ def cmd_residual(args) -> int:
 
 def cmd_hypercentre(args) -> int:
     G = _resolve_group(args)
-    F, _ = _formation_from_args(args)
+    F = _formation_from_args(args)
     Z = f_hypercentre(G, F)
     _emit(
         {
@@ -224,14 +224,10 @@ def cmd_subnormal(args) -> int:
 
 def cmd_verify(args) -> int:
     sigma = SigmaPartition.parse(args.sigma) if args.sigma else None
-    if args.formation == "sigma-nilpotent" and sigma is None:
-        raise ValueError("--formation sigma-nilpotent requires --sigma")
+    # resolved before the catalog is built, so a bad selector fails at once
+    formations = [_formation_from_args(args)] if args.formation else builtin_formations(sigma)
     catalog = catalog_generate(args.max_order, files=tuple(args.input or ()),
                                order_cap=args.order_cap)
-    if args.formation:
-        formations = [formation_by_selector(args.formation, sigma)]
-    else:
-        formations = builtin_formations(sigma)
     sweeps = run_all if args.claim == "all" else verify.CLAIMS[args.claim]
     reports = sweeps(catalog, formations, sigma, args.lattice_budget, args.budget)
 

@@ -306,33 +306,36 @@ def is_sigma_central(G: Group, H: Subgroup, K: Subgroup, sigma: SigmaPartition) 
 # -- hypercentres ----------------------------------------------------------------
 
 
-def is_hypercentral(G: Group, N: Subgroup, F: Formation) -> bool:
-    """N = 1, or every chief factor of G below N is F-central."""
+def is_f_hypercentral(G: Group, N: Subgroup, F: Formation) -> bool:
+    """Whether the normal subgroup N is F-hypercentral in G: N = 1, or every
+    chief factor of G below N is F-central.
+
+    Reads the (top, bottom) factors of the memoised chief series through N
+    that lie below N; that series runs on to G and is shared by every
+    formation. ``chief_series_through`` raises NotNormal when N is not
+    normal in G.
+    """
     if N.order == 1:
         return True
-    return all(F.chief_central(G, sec.top, sec.bottom)
-               for sec in chief_series_through(G, N).factors() if sec.top <= N)
-
-
-def is_f_hypercentral(G: Group, N: Subgroup, F: Formation) -> bool:
-    if not N.is_normal():
-        raise NotNormal(f"{N} is not normal in {G.label}")
-    return is_hypercentral(G, N, F)
+    return all(F.chief_central(G, top, bottom)
+               for top, bottom in chief_series_through(G, N).factors() if top <= N)
 
 
 def hypercentre(G: Group, F: Formation) -> Subgroup:
     """Z_F(G), the largest normal subgroup that is F-hypercentral.
 
     Climbs from 1 by F-central chief factors M/Z, M a normal cover of Z, until
-    no cover of Z passes. The result is re-verified hypercentral; a failure
-    would falsify the hypercentre law and is raised rather than papered over.
+    no cover of Z passes. The result is re-verified by
+    ``is_f_hypercentral``, on the factors of a chief series through Z; a
+    failure would falsify the hypercentre law and is raised rather than
+    papered over.
     """
     def compute():
         Z = G.trivial_subgroup()
         while (M := next((C for C in normal_covers(G, Z) if F.chief_central(G, C, Z)),
                          None)) is not None:
             Z = M
-        if not is_hypercentral(G, Z, F):
+        if not is_f_hypercentral(G, Z, F):
             raise HypercentreNotHypercentral(
                 f"ascending hypercentre fails its own chief-factor test in {G.label}"
             )

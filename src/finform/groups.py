@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -379,36 +378,6 @@ class Homomorphism:
 
     def __repr__(self) -> str:
         return f"Homomorphism({self.source.label} -> {self.target.label})"
-
-
-@dataclass(frozen=True)
-class Section:
-    """A section top/bottom with bottom normal in top.
-
-    ``g_normal`` records whether both terms are normal in the parent, which
-    is what centrality tests require.
-    """
-
-    parent: Group
-    top: Subgroup
-    bottom: Subgroup
-
-    def __post_init__(self):
-        if not (self.bottom <= self.top):
-            raise ValueError("section bottom is not contained in its top")
-        if not _normal_in(self.top, self.bottom):
-            raise NotNormal("section bottom is not normal in its top")
-
-    @property
-    def g_normal(self) -> bool:
-        return self.top.is_normal() and self.bottom.is_normal()
-
-    @property
-    def order(self) -> int:
-        return self.top.order // self.bottom.order
-
-    def __repr__(self) -> str:
-        return f"Section({self.top.order}/{self.bottom.order} of {self.parent.label})"
 
 
 def _normal_in(ambient: Subgroup, sub: Subgroup) -> bool:

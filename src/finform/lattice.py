@@ -11,7 +11,6 @@ import numpy as np
 from .errors import LatticeBudgetExceeded, NotAGroup, NotNormal
 from .groups import (
     Group,
-    Section,
     Subgroup,
     _memo,
     _subgroup,
@@ -151,22 +150,21 @@ def minimal_normal_subgroups(G: Group) -> list[Subgroup]:
 
 @dataclass(frozen=True)
 class ChiefSeries:
-    """An ascending chain of normal subgroups whose factors are chief."""
+    """An ascending chain 1 = terms[0] < ... < terms[-1] = G of normal
+    subgroups of G, each a normal cover of the one before, so each factor
+    terms[i+1]/terms[i] is a chief factor of G."""
 
     parent: Group
     terms: tuple[Subgroup, ...]
 
-    def factors(self) -> list[Section]:
-        return [
-            Section(self.parent, self.terms[i + 1], self.terms[i])
-            for i in range(len(self.terms) - 1)
-        ]
+    def factors(self) -> list[tuple[Subgroup, Subgroup]]:
+        """The chief factors as (top, bottom) pairs of the series' own terms,
+        lowest first. Every term is normal in G, so each bottom is normal in
+        its top without a check."""
+        return list(zip(self.terms[1:], self.terms))
 
     def factor_orders(self) -> tuple[int, ...]:
-        return tuple(
-            self.terms[i + 1].order // self.terms[i].order
-            for i in range(len(self.terms) - 1)
-        )
+        return tuple(top.order // bottom.order for top, bottom in self.factors())
 
 
 def chief_series_through(G: Group, N: Subgroup) -> ChiefSeries:

@@ -36,7 +36,6 @@ from .formations import (
 from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
-    Section,
     Subgroup,
     centralizer,
     hypercentre_classical,
@@ -529,7 +528,7 @@ class _LawContext:
     rng: np.random.Generator  # one stream for the whole suite
     lat: SubgroupLattice
     normals: list[Subgroup]
-    factors: list[Section]  # chief factors of G
+    factors: list[tuple[Subgroup, Subgroup]]  # chief factors (top, bottom) of G
     in_f: bool
     Z: Subgroup  # Z_F(G)
     central_pairs: list[tuple[Subgroup, Subgroup]]
@@ -566,14 +565,14 @@ def _hereditary(c: _LawContext):
 def _chief_factors_central_in_members(c: _LawContext):
     """Every chief factor of a member group is F-central."""
     if c.in_f:
-        for sec in c.factors:
-            ok = is_f_central(c.G, sec.top, sec.bottom, c.F)
-            yield None if ok else {"factor": [sec.top.order, sec.bottom.order]}
+        for top, bottom in c.factors:
+            ok = is_f_central(c.G, top, bottom, c.F)
+            yield None if ok else {"factor": [top.order, bottom.order]}
 
 
 def _membership_by_central_factors(c: _LawContext):
     """G is in F exactly when all its chief factors are F-central."""
-    all_central = all(is_f_central(c.G, sec.top, sec.bottom, c.F) for sec in c.factors)
+    all_central = all(is_f_central(c.G, top, bottom, c.F) for top, bottom in c.factors)
     yield None if all_central == c.in_f else {"member": c.in_f}
 
 
@@ -589,11 +588,11 @@ def _sigma_centrality_coherence(c: _LawContext):
     sigma-nilpotent class."""
     if c.sigma is not None:
         nsig = sigma_nilpotent_formation(c.sigma)
-        for sec in c.factors:
-            ok = is_sigma_central(c.G, sec.top, sec.bottom, c.sigma) == is_f_central(
-                c.G, sec.top, sec.bottom, nsig
+        for top, bottom in c.factors:
+            ok = is_sigma_central(c.G, top, bottom, c.sigma) == is_f_central(
+                c.G, top, bottom, nsig
             )
-            yield None if ok else {"factor": [sec.top.order, sec.bottom.order]}
+            yield None if ok else {"factor": [top.order, bottom.order]}
 
 
 def _central_sections_restrict_to_subgroups(c: _LawContext):

@@ -280,6 +280,19 @@ class TestCommands:
             == 3
         )
 
+    @pytest.mark.parametrize("formation", ["bogus", "Sigma-Nilpotent"])
+    def test_verify_resolves_formation_before_the_catalog(self, formation, monkeypatch,
+                                                          capsys):
+        import finform.cli
+
+        def no_catalog(*args, **kwargs):
+            raise AssertionError("catalog built before the formation was resolved")
+
+        monkeypatch.setattr(finform.cli, "catalog_generate", no_catalog)
+        assert main(["verify", "theorem-b", "--formation", formation]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_verify_section3_with_sigma(self, capsys):
         assert (
             main(

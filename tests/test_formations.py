@@ -237,7 +237,7 @@ class TestHypercentre:
             members = {0}
             for N in normal_subgroups(G):
                 factors = chief_series_through(G, N).factors()
-                if all(central(s.top, s.bottom) for s in factors if s.top <= N):
+                if all(central(top, bottom) for top, bottom in factors if top <= N):
                     members.update(N.array.tolist())
             return generated_subgroup(G, members)
 
@@ -359,8 +359,8 @@ class TestBuiltinLaws:
         for g in catalog24.groups:
             panel.append(g)
             panel.extend(quotient(g, N)[0] for N in normal_subgroups(g))
-            panel.extend(section_product(g, sec.top, sec.bottom)
-                         for sec in chief_series(g).factors())
+            panel.extend(section_product(g, top, bottom)
+                         for top, bottom in chief_series(g).factors())
         pairs = [
             (is_nilpotent, references.is_nilpotent),
             (is_soluble, references.is_soluble),

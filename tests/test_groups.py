@@ -14,7 +14,6 @@ from finform import (
     NotCentralized,
     NotNormal,
     OrderCapExceeded,
-    Section,
     Subgroup,
     alternating,
     automorphism_group,
@@ -430,14 +429,15 @@ class TestSubgroupBasics:
         c2 = cyclic_subgroup(s3, t)
         assert join(a3, c2).order == 6
 
-    def test_section_validation(self):
+    def test_centralizer_of_section_validates_the_section(self):
         s4 = symmetric(4)
         v4 = v4_in(s4)
-        sec = Section(s4, v4, s4.trivial_subgroup())
-        assert sec.order == 4 and sec.g_normal
-        d4 = subgroup_of_order(s4, 8)
-        with pytest.raises(ValueError):
-            Section(s4, v4, d4)
+        d8 = subgroup_of_order(s4, 8)
+        assert centralizer_of_section(s4, v4, s4.trivial_subgroup()) == v4
+        with pytest.raises(ValueError, match="K <= H"):
+            centralizer_of_section(s4, v4, d8)  # V4 does not contain D8
+        with pytest.raises(NotNormal, match="not normal in its top"):
+            centralizer_of_section(s4, s4.full_subgroup(), d8)
 
 
 class TestInternedSubgroups:
@@ -503,8 +503,8 @@ class TestInternedSubgroups:
         # earlier test, brings its hypercentre along
         monkeypatch.setattr(groups, "_DERIVED", weakref.WeakValueDictionary())
         checks = []
-        original = formations.is_hypercentral
-        monkeypatch.setattr(formations, "is_hypercentral",
+        original = formations.is_f_hypercentral
+        monkeypatch.setattr(formations, "is_f_hypercentral",
                             lambda *args: checks.append(args) or original(*args))
         s4 = symmetric(4)
         a4 = Subgroup(s4, [e for e in range(24) if s4.element_orders[e] in (1, 3)]

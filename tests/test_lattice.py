@@ -199,6 +199,20 @@ class TestChiefSeries:
         assert [t.order for t in series.terms] == [1, 4, 12, 24]
         assert series.factor_orders() == (4, 3, 2)
 
+    def test_factors_are_term_pairs_without_a_normality_check(self, monkeypatch):
+        from finform import groups
+
+        series = chief_series(symmetric(4))  # warm: the terms' memos are filled
+        calls = []
+        original = groups._normal_in
+        monkeypatch.setattr(groups, "_normal_in",
+                            lambda *args: calls.append(args) or original(*args))
+        factors = series.factors()
+        assert calls == []
+        t = series.terms
+        assert factors == [(t[i + 1], t[i]) for i in range(len(t) - 1)]
+        assert all(type(f) is tuple for f in factors)
+
     def test_through_term(self):
         s4 = symmetric(4)
         a4 = generated_subgroup(s4, [e for e in range(24) if s4.element_orders[e] == 3])
@@ -220,9 +234,9 @@ class TestChiefSeries:
         for g in catalog12.groups:
             series = chief_series(g)
             normals = normal_subgroups(g)
-            for sec in series.factors():
-                assert sec.top.is_normal() and sec.bottom.is_normal()
-                assert not any(sec.bottom < n < sec.top for n in normals)
+            for top, bottom in series.factors():
+                assert top.is_normal() and bottom.is_normal()
+                assert not any(bottom < n < top for n in normals)
 
     def test_jordan_holder_matching(self, catalog24):
         # Two chief series have pairwise G-isomorphic factors, and
@@ -230,8 +244,9 @@ class TestChiefSeries:
         # so the multisets of those two invariants must agree.
         def invariants(g, series):
             return sorted(
-                (sec.order, centralizer_of_section(g, sec.top, sec.bottom).array.tolist())
-                for sec in series.factors()
+                (top.order // bottom.order,
+                 centralizer_of_section(g, top, bottom).array.tolist())
+                for top, bottom in series.factors()
             )
 
         for g in catalog24.groups:
@@ -311,8 +326,8 @@ def test_section_centralizer_consistency(catalog12):
     # the centralizer of a chief factor contains the factor's top when the
     # factor is abelian
     for g in catalog12.groups:
-        for sec in chief_series(g).factors():
-            c = centralizer_of_section(g, sec.top, sec.bottom)
-            t = sec.top.as_group()
+        for top, bottom in chief_series(g).factors():
+            c = centralizer_of_section(g, top, bottom)
+            t = top.as_group()
             if t.is_abelian():
-                assert sec.top <= c
+                assert top <= c
