@@ -18,7 +18,13 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import construct
-from .errors import LatticeBudgetExceeded, OrderCapExceeded, SearchBudgetExceeded
+from .errors import (
+    FormationLawViolated,
+    HypercentreNotHypercentral,
+    LatticeBudgetExceeded,
+    OrderCapExceeded,
+    SearchBudgetExceeded,
+)
 from .files import load_group_file
 from .formations import (
     Formation,
@@ -492,15 +498,12 @@ def verify_section3_corollaries(
 PAIR_SAMPLE = 8
 
 
-def _central_normal_pairs(G: Group, F: Formation) -> list[tuple[Subgroup, Subgroup]]:
-    """Pairs (S, R) of normal subgroups, S <= R, with R/S F-central in G."""
-    out = []
+def _central_normal_pairs(G: Group, F: Formation) -> dict[tuple[Subgroup, Subgroup], bool]:
+    """Whether R/S is F-central in G, for every pair (S, R) of normal
+    subgroups with S <= R: one verdict per section, S outer and R inner in
+    the order of ``normal_subgroups``."""
     normals = normal_subgroups(G)
-    for S in normals:
-        for R in normals:
-            if S <= R and is_f_central(G, R, S, F):
-                out.append((S, R))
-    return out
+    return {(S, R): is_f_central(G, R, S, F) for S in normals for R in normals if S <= R}
 
 
 def _relabel(G: Group, perm: np.ndarray) -> Group:
@@ -531,7 +534,13 @@ class _LawContext:
     factors: list[tuple[Subgroup, Subgroup]]  # chief factors (top, bottom) of G
     in_f: bool
     Z: Subgroup  # Z_F(G)
-    central_pairs: list[tuple[Subgroup, Subgroup]]
+    central: dict[tuple[Subgroup, Subgroup], bool]  # _central_normal_pairs(G, F)
+    supplements: dict[Subgroup, list[Subgroup]]  # _supplements(G, lat, normals)
+
+    @property
+    def central_pairs(self) -> list[tuple[Subgroup, Subgroup]]:
+        """The pairs (S, R) with R/S F-central, in the order of ``central``."""
+        return [pair for pair, ok in self.central.items() if ok]
 
 
 # Each law yields one item per instance it checks: None where the law holds,
@@ -596,23 +605,35 @@ def _sigma_centrality_coherence(c: _LawContext):
 
 
 def _central_sections_restrict_to_subgroups(c: _LawContext):
-    """An F-central section R/S stays F-central when cut down to a subgroup."""
-    if c.F.hereditary:
-        for S, R in c.central_pairs:
-            for E in c.lat.subgroups:
-                er, es = E.localize(E.intersect(R)), E.localize(E.intersect(S))
-                ok = is_f_central(E.as_group(), er, es, c.F)
-                yield None if ok else {
-                    "section": [R.order, S.order], "subgroup": _members(E)
-                }
+    """An F-central section R/S stays F-central when cut down to a subgroup.
+
+    Each lattice subgroup E is met once with every normal subgroup that ends
+    a central pair, and each distinct section (E meet R)/(E meet S) of E is
+    decided once; the items follow in (pair, E) order.
+    """
+    if not c.F.hereditary:
+        return
+    pairs, subs = c.central_pairs, c.lat.subgroups
+    # meets[N][i] is subs[i] meet N, for each N that ends a central pair
+    ends = dict.fromkeys(N for pair in pairs for N in pair)
+    meets = {N: [E.intersect(N) for E in subs] for N in ends}
+    verdicts: dict[tuple[Subgroup, Subgroup, Subgroup], bool] = {}
+    for S, R in pairs:
+        for key in zip(subs, meets[R], meets[S]):
+            ok = verdicts.get(key)
+            if ok is None:
+                E, er, es = key
+                ok = verdicts[key] = is_f_central(E.as_group(), E.localize(er), E.localize(es), c.F)
+            yield None if ok else {"section": [R.order, S.order], "subgroup": _members(key[0])}
 
 
 def _central_sections_refine(c: _LawContext):
-    """A normal T between S and R splits an F-central R/S into F-central parts."""
+    """A normal T between S and R splits an F-central R/S into F-central
+    parts; both parts are read from the verdicts of ``c.central``."""
     for S, R in c.central_pairs:
         for T in c.normals:
             if S <= T <= R:
-                ok = is_f_central(c.G, T, S, c.F) and is_f_central(c.G, R, T, c.F)
+                ok = c.central[S, T] and c.central[T, R]
                 yield None if ok else {"section": [R.order, S.order], "middle": T.order}
 
 
@@ -654,20 +675,22 @@ def _hypercentre_meets_subgroups(c: _LawContext):
         yield None if ok else {"pair": [_members(A), _members(B)]}
 
 
-def _supplements(c: _LawContext, N: Subgroup) -> list[Subgroup]:
-    """The subgroups U with NU = G."""
-    return [
-        U
-        for U in c.lat.subgroups
-        if N.order * U.order // N.intersect(U).order == c.G.order
-    ]
+def _supplements(
+    G: Group, lat: SubgroupLattice, normals: list[Subgroup]
+) -> dict[Subgroup, list[Subgroup]]:
+    """For each normal N, the subgroups U with NU = G; both supplement laws
+    read them."""
+    return {
+        N: [U for U in lat.subgroups if N.order * U.order // N.intersect(U).order == G.order]
+        for N in normals
+    }
 
 
 def _minimal_supplement_membership(c: _LawContext):
     """A minimal supplement of a normal N with G/N in F is in F."""
     for N in c.normals:
         if c.F.contains(quotient(c.G, N)[0]):
-            supplements = _supplements(c, N)
+            supplements = c.supplements[N]
             for U in supplements:
                 if not any(V < U for V in supplements):
                     ok = c.F.contains(U.as_group())
@@ -680,9 +703,10 @@ def _member_supplement_central_core(c: _LawContext):
     """For a supplement U in F of a normal N, U meet C_G(N) is normal in G
     and lies in Z_F(G)."""
     for N in c.normals:
-        for U in _supplements(c, N):
+        C = centralizer(c.G, N)
+        for U in c.supplements[N]:
             if c.F.contains(U.as_group()):
-                Zu = U.intersect(centralizer(c.G, N))
+                Zu = U.intersect(C)
                 ok = Zu.is_normal() and Zu <= c.Z
                 yield None if ok else {
                     "normal": _members(N), "supplement": _members(U)
@@ -731,10 +755,13 @@ def verify_lemma_suite(
     """Property sweep of the supporting lemmas over the catalog.
 
     Runs every law of ``LAWS``, in order, on each group whose subgroup
-    lattice fits ``lattice_budget``. A group whose section products exceed
-    the cap is an ``order-cap-exceeded`` skip, and its items count only once
-    all of its laws have run. The sigma-centrality law applies only when a
-    sigma partition is supplied.
+    lattice fits ``lattice_budget``. A group's items count only once all of
+    its laws have run: a group whose section products exceed the cap is an
+    ``order-cap-exceeded`` skip instead, and one on which an internal
+    invariant fails (``FormationLawViolated``, ``HypercentreNotHypercentral``)
+    is an ``internal-error`` failure, with its Cayley table for replay; the
+    sweep goes on with the other groups. The sigma-centrality law applies
+    only when a sigma partition is supplied.
     """
     rep = VerificationReport(
         "lemmas", F.name, sigma.key if sigma else None, catalog.description
@@ -743,13 +770,14 @@ def verify_lemma_suite(
     with _Timer() as t:
         for G, lat in _lattice_walk(catalog, rep, lattice_budget):
             try:
+                normals = normal_subgroups(G)
                 ctx = _LawContext(
-                    G, F, sigma, rng, lat,
-                    normals=normal_subgroups(G),
+                    G, F, sigma, rng, lat, normals,
                     factors=chief_series(G).factors(),
                     in_f=F.contains(G),
                     Z=f_hypercentre(G, F),
-                    central_pairs=_central_normal_pairs(G, F),
+                    central=_central_normal_pairs(G, F),
+                    supplements=_supplements(G, lat, normals),
                 )
                 items, failed = 0, []
                 for name, law in LAWS.items():
@@ -759,6 +787,9 @@ def verify_lemma_suite(
                             failed.append({"law": name, **detail})
             except OrderCapExceeded as e:
                 _skip(rep, G, "order-cap-exceeded", str(e))
+                continue
+            except (FormationLawViolated, HypercentreNotHypercentral) as e:
+                _fail(rep, G, reason="internal-error", detail=f"{type(e).__name__}: {e}")
                 continue
             rep.checked += items
             rep.asserted += items

@@ -9,12 +9,15 @@ minimal normal subgroups and quotients for supersolubility.
 ``semidirect_section`` builds a section product through derived groups:
 the section as a quotient of ``H.as_group()``, the quotient ``G/L``, and an
 action handed to the checking ``semidirect_product``.
+``central_sections_restrict_to_subgroups`` and ``central_sections_refine``
+are the lemma laws as they were before they read per-group verdict tables:
+they decide every item through ``is_f_central`` on its own.
 """
 
 import numpy as np
 
 from finform import normal_closure, quotient, semidirect_product
-from finform.formations import is_prime
+from finform.formations import is_f_central, is_prime
 from finform.groups import commutator_subgroup, derived_series
 
 
@@ -95,3 +98,24 @@ def semidirect_section(G, H, K, L):
         conj = G.table[G.table[g, sec_reps], G.inverse[g]]  # stays in H since H is normal
         action[qi] = sec_proj.mapping[np.searchsorted(H.array, conj)]
     return semidirect_product(sec, quo, action, order_cap=None)
+
+
+def central_sections_restrict_to_subgroups(c):
+    """An F-central section R/S stays F-central when cut down to a subgroup."""
+    if c.F.hereditary:
+        for S, R in c.central_pairs:
+            for E in c.lat.subgroups:
+                er, es = E.localize(E.intersect(R)), E.localize(E.intersect(S))
+                ok = is_f_central(E.as_group(), er, es, c.F)
+                yield None if ok else {
+                    "section": [R.order, S.order], "subgroup": E.array.tolist()
+                }
+
+
+def central_sections_refine(c):
+    """A normal T between S and R splits an F-central R/S into F-central parts."""
+    for S, R in c.central_pairs:
+        for T in c.normals:
+            if S <= T <= R:
+                ok = is_f_central(c.G, T, S, c.F) and is_f_central(c.G, R, T, c.F)
+                yield None if ok else {"section": [R.order, S.order], "middle": T.order}

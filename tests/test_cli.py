@@ -332,6 +332,15 @@ class TestCommands:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "7b331bc36f85809a646f98140330fa5ad5e4cc74dc28613243adf229e5848ff7"
 
+    def test_lemma_report_at_order_24_is_pinned(self, capsys):
+        # the lemma laws read per-group verdict tables; any item, verdict or
+        # failure record they change moves this digest
+        args = ["verify", "lemmas", "--max-order", "24", "--sigma", "[[2,3]]",
+                "--format", "structured"]
+        assert main(args) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "554e33cab2b17c9617d756ff16e405ac3d334445d7d39e3494265425ac741172"
+
     def test_verify_with_input_file(self, tmp_path, capsys):
         path = tmp_path / "extra.grp"
         path.write_text("perm 3\n(0 1 2)\n")

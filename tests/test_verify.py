@@ -16,6 +16,7 @@ from finform import (
     VerificationReport,
     all_subgroups,
     catalog_generate,
+    cyclic,
     dihedral,
     elem_abelian,
     is_isomorphic,
@@ -30,6 +31,8 @@ from finform import (
     verify_theorem_b,
 )
 from finform.cli import render_structured
+
+import references
 
 
 class TestCatalog:
@@ -174,6 +177,15 @@ class TestSection3:
         assert agreement.checked == agreement.asserted > 0
 
 
+def _section_law_context(G, F):
+    """A lemma-suite context holding what the central-section laws read."""
+    return verify._LawContext(
+        G, F, None, np.random.default_rng(0), all_subgroups(G), normal_subgroups(G),
+        factors=[], in_f=False, Z=G.trivial_subgroup(),
+        central=verify._central_normal_pairs(G, F), supplements={},
+    )
+
+
 class TestLemmaSuite:
     def test_nilpotent_at_12(self, catalog12):
         rep = verify_lemma_suite(catalog12, NILPOTENT)
@@ -210,6 +222,66 @@ class TestLemmaSuite:
         rep = verify_lemma_suite(verify.Catalog([symmetric(3)], 6, "S3"), NILPOTENT)
         assert (rep.checked, rep.failures) == (0, [])
         assert [s["reason"] for s in rep.skipped] == ["order-cap-exceeded"]
+
+    def test_internal_error_is_a_replayable_failure_and_the_sweep_goes_on(self):
+        # V4's three quotients of order 2 meet in 1, and V4/1 has order 4, so
+        # the residual's own re-check raises FormationLawViolated on V4 only
+        broken = Formation("order-at-most-2", lambda G: G.order <= 2)
+        c2, v4, c3 = cyclic(2), elem_abelian(2, 2), cyclic(3)
+        rep = verify_lemma_suite(verify.Catalog([c2, v4, c3], 4, "C2, V4, C3"), broken)
+        alone = verify_lemma_suite(verify.Catalog([c2, c3], 3, "C2, C3"), broken)
+        errors = [f for f in rep.failures if f.get("reason") == "internal-error"]
+        assert [(f["group"], f["detail"].split(":")[0]) for f in errors] == [
+            (v4.label, "FormationLawViolated")
+        ]
+        assert errors[0]["cayley"] == v4.table.tolist()
+        assert rep.checked == rep.asserted == alone.checked > 0
+        assert [f for f in rep.failures if f not in errors] == alone.failures
+
+    @pytest.mark.parametrize("F", [
+        NILPOTENT,
+        SUPERSOLUBLE,
+        # C4/1 is central (its section product is C4) but its cut to C2 is not
+        Formation("order-not-2", lambda G: G.order != 2, hereditary=True),
+    ], ids=lambda F: F.name)
+    def test_central_section_laws_match_per_item_references(self, catalog12, F):
+        failures = 0
+        for G in catalog12:
+            ctx = _section_law_context(G, F)
+            for law, reference in (
+                (verify._central_sections_restrict_to_subgroups,
+                 references.central_sections_restrict_to_subgroups),
+                (verify._central_sections_refine, references.central_sections_refine),
+            ):
+                got = list(law(ctx))
+                assert got == list(reference(ctx)), (G.label, law.__name__)
+                failures += sum(d is not None for d in got)
+        assert (failures > 0) == (F.name == "order-not-2")
+
+    def test_restrict_law_decides_each_distinct_section_once(self, monkeypatch):
+        G = symmetric(4)
+        ctx = _section_law_context(G, SUPERSOLUBLE)
+        distinct = {
+            (E, E.intersect(R), E.intersect(S))
+            for S, R in ctx.central_pairs for E in ctx.lat.subgroups
+        }
+        calls = []
+        real = verify.is_f_central
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "is_f_central", counting)
+        monkeypatch.setattr(references, "is_f_central", counting)
+        items = len(list(verify._central_sections_restrict_to_subgroups(ctx)))
+        law_calls = len(calls)
+        list(verify._central_sections_refine(ctx))
+        assert len(calls) == law_calls  # refine reads the verdicts of ctx.central
+        calls.clear()
+        assert len(list(references.central_sections_restrict_to_subgroups(ctx))) == items
+        # the per-item reference decides every item, far more than the sections
+        assert law_calls <= len(distinct) < len(calls) == items
 
     def test_every_law_checks_an_instance(self, catalog12, monkeypatch):
         counts = dict.fromkeys(verify.LAWS, 0)
