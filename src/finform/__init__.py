@@ -75,8 +75,8 @@ from .formations import (
     SUPERSOLUBLE,
     SigmaPartition,
     builtin_formations,
-    f_hypercentre,
     formation_by_selector,
+    hypercentre,
     is_f_central,
     is_f_hypercentral,
     is_large,

@@ -34,8 +34,8 @@ from .files import load_group_file
 from .formations import (
     SigmaPartition,
     builtin_formations,
-    f_hypercentre,
     formation_by_selector,
+    hypercentre,
     is_nilpotent,
     is_soluble,
     is_supersoluble,
@@ -172,7 +172,7 @@ def cmd_residual(args) -> int:
 def cmd_hypercentre(args) -> int:
     G = _resolve_group(args)
     F = _formation_from_args(args)
-    Z = f_hypercentre(G, F)
+    Z = hypercentre(G, F)
     _emit(
         {
             "group": G.label,

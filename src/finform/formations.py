@@ -344,11 +344,6 @@ def hypercentre(G: Group, F: Formation) -> Subgroup:
     return _memo(G, "hypercentre:" + F.name, compute)
 
 
-def f_hypercentre(G: Group, F: Formation) -> Subgroup:
-    """Z_F(G): join of all normal subgroups whose chief factors are F-central."""
-    return hypercentre(G, F)
-
-
 def is_large(G: Group, N: Subgroup) -> bool:
     """Whether N contains its own centralizer in G."""
     if not N.is_normal():

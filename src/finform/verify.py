@@ -9,6 +9,7 @@ counterexample records (including Cayley data) on any conclusion failure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -31,7 +32,7 @@ from .formations import (
     NILPOTENT,
     SUPERSOLUBLE,
     SigmaPartition,
-    f_hypercentre,
+    hypercentre,
     is_f_central,
     is_f_hypercentral,
     is_sigma_central,
@@ -51,6 +52,7 @@ from .groups import (
 from .lattice import (
     DEFAULT_LATTICE_BUDGET,
     SubgroupLattice,
+    _prime_factors,
     all_subgroups,
     chief_series,
     frattini,
@@ -58,7 +60,7 @@ from .lattice import (
     minimal_normal_subgroups,
     normal_subgroups,
 )
-from .morphisms import DEFAULT_SEARCH_BUDGET, automorphism_count, is_isomorphic, fingerprint
+from .morphisms import DEFAULT_SEARCH_BUDGET, automorphism_count, is_isomorphic
 from .subnormal import (
     is_f_subnormal,
     is_k_f_subnormal,
@@ -84,45 +86,68 @@ class Catalog:
         return len(self.groups)
 
 
-def _family_seeds(max_order: int, order_cap: int | None) -> list[Group]:
-    seeds: list[Group] = []
+FactorKey = tuple[str, ...]
+
+
+def _cyclic_key(n: int) -> list[str]:
+    """C_n as C_{p^k}, one for each prime power p^k exactly dividing n."""
+    key = []
+    for p in _prime_factors(n):
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        key.append(f"C{q}")
+    return key
+
+
+def _dihedral_key(half: int) -> list[str]:
+    """D_{2 half}: C2 x D_{half} when half = 2m with m odd, S3 for D6, else itself."""
+    if half == 3:
+        return ["S3"]
+    if half % 4 == 2:
+        return ["C2", *_dihedral_key(half // 2)]
+    return [f"D{2 * half}"]
+
+
+def _family_seeds(
+    max_order: int, order_cap: int | None
+) -> list[tuple[FactorKey, Callable[[], Group]]]:
+    """The family seeds in catalog order, each as (key, builder).
+
+    The key is the sorted multiset of the seed's indecomposable direct
+    factors. By the Krull-Remak-Schmidt theorem (Robinson, A Course in the
+    Theory of Groups, 3.3.8) these are unique up to isomorphism and order,
+    so two seeds, or two direct products of seeds, are isomorphic exactly
+    when their keys are equal.
+    """
+    seeds: list[tuple[FactorKey, Callable[[], Group]]] = []
+
+    def add(key, build, *args):
+        seeds.append((tuple(sorted(key)), functools.partial(build, *args, order_cap=order_cap)))
+
     for n in range(1, max_order + 1):
-        seeds.append(construct.cyclic(n, order_cap=order_cap))
+        add(_cyclic_key(n), construct.cyclic, n)
     for n in (3, 4):
         if math.factorial(n) <= max_order:
-            seeds.append(construct.symmetric(n, order_cap=order_cap))
+            add([f"S{n}"], construct.symmetric, n)
     for n in (4, 5):
         if math.factorial(n) // 2 <= max_order:
-            seeds.append(construct.alternating(n, order_cap=order_cap))
+            add([f"A{n}"], construct.alternating, n)
     for half in range(3, max_order // 2 + 1):
-        seeds.append(construct.dihedral(half, order_cap=order_cap))
+        add(_dihedral_key(half), construct.dihedral, half)
     q = 8
     while q <= max_order:
-        seeds.append(construct.quaternion(q, order_cap=order_cap))
+        add([f"Q{q}"], construct.quaternion, q)
         q *= 2
     p = 2
     while p * p <= max_order:
         if is_prime(p):
             k = 2
             while p**k <= max_order:
-                seeds.append(construct.elem_abelian(p, k, order_cap=order_cap))
+                add([f"C{p}"] * k, construct.elem_abelian, p, k)
                 k += 1
         p += 1
     return seeds
-
-
-def _dedupe(groups: list[Group]) -> list[Group]:
-    """Keep the first representative of each isomorphism type."""
-    kept: list[Group] = []
-    buckets: dict[tuple, list[Group]] = {}
-    for g in groups:
-        fp = fingerprint(g)
-        bucket = buckets.setdefault(fp, [])
-        if any(is_isomorphic(g, rep) is not None for rep in bucket):
-            continue
-        bucket.append(g)
-        kept.append(g)
-    return kept
 
 
 def catalog_generate(
@@ -132,23 +157,36 @@ def catalog_generate(
 ) -> Catalog:
     """Deterministic catalog: named families, their pairwise direct products
     within the bound, and any user-supplied group files; deduplicated up to
-    isomorphism (first construction wins)."""
+    isomorphism (first construction wins).
+
+    Family groups and their products are deduplicated by their keys of
+    indecomposable direct factors, and a product is built only when its key
+    is new. A user file's group is kept unless ``is_isomorphic`` finds it
+    among the groups already kept.
+    """
     if order_cap is not None and max_order > order_cap:
         raise OrderCapExceeded(f"max_order {max_order} exceeds order cap {order_cap}")
-    base = _dedupe(_family_seeds(max_order, order_cap))
-    everything = list(base)
-    for i, a in enumerate(base):
+    kept: dict[FactorKey, Group] = {}
+    for key, build in _family_seeds(max_order, order_cap):
+        if key not in kept:
+            kept[key] = build()
+    base = list(kept.items())
+    for i, (ka, a) in enumerate(base):
         if a.order < 2:
             continue
-        for b in base[i:]:
+        for kb, b in base[i:]:
             if b.order < 2 or a.order * b.order > max_order:
                 continue
-            everything.append(construct.direct_product(a, b, order_cap=order_cap))
+            key = tuple(sorted(ka + kb))
+            if key not in kept:
+                kept[key] = construct.direct_product(a, b, order_cap=order_cap)
+    groups = list(kept.values())
     for path in files:
         g = load_group_file(path, order_cap=order_cap)
-        if g.order <= max_order:
-            everything.append(g)
-    groups = _dedupe(everything)
+        if g.order <= max_order and all(
+            is_isomorphic(g, h) is None for h in groups if h.order == g.order
+        ):
+            groups.append(g)
     desc = (
         f"catalog(max_order={max_order}): cyclic, symmetric, alternating, "
         f"dihedral, quaternion, elementary-abelian families, pairwise direct "
@@ -287,12 +325,16 @@ def verify_theorem_b(catalog: Catalog, F: Formation) -> VerificationReport:
     with _Timer() as t:
         for G in catalog:
             rep.checked += 1
-            Z = f_hypercentre(G, F)
-            if Z.order != 1:
-                _skip(rep, G, "hypothesis-failed", f"hypercentre has order {Z.order}")
+            try:
+                Z = hypercentre(G, F)
+                if Z.order != 1:
+                    _skip(rep, G, "hypothesis-failed", f"hypercentre has order {Z.order}")
+                    continue
+                rep.asserted += 1
+                escape = _escape(G, residual(G, F))
+            except (FormationLawViolated, HypercentreNotHypercentral) as e:
+                _fail(rep, G, reason="internal-error", detail=f"{type(e).__name__}: {e}")
                 continue
-            rep.asserted += 1
-            escape = _escape(G, residual(G, F))
             if escape:
                 _fail(rep, G, **escape,
                       detail="centralizer of the residual escapes the residual")
@@ -327,7 +369,7 @@ def _theorem_a_sweep(
                 rep.checked += 1
                 bad = None
                 for E in lat.overgroups_of(S):
-                    if f_hypercentre(E.as_group(), formation).order != 1:
+                    if hypercentre(E.as_group(), formation).order != 1:
                         bad = E
                         break
                 if bad is not None:
@@ -394,7 +436,7 @@ def verify_schenkman_classic(
                           detail="nilpotent residual is not large")
                 for E in lat.overgroups_of(S):
                     Egrp = E.as_group()
-                    zn = f_hypercentre(Egrp, NILPOTENT)
+                    zn = hypercentre(Egrp, NILPOTENT)
                     zc = hypercentre_classical(Egrp)
                     if zn.order != 1 or zc.order != 1 or zn != zc:
                         _fail(rep, G, subgroup=_members(S), overgroup=_members(E),
@@ -420,7 +462,7 @@ def verify_holomorph_bound(
         for G in catalog:
             rep.checked += 1
             U = residual(G, F)
-            Z = f_hypercentre(G, F)
+            Z = hypercentre(G, F)
             if U.intersect(Z).order != 1:
                 _skip(rep, G, "hypothesis-failed",
                       "residual meets the hypercentre nontrivially")
@@ -655,7 +697,7 @@ def _hypercentre_of_quotient(c: _LawContext):
             image = Subgroup(
                 Qn, np.unique(proj.mapping[c.Z.array]).tolist(), validate=False
             )
-            ok = image == f_hypercentre(Qn, c.F)
+            ok = image == hypercentre(Qn, c.F)
             yield None if ok else {"normal": _members(N)}
 
 
@@ -668,9 +710,9 @@ def _hypercentre_meets_subgroups(c: _LawContext):
     if n * n > 4 * PAIR_SAMPLE:
         codes = sorted(int(k) for k in c.rng.choice(n * n, size=4 * PAIR_SAMPLE, replace=False))
     for A, B in ((subs[k // n], subs[k % n]) for k in codes):
-        zb = B.lift(f_hypercentre(B.as_group(), c.F))
+        zb = B.lift(hypercentre(B.as_group(), c.F))
         meet = B.intersect(A)
-        z_meet = meet.lift(f_hypercentre(meet.as_group(), c.F))
+        z_meet = meet.lift(hypercentre(meet.as_group(), c.F))
         ok = zb.intersect(A) <= z_meet
         yield None if ok else {"pair": [_members(A), _members(B)]}
 
@@ -775,7 +817,7 @@ def verify_lemma_suite(
                     G, F, sigma, rng, lat, normals,
                     factors=chief_series(G).factors(),
                     in_f=F.contains(G),
-                    Z=f_hypercentre(G, F),
+                    Z=hypercentre(G, F),
                     central=_central_normal_pairs(G, F),
                     supplements=_supplements(G, lat, normals),
                 )

@@ -12,13 +12,26 @@ action handed to the checking ``semidirect_product``.
 ``central_sections_restrict_to_subgroups`` and ``central_sections_refine``
 are the lemma laws as they were before they read per-group verdict tables:
 they decide every item through ``is_f_central`` on its own.
+``catalog_groups`` is the catalog as it was deduplicated before family
+groups carried direct-factor keys: every seed and every pairwise product is
+built, and the first of each isomorphism type is kept by
+``is_isomorphic`` within fingerprint buckets.
 """
 
 import numpy as np
 
-from finform import normal_closure, quotient, semidirect_product
+from finform import (
+    direct_product,
+    is_isomorphic,
+    load_group_file,
+    normal_closure,
+    quotient,
+    semidirect_product,
+)
 from finform.formations import is_f_central, is_prime
-from finform.groups import commutator_subgroup, derived_series
+from finform.groups import DEFAULT_ORDER_CAP, commutator_subgroup, derived_series
+from finform.morphisms import fingerprint
+from finform.verify import _family_seeds
 
 
 def lower_central_series(G):
@@ -119,3 +132,35 @@ def central_sections_refine(c):
             if S <= T <= R:
                 ok = is_f_central(c.G, T, S, c.F) and is_f_central(c.G, R, T, c.F)
                 yield None if ok else {"section": [R.order, S.order], "middle": T.order}
+
+
+def dedupe(groups):
+    """Keep the first representative of each isomorphism type."""
+    kept = []
+    buckets = {}
+    for g in groups:
+        bucket = buckets.setdefault(fingerprint(g), [])
+        if any(is_isomorphic(g, rep) is not None for rep in bucket):
+            continue
+        bucket.append(g)
+        kept.append(g)
+    return kept
+
+
+def catalog_groups(max_order, files=(), order_cap=DEFAULT_ORDER_CAP):
+    """The seeds, their pairwise direct products within the bound, and the
+    user files, deduplicated up to isomorphism by search."""
+    base = dedupe([build() for _, build in _family_seeds(max_order, order_cap)])
+    everything = list(base)
+    for i, a in enumerate(base):
+        if a.order < 2:
+            continue
+        for b in base[i:]:
+            if b.order < 2 or a.order * b.order > max_order:
+                continue
+            everything.append(direct_product(a, b, order_cap=order_cap))
+    for path in files:
+        g = load_group_file(path, order_cap=order_cap)
+        if g.order <= max_order:
+            everything.append(g)
+    return dedupe(everything)

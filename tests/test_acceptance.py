@@ -16,7 +16,7 @@ from finform import (
     all_subgroups,
     centralizer,
     chief_series,
-    f_hypercentre,
+    hypercentre,
     is_k_f_subnormal,
     is_nilpotent,
     is_sigma_nilpotent,
@@ -167,8 +167,8 @@ def test_criterion_6_oracle_cross_checks():
     r_u = residual(s4, SUPERSOLUBLE)
     order4 = [n for n in normal_subgroups(s4) if n.order == 4]
     checks_ok &= r_u.order == 4 and len(order4) == 1 and r_u == order4[0]
-    checks_ok &= f_hypercentre(s3, SUPERSOLUBLE).order == 6
-    checks_ok &= f_hypercentre(s3, NILPOTENT).order == 1
+    checks_ok &= hypercentre(s3, SUPERSOLUBLE).order == 6
+    checks_ok &= hypercentre(s3, NILPOTENT).order == 1
     checks_ok &= centralizer(s4, r_u) == r_u
     checks_ok &= chief_series(s4).factor_orders() == (4, 3, 2)
     print("  oracle cross-checks: 6 frozen values recomputed and matched")

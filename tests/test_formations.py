@@ -17,9 +17,9 @@ from finform import (
     dihedral,
     direct_product,
     elem_abelian,
-    f_hypercentre,
     formation_by_selector,
     generated_subgroup,
+    hypercentre,
     is_f_central,
     is_f_hypercentral,
     is_isomorphic,
@@ -220,15 +220,15 @@ class TestHypercentre:
 
     def test_hypercentre_values(self):
         s3 = symmetric(3)
-        assert f_hypercentre(s3, NILPOTENT).order == 1
-        assert f_hypercentre(s3, SUPERSOLUBLE).order == 6
-        assert f_hypercentre(symmetric(4), SUPERSOLUBLE).order == 1
+        assert hypercentre(s3, NILPOTENT).order == 1
+        assert hypercentre(s3, SUPERSOLUBLE).order == 6
+        assert hypercentre(symmetric(4), SUPERSOLUBLE).order == 1
 
     def test_member_group_is_its_own_hypercentre(self, catalog12):
         for g in catalog12.groups:
             for f in builtin_formations():
                 if f.contains(g):
-                    assert f_hypercentre(g, f).order == g.order
+                    assert hypercentre(g, f).order == g.order
 
     def test_ascending_walk_matches_all_normals_reference(self, catalog24):
         # The join of every normal subgroup whose own chief series passes the
@@ -246,11 +246,11 @@ class TestHypercentre:
         for g in catalog24.groups:
             for f in forms:
                 expected = reference(g, lambda t, b: is_f_central(g, t, b, f))
-                assert f_hypercentre(g, f) == expected, (g.label, f.name)
+                assert hypercentre(g, f) == expected, (g.label, f.name)
             cyclic_chief = reference(g, lambda t, b: is_prime(t.order // b.order))
-            assert f_hypercentre(g, SUPERSOLUBLE) == cyclic_chief, g.label
+            assert hypercentre(g, SUPERSOLUBLE) == cyclic_chief, g.label
             sigma_central = reference(g, lambda t, b: is_sigma_central(g, t, b, sig))
-            assert f_hypercentre(g, sigma_nilpotent_formation(sig)) == sigma_central, g.label
+            assert hypercentre(g, sigma_nilpotent_formation(sig)) == sigma_central, g.label
 
     @pytest.mark.parametrize("sigma", [None, "[[2,3]]", "[[2,3,5]]"])
     def test_chief_rule_matches_section_product(self, catalog48, sigma):
@@ -289,7 +289,7 @@ class TestHypercentre:
         forms = builtin_formations(SigmaPartition.parse("[[2,3]]"))
         for g in catalog_generate(24).groups:
             for f in forms:
-                f_hypercentre(g, f)
+                hypercentre(g, f)
                 for N in normal_subgroups(g):
                     is_f_hypercentral(g, N, f)
         assert calls == []
@@ -305,7 +305,7 @@ class TestHypercentre:
             return real(G, N)
 
         monkeypatch.setattr(formations, "chief_series_through", counting)
-        formations.f_hypercentre(elem_abelian(2, 4), form)
+        formations.hypercentre(elem_abelian(2, 4), form)
         assert len(calls) <= 1, calls
 
     def test_not_normal_raises(self):

@@ -512,8 +512,8 @@ class TestInternedSubgroups:
         d8 = subgroup_of_order(s4, 8)
         meet = d8.intersect(a4).as_group()
         assert d8.intersect(a4).as_group() is meet
-        first = formations.f_hypercentre(meet, NILPOTENT)
-        assert formations.f_hypercentre(d8.intersect(a4).as_group(), NILPOTENT) is first
+        first = formations.hypercentre(meet, NILPOTENT)
+        assert formations.hypercentre(d8.intersect(a4).as_group(), NILPOTENT) is first
         assert len(checks) == 1
 
 
@@ -570,8 +570,8 @@ def test_memoised_results_are_per_group_objects():
         all_subgroups,
         automorphisms,
         chief_series_through,
-        f_hypercentre,
         frattini,
+        hypercentre,
         normal_subgroups,
         residual,
     )
@@ -597,7 +597,7 @@ def test_memoised_results_are_per_group_objects():
         "generating_set": generating_set,
         "automorphisms": automorphisms,
         "residual": lambda X: residual(X, SUPERSOLUBLE),
-        "f_hypercentre": lambda X: f_hypercentre(X, NILPOTENT),
+        "hypercentre": lambda X: hypercentre(X, NILPOTENT),
     }
     # groups derived from a group are shared per table, so an equal copy of
     # the parent reaches the same objects

@@ -13,9 +13,9 @@ from finform import (
     dihedral,
     direct_product,
     elem_abelian,
-    f_hypercentre,
     frattini,
     generated_subgroup,
+    hypercentre,
     minimal_normal_subgroups,
     normal_hall_subgroup,
     normal_subgroups,
@@ -187,7 +187,7 @@ class TestGrowthIsLinearInSeeds:
         calls = _count_calls(monkeypatch, [lattice, formations], "normal_subgroups")
         for g in (elem_abelian(2, 4), direct_product(symmetric(4), cyclic(2))):
             for F in (NILPOTENT, SUPERSOLUBLE):
-                f_hypercentre(g, F)
+                hypercentre(g, F)
             chief_series(g)
             minimal_normal_subgroups(g)
         assert calls == []

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +34,9 @@ from finform import (
 from finform.cli import render_structured
 
 import references
+
+GROUPS = Path(__file__).resolve().parents[1] / "groups"
+SHIPPED = tuple(str(GROUPS / name) for name in ("frobenius20.grp", "frobenius21.grp"))
 
 
 class TestCatalog:
@@ -73,6 +77,55 @@ class TestCatalog:
         frob = next(g for g in cat.groups if g.label == "frobenius20")
         assert center(frob).order == 1
 
+    def test_keyed_dedupe_matches_search_reference_at_128(self):
+        cat = catalog_generate(128, files=SHIPPED)
+        ref = references.catalog_groups(128, files=SHIPPED)
+        assert [g.label for g in cat.groups] == [g.label for g in ref]
+        assert all(np.array_equal(g.table, r.table) for g, r in zip(cat.groups, ref))
+
+    def test_family_groups_are_built_only_when_kept_and_never_searched(self, monkeypatch):
+        from finform import construct
+
+        built = []
+
+        def recording(make):
+            def build(*args, **kwargs):
+                mark = len(built)
+                G = make(*args, **kwargs)
+                del built[mark:]  # a builder's own inner products are not candidates
+                built.append(G.label)
+                return G
+            return build
+
+        def no_search(G, H, *args):
+            raise AssertionError(f"searched {G.label} against {H.label}")
+
+        for name in ("cyclic", "symmetric", "alternating", "dihedral", "quaternion",
+                     "elem_abelian", "direct_product"):
+            monkeypatch.setattr(construct, name, recording(getattr(construct, name)))
+        monkeypatch.setattr(verify, "is_isomorphic", no_search)
+        cat = catalog_generate(60)
+        # D6 folds into S3, C2xC3 into C6 and C2xS3 into D12 without being built
+        assert built == [g.label for g in cat.groups]
+        assert {"S3", "C6", "D12", "C2xA4"} <= set(built)
+
+    def test_user_files_fold_up_to_isomorphism(self, tmp_path):
+        texts = {
+            "s3.grp": "perm 3\n(0 1 2)\n(0 1)\n",
+            "v4.grp": "perm 4\n(0 1)(2 3)\n(0 2)(1 3)\n",
+            "frobenius20.grp": "perm 5\n(0 1 2 3 4)\n(1 2 4 3)\n",
+        }
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+        files = tuple(str(tmp_path / name) for name in texts)
+        cat = catalog_generate(24, files=files)
+        labels = [g.label for g in cat.groups]
+        assert labels == [g.label for g in catalog_generate(24).groups] + ["frobenius20"]
+        assert "S3" in labels and "elab(2,2)" in labels
+        # the same file twice is one group
+        again = catalog_generate(24, files=files + files[2:])
+        assert [g.label for g in again.groups] == labels
+
     def test_deterministic(self):
         a = catalog_generate(12)
         b = catalog_generate(12)
@@ -97,6 +150,24 @@ class TestTheoremB:
         reasons = {s["reason"] for s in rep.skipped}
         assert reasons <= {"hypothesis-failed"}
         assert rep.asserted == 1  # only the trivial group below order 60
+
+    def test_internal_error_is_a_replayable_failure_and_the_sweep_goes_on(self):
+        # no chief factor is central, so Z_F = 1 everywhere; the residual's
+        # re-check raises FormationLawViolated on V4 only (its three order-2
+        # quotients meet in 1, and V4/1 has order 4)
+        broken = Formation("order-at-most-2", lambda G: G.order <= 2,
+                           chief_rule=lambda G, H, K: False)
+        c2, v4, c3 = cyclic(2), elem_abelian(2, 2), cyclic(3)
+        rep = verify_theorem_b(verify.Catalog([c2, v4, c3], 4, "C2, V4, C3"), broken)
+        alone = verify_theorem_b(verify.Catalog([c2, c3], 3, "C2, C3"), broken)
+        errors = [f for f in rep.failures if f.get("reason") == "internal-error"]
+        assert [(f["group"], f["detail"].split(":")[0]) for f in errors] == [
+            (v4.label, "FormationLawViolated")
+        ]
+        assert errors[0]["cayley"] == v4.table.tolist()
+        assert (rep.checked, rep.asserted) == (alone.checked + 1, alone.asserted + 1)
+        assert [f for f in rep.failures if f not in errors] == alone.failures
+        assert rep.skipped == alone.skipped
 
     def test_unsaturated_formation_rejected(self, catalog12):
         from finform import Formation
