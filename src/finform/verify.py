@@ -272,16 +272,6 @@ def _members(S: Subgroup) -> list[int]:
     return S.array.tolist()
 
 
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.monotonic()
-        return self
-
-    def __exit__(self, *exc):
-        self.ms = int((time.monotonic() - self.t0) * 1000)
-        return False
-
-
 def _skip(rep: VerificationReport, G: Group, reason: str, detail: str, **where) -> None:
     """Record a skipped instance on G; ``where`` locates it inside G."""
     rep.skipped.append({"group": G.label, **where, "reason": reason, "detail": detail})
@@ -293,16 +283,35 @@ def _fail(rep: VerificationReport, G: Group, **fields) -> None:
                          "cayley": G.table.tolist()})
 
 
-def _lattice_walk(catalog: Catalog, rep: VerificationReport, budget: int):
-    """Yield (G, subgroup lattice of G) for each catalog group; a group over
-    the lattice budget is recorded on ``rep`` as a budget-exceeded skip."""
+def _sweep(
+    catalog: Catalog,
+    rep: VerificationReport,
+    body: Callable[..., None],
+    lattice_budget: int | None = None,
+) -> VerificationReport:
+    """Run ``body`` on each catalog group, recording on ``rep``, and time it.
+
+    ``body(G)`` records G's instances on ``rep``; a sweep that walks subgroup
+    lattices passes ``lattice_budget`` and gets ``body(G, lattice)``. A budget
+    or cap hit on G is a skip and an internal invariant failure a replayable
+    ``internal-error`` failure. What the body recorded before either stays,
+    and the sweep goes on with the next group.
+    """
+    t0 = time.monotonic()
     for G in catalog:
         try:
-            lat = all_subgroups(G, budget=budget)
-        except LatticeBudgetExceeded as e:
+            if lattice_budget is None:
+                body(G)
+            else:
+                body(G, all_subgroups(G, budget=lattice_budget))
+        except (LatticeBudgetExceeded, SearchBudgetExceeded) as e:
             _skip(rep, G, "budget-exceeded", str(e))
-            continue
-        yield G, lat
+        except OrderCapExceeded as e:
+            _skip(rep, G, "order-cap-exceeded", str(e))
+        except (FormationLawViolated, HypercentreNotHypercentral) as e:
+            _fail(rep, G, reason="internal-error", detail=f"{type(e).__name__}: {e}")
+    rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
+    return rep
 
 
 def _escape(G: Group, D: Subgroup) -> dict | None:
@@ -322,24 +331,20 @@ def verify_theorem_b(catalog: Catalog, F: Formation) -> VerificationReport:
     if not F.saturated:
         raise ValueError("theorem-b requires a saturated formation")
     rep = VerificationReport("theorem-b", F.name, None, catalog.description)
-    with _Timer() as t:
-        for G in catalog:
-            rep.checked += 1
-            try:
-                Z = hypercentre(G, F)
-                if Z.order != 1:
-                    _skip(rep, G, "hypothesis-failed", f"hypercentre has order {Z.order}")
-                    continue
-                rep.asserted += 1
-                escape = _escape(G, residual(G, F))
-            except (FormationLawViolated, HypercentreNotHypercentral) as e:
-                _fail(rep, G, reason="internal-error", detail=f"{type(e).__name__}: {e}")
-                continue
-            if escape:
-                _fail(rep, G, **escape,
-                      detail="centralizer of the residual escapes the residual")
-    rep.elapsed_ms = t.ms
-    return rep
+
+    def body(G):
+        rep.checked += 1
+        Z = hypercentre(G, F)
+        if Z.order != 1:
+            _skip(rep, G, "hypothesis-failed", f"hypercentre has order {Z.order}")
+            return
+        rep.asserted += 1
+        escape = _escape(G, residual(G, F))
+        if escape:
+            _fail(rep, G, **escape,
+                  detail="centralizer of the residual escapes the residual")
+
+    return _sweep(catalog, rep, body)
 
 
 # -- Theorem A family --------------------------------------------------------
@@ -360,33 +365,33 @@ def _theorem_a_sweep(
     the sweep's formation.
     """
     rep = VerificationReport(claim, formation.name, sigma_key, catalog.description)
-    with _Timer() as t:
-        for G, lat in _lattice_walk(catalog, rep, lattice_budget):
-            for S in lat.subgroups:
-                chain = chain_fn(G, S)
-                if chain is None:
-                    continue
-                rep.checked += 1
-                bad = None
-                for E in lat.overgroups_of(S):
-                    if hypercentre(E.as_group(), formation).order != 1:
-                        bad = E
-                        break
-                if bad is not None:
-                    _skip(
-                        rep, G, "hypothesis-failed",
-                        f"overgroup of order {bad.order} has nontrivial hypercentre",
-                        subgroup=_members(S),
-                    )
-                    continue
-                rep.asserted += 1
-                D = S.lift(residual(S.as_group(), formation))
-                escape = _escape(G, D)
-                if escape:
-                    _fail(rep, G, subgroup=_members(S), chain=list(chain.order_trail()),
-                          **escape, detail="centralizer of the subgroup's residual escapes it")
-    rep.elapsed_ms = t.ms
-    return rep
+
+    def body(G, lat):
+        for S in lat.subgroups:
+            chain = chain_fn(G, S)
+            if chain is None:
+                continue
+            rep.checked += 1
+            bad = None
+            for E in lat.overgroups_of(S):
+                if hypercentre(E.as_group(), formation).order != 1:
+                    bad = E
+                    break
+            if bad is not None:
+                _skip(
+                    rep, G, "hypothesis-failed",
+                    f"overgroup of order {bad.order} has nontrivial hypercentre",
+                    subgroup=_members(S),
+                )
+                continue
+            rep.asserted += 1
+            D = S.lift(residual(S.as_group(), formation))
+            escape = _escape(G, D)
+            if escape:
+                _fail(rep, G, subgroup=_members(S), chain=list(chain.order_trail()),
+                      **escape, detail="centralizer of the subgroup's residual escapes it")
+
+    return _sweep(catalog, rep, body, lattice_budget)
 
 
 def verify_theorem_a(
@@ -415,35 +420,35 @@ def verify_schenkman_classic(
     nilpotent hypercentres (equal to the classical hypercentre) on every
     overgroup."""
     rep = VerificationReport("schenkman", NILPOTENT.name, None, catalog.description)
-    with _Timer() as t:
-        for G, lat in _lattice_walk(catalog, rep, lattice_budget):
-            for S in lat.subgroups:
-                if is_subnormal(G, S) is None:
-                    continue
-                rep.checked += 1
-                if centralizer(G, S).order != 1:
-                    _skip(
-                        rep, G, "hypothesis-failed",
-                        "centralizer of the subgroup is nontrivial",
-                        subgroup=_members(S),
-                    )
-                    continue
-                rep.asserted += 1
-                D = S.lift(residual(S.as_group(), NILPOTENT))
-                escape = _escape(G, D)
-                if escape:
-                    _fail(rep, G, subgroup=_members(S), **escape,
-                          detail="nilpotent residual is not large")
-                for E in lat.overgroups_of(S):
-                    Egrp = E.as_group()
-                    zn = hypercentre(Egrp, NILPOTENT)
-                    zc = hypercentre_classical(Egrp)
-                    if zn.order != 1 or zc.order != 1 or zn != zc:
-                        _fail(rep, G, subgroup=_members(S), overgroup=_members(E),
-                              detail="bridging claim failed: expected "
-                              "trivial nilpotent and classical hypercentres")
-    rep.elapsed_ms = t.ms
-    return rep
+
+    def body(G, lat):
+        for S in lat.subgroups:
+            if is_subnormal(G, S) is None:
+                continue
+            rep.checked += 1
+            if centralizer(G, S).order != 1:
+                _skip(
+                    rep, G, "hypothesis-failed",
+                    "centralizer of the subgroup is nontrivial",
+                    subgroup=_members(S),
+                )
+                continue
+            rep.asserted += 1
+            D = S.lift(residual(S.as_group(), NILPOTENT))
+            escape = _escape(G, D)
+            if escape:
+                _fail(rep, G, subgroup=_members(S), **escape,
+                      detail="nilpotent residual is not large")
+            for E in lat.overgroups_of(S):
+                Egrp = E.as_group()
+                zn = hypercentre(Egrp, NILPOTENT)
+                zc = hypercentre_classical(Egrp)
+                if zn.order != 1 or zc.order != 1 or zn != zc:
+                    _fail(rep, G, subgroup=_members(S), overgroup=_members(E),
+                          detail="bridging claim failed: expected "
+                          "trivial nilpotent and classical hypercentres")
+
+    return _sweep(catalog, rep, body, lattice_budget)
 
 
 def verify_holomorph_bound(
@@ -455,37 +460,30 @@ def verify_holomorph_bound(
     the residual misses the hypercentre."""
     if not F.saturated:
         raise ValueError("holomorph-bound requires a saturated formation")
-    rep = VerificationReport("holomorph-bound", F.name, None, catalog.description)
-    tight: list[list] = []
-    max_slack = 0
-    with _Timer() as t:
-        for G in catalog:
-            rep.checked += 1
-            U = residual(G, F)
-            Z = hypercentre(G, F)
-            if U.intersect(Z).order != 1:
-                _skip(rep, G, "hypothesis-failed",
-                      "residual meets the hypercentre nontrivially")
-                continue
-            try:
-                aut_n = automorphism_count(U.as_group(), budget=aut_budget)
-            except SearchBudgetExceeded as e:
-                _skip(rep, G, "budget-exceeded", str(e))
-                continue
-            rep.asserted += 1
-            lhs = G.order // Z.order
-            rhs = U.order * aut_n
-            if lhs > rhs:
-                _fail(rep, G, residual=_members(U), quotient_order=lhs,
-                      holomorph_order=rhs, detail="holomorph bound violated")
-            else:
-                max_slack = max(max_slack, rhs - lhs)
-                if lhs == rhs:
-                    tight.append([G.label, lhs])
-    rep.extras["tight_instances"] = tight
-    rep.extras["max_slack"] = max_slack
-    rep.elapsed_ms = t.ms
-    return rep
+    rep = VerificationReport("holomorph-bound", F.name, None, catalog.description,
+                             extras={"tight_instances": [], "max_slack": 0})
+
+    def body(G):
+        rep.checked += 1
+        U = residual(G, F)
+        Z = hypercentre(G, F)
+        if U.intersect(Z).order != 1:
+            _skip(rep, G, "hypothesis-failed",
+                  "residual meets the hypercentre nontrivially")
+            return
+        aut_n = automorphism_count(U.as_group(), budget=aut_budget)
+        rep.asserted += 1
+        lhs = G.order // Z.order
+        rhs = U.order * aut_n
+        if lhs > rhs:
+            _fail(rep, G, residual=_members(U), quotient_order=lhs,
+                  holomorph_order=rhs, detail="holomorph bound violated")
+        else:
+            rep.extras["max_slack"] = max(rep.extras["max_slack"], rhs - lhs)
+            if lhs == rhs:
+                rep.extras["tight_instances"].append([G.label, lhs])
+
+    return _sweep(catalog, rep, body)
 
 
 def verify_section3_corollaries(
@@ -517,19 +515,19 @@ def verify_section3_corollaries(
     agreement = VerificationReport(
         "section3-sigma-chain-agreement", nsigma.name, sigma.key, catalog.description
     )
-    with _Timer() as t:
-        for G, lat in _lattice_walk(catalog, agreement, lattice_budget):
-            for S in lat.subgroups:
-                agreement.checked += 1
-                agreement.asserted += 1
-                via_sigma = is_sigma_subnormal(G, S, sigma, lattice_budget) is not None
-                via_kegel = is_k_f_subnormal(G, S, nsigma, lattice_budget) is not None
-                if via_sigma != via_kegel:
-                    _fail(agreement, G, subgroup=_members(S), sigma_subnormal=via_sigma,
-                          kegel_subnormal=via_kegel,
-                          detail="sigma-chain and Kegel-chain verdicts differ")
-    agreement.elapsed_ms = t.ms
-    reports.append(agreement)
+
+    def body(G, lat):
+        for S in lat.subgroups:
+            agreement.checked += 1
+            agreement.asserted += 1
+            via_sigma = is_sigma_subnormal(G, S, sigma, lattice_budget) is not None
+            via_kegel = is_k_f_subnormal(G, S, nsigma, lattice_budget) is not None
+            if via_sigma != via_kegel:
+                _fail(agreement, G, subgroup=_members(S), sigma_subnormal=via_sigma,
+                      kegel_subnormal=via_kegel,
+                      detail="sigma-chain and Kegel-chain verdicts differ")
+
+    reports.append(_sweep(catalog, agreement, body, lattice_budget))
     return reports
 
 
@@ -798,47 +796,38 @@ def verify_lemma_suite(
 
     Runs every law of ``LAWS``, in order, on each group whose subgroup
     lattice fits ``lattice_budget``. A group's items count only once all of
-    its laws have run: a group whose section products exceed the cap is an
-    ``order-cap-exceeded`` skip instead, and one on which an internal
-    invariant fails (``FormationLawViolated``, ``HypercentreNotHypercentral``)
-    is an ``internal-error`` failure, with its Cayley table for replay; the
-    sweep goes on with the other groups. The sigma-centrality law applies
-    only when a sigma partition is supplied.
+    its laws have run, so a group that ``_sweep`` records as a skip (its
+    section products exceed the cap) or an ``internal-error`` failure adds
+    none of them. The sigma-centrality law applies only when a sigma
+    partition is supplied.
     """
     rep = VerificationReport(
         "lemmas", F.name, sigma.key if sigma else None, catalog.description
     )
     rng = np.random.default_rng(20240601)
-    with _Timer() as t:
-        for G, lat in _lattice_walk(catalog, rep, lattice_budget):
-            try:
-                normals = normal_subgroups(G)
-                ctx = _LawContext(
-                    G, F, sigma, rng, lat, normals,
-                    factors=chief_series(G).factors(),
-                    in_f=F.contains(G),
-                    Z=hypercentre(G, F),
-                    central=_central_normal_pairs(G, F),
-                    supplements=_supplements(G, lat, normals),
-                )
-                items, failed = 0, []
-                for name, law in LAWS.items():
-                    for detail in law(ctx):
-                        items += 1
-                        if detail is not None:
-                            failed.append({"law": name, **detail})
-            except OrderCapExceeded as e:
-                _skip(rep, G, "order-cap-exceeded", str(e))
-                continue
-            except (FormationLawViolated, HypercentreNotHypercentral) as e:
-                _fail(rep, G, reason="internal-error", detail=f"{type(e).__name__}: {e}")
-                continue
-            rep.checked += items
-            rep.asserted += items
-            for detail in failed:
-                _fail(rep, G, **detail)
-    rep.elapsed_ms = t.ms
-    return rep
+
+    def body(G, lat):
+        normals = normal_subgroups(G)
+        ctx = _LawContext(
+            G, F, sigma, rng, lat, normals,
+            factors=chief_series(G).factors(),
+            in_f=F.contains(G),
+            Z=hypercentre(G, F),
+            central=_central_normal_pairs(G, F),
+            supplements=_supplements(G, lat, normals),
+        )
+        items, failed = 0, []
+        for name, law in LAWS.items():
+            for detail in law(ctx):
+                items += 1
+                if detail is not None:
+                    failed.append({"law": name, **detail})
+        rep.checked += items
+        rep.asserted += items
+        for detail in failed:
+            _fail(rep, G, **detail)
+
+    return _sweep(catalog, rep, body, lattice_budget)
 
 
 # -- orchestration -------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finform import (
+    FormationLawViolated,
     Group,
     GroupFileError,
     OrderCapExceeded,
@@ -20,6 +21,7 @@ from finform import (
     parse_group_text,
     symmetric,
 )
+from finform import verify
 from finform.cli import main, parse_selector
 from finform.files import dump_group_table, load_group_file, parse_cycles
 
@@ -441,6 +443,35 @@ class TestCommands:
             assert report["verdict"] == "PASS"
             assert {s["group"] for s in report["skipped"]
                     if s["reason"] == "budget-exceeded"} == {"C5", "C6", "S3"}
+
+    def test_internal_error_is_a_failure_exit_with_the_full_report(self, monkeypatch,
+                                                                   capsys):
+        argv = ["verify", "theorem-a", "--max-order", "6", "--format", "structured"]
+        assert main(argv) == 0
+        clean = json.loads(capsys.readouterr().out)["reports"]
+        real = verify.residual
+
+        def broken_on_s3(G, F):
+            if G.order == 6 and not G.is_abelian():
+                raise FormationLawViolated("planted on S3")
+            return real(G, F)
+
+        monkeypatch.setattr(verify, "residual", broken_on_s3)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        data = json.loads(out)
+        assert (data["verdict"], err) == ("FAIL", "")
+        nilpotent, *others = data["reports"]
+        [record] = nilpotent["failures"]
+        assert (record["group"], record["reason"], record["detail"]) == (
+            "S3", "internal-error", "FormationLawViolated: planted on S3"
+        )
+        assert record["cayley"] == symmetric(3).table.tolist()
+        assert all(r["failures"] == [] for r in others)
+        for got, want in zip(data["reports"], clean, strict=True):
+            assert (got["checked"], got["asserted"], got["skipped"]) == (
+                want["checked"], want["asserted"], want["skipped"]
+            )
 
     @pytest.mark.parametrize(
         "claim, report_claims",

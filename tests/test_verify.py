@@ -11,6 +11,7 @@ from finform import (
     SOLUBLE,
     SUPERSOLUBLE,
     Formation,
+    HypercentreNotHypercentral,
     OrderCapExceeded,
     SigmaPartition,
     Subgroup,
@@ -135,6 +136,37 @@ class TestCatalog:
         )
 
 
+def _v4_internal_error(run, error):
+    """Run ``run`` on C2, V4, C3 and on C2, C3, and check that each report
+    holds one internal-error failure, on V4, with its Cayley table, and that
+    its other records on C2 and C3 equal those of the run without V4.
+    Returns the (report, report without V4) pairs."""
+    c2, v4, c3 = cyclic(2), elem_abelian(2, 2), cyclic(3)
+    reports = run(verify.Catalog([c2, v4, c3], 4, "C2, V4, C3"))
+    alone = run(verify.Catalog([c2, c3], 3, "C2, C3"))
+    for rep, ref in zip(reports, alone, strict=True):
+        errors = [f for f in rep.failures if f.get("reason") == "internal-error"]
+        assert [(f["group"], f["detail"].split(":")[0]) for f in errors] == [
+            (v4.label, error)
+        ], rep.claim
+        assert errors[0]["cayley"] == v4.table.tolist()
+        assert [f for f in rep.failures if f["group"] != v4.label] == ref.failures
+        assert [s for s in rep.skipped if s["group"] != v4.label] == ref.skipped
+    return list(zip(reports, alone))
+
+
+def _raising_on_order_4(monkeypatch, *names):
+    """Make each named engine call of ``verify`` raise
+    HypercentreNotHypercentral when its group has order 4."""
+    for name in names:
+        def call(G, *args, real=getattr(verify, name)):
+            if G.order == 4:
+                raise HypercentreNotHypercentral("planted on V4")
+            return real(G, *args)
+
+        monkeypatch.setattr(verify, name, call)
+
+
 class TestTheoremB:
     def test_s3_instance_asserted(self, catalog12):
         rep = verify_theorem_b(catalog12, NILPOTENT)
@@ -151,23 +183,23 @@ class TestTheoremB:
         assert reasons <= {"hypothesis-failed"}
         assert rep.asserted == 1  # only the trivial group below order 60
 
-    def test_internal_error_is_a_replayable_failure_and_the_sweep_goes_on(self):
+    @pytest.mark.parametrize("sweep, v4_counts", [
+        pytest.param(verify_theorem_b, (1, 1), id="verify_theorem_b"),
+        # 1, three C2 and V4 itself; V4's own residual raises
+        pytest.param(verify_theorem_a, (5, 5), id="verify_theorem_a"),
+        # the residual comes before the assertion
+        pytest.param(verify_holomorph_bound, (1, 0), id="verify_holomorph_bound"),
+    ])
+    def test_internal_error_is_a_replayable_failure_and_the_sweep_goes_on(self, sweep,
+                                                                          v4_counts):
         # no chief factor is central, so Z_F = 1 everywhere; the residual's
         # re-check raises FormationLawViolated on V4 only (its three order-2
         # quotients meet in 1, and V4/1 has order 4)
         broken = Formation("order-at-most-2", lambda G: G.order <= 2,
                            chief_rule=lambda G, H, K: False)
-        c2, v4, c3 = cyclic(2), elem_abelian(2, 2), cyclic(3)
-        rep = verify_theorem_b(verify.Catalog([c2, v4, c3], 4, "C2, V4, C3"), broken)
-        alone = verify_theorem_b(verify.Catalog([c2, c3], 3, "C2, C3"), broken)
-        errors = [f for f in rep.failures if f.get("reason") == "internal-error"]
-        assert [(f["group"], f["detail"].split(":")[0]) for f in errors] == [
-            (v4.label, "FormationLawViolated")
-        ]
-        assert errors[0]["cayley"] == v4.table.tolist()
-        assert (rep.checked, rep.asserted) == (alone.checked + 1, alone.asserted + 1)
-        assert [f for f in rep.failures if f not in errors] == alone.failures
-        assert rep.skipped == alone.skipped
+        [(rep, alone)] = _v4_internal_error(lambda cat: [sweep(cat, broken)],
+                                            "FormationLawViolated")
+        assert (rep.checked - alone.checked, rep.asserted - alone.asserted) == v4_counts
 
     def test_unsaturated_formation_rejected(self, catalog12):
         from finform import Formation
@@ -224,6 +256,12 @@ class TestSchenkman:
         assert rep.asserted >= 2
         assert all(s["reason"] == "hypothesis-failed" for s in rep.skipped)
 
+    def test_internal_error_is_a_replayable_failure_and_the_sweep_goes_on(self, monkeypatch):
+        _raising_on_order_4(monkeypatch, "is_subnormal")
+        [(rep, alone)] = _v4_internal_error(lambda cat: [verify_schenkman_classic(cat)],
+                                            "HypercentreNotHypercentral")
+        assert (rep.checked, rep.asserted) == (alone.checked, alone.asserted)
+
 
 class TestHolomorphBound:
     def test_passes_with_tight_s3(self, catalog12):
@@ -234,6 +272,15 @@ class TestHolomorphBound:
     def test_member_groups_trivially_pass(self, catalog12):
         rep = verify_holomorph_bound(catalog12, SOLUBLE)
         assert rep.passed and rep.asserted == rep.checked
+
+    def test_automorphism_budget_hit_is_a_skip(self):
+        rep = verify_holomorph_bound(catalog_generate(12), NILPOTENT, aut_budget=1)
+        assert (rep.checked, rep.asserted) == (23, 19)
+        assert [(s["group"], s["reason"]) for s in rep.skipped] == [
+            (label, "budget-exceeded") for label in ("S3", "A4", "D10", "D12")
+        ]
+        assert rep.passed and rep.budget_exhausted
+        assert (len(rep.extras["tight_instances"]), rep.extras["max_slack"]) == (19, 0)
 
 
 class TestSection3:
@@ -246,6 +293,17 @@ class TestSection3:
         agreement = reports[-1]
         assert agreement.claim == "section3-sigma-chain-agreement"
         assert agreement.checked == agreement.asserted > 0
+
+    def test_internal_error_is_a_replayable_failure_and_the_sweep_goes_on(self, monkeypatch):
+        _raising_on_order_4(monkeypatch, "is_k_f_subnormal", "is_f_subnormal",
+                            "is_sigma_subnormal")
+        sig = SigmaPartition.singletons()
+        pairs = _v4_internal_error(lambda cat: verify_section3_corollaries(cat, sig),
+                                   "HypercentreNotHypercentral")
+        # only the agreement sweep counts V4's first subgroup before its chain search
+        assert [(r.checked - a.checked, r.asserted - a.asserted) for r, a in pairs] == (
+            [(0, 0)] * 4 + [(1, 1)]
+        )
 
 
 def _section_law_context(G, F):
