@@ -286,24 +286,19 @@ def _fail(rep: VerificationReport, G: Group, **fields) -> None:
 def _sweep(
     catalog: Catalog,
     rep: VerificationReport,
-    body: Callable[..., None],
-    lattice_budget: int | None = None,
+    body: Callable[[Group], None],
 ) -> VerificationReport:
     """Run ``body`` on each catalog group, recording on ``rep``, and time it.
 
-    ``body(G)`` records G's instances on ``rep``; a sweep that walks subgroup
-    lattices passes ``lattice_budget`` and gets ``body(G, lattice)``. A budget
-    or cap hit on G is a skip and an internal invariant failure a replayable
-    ``internal-error`` failure. What the body recorded before either stays,
-    and the sweep goes on with the next group.
+    ``body(G)`` records G's instances on ``rep``. A budget or cap hit on G is
+    a skip and an internal invariant failure a replayable ``internal-error``
+    failure. What the body recorded before either stays, and the sweep goes
+    on with the next group.
     """
     t0 = time.monotonic()
     for G in catalog:
         try:
-            if lattice_budget is None:
-                body(G)
-            else:
-                body(G, all_subgroups(G, budget=lattice_budget))
+            body(G)
         except (LatticeBudgetExceeded, SearchBudgetExceeded) as e:
             _skip(rep, G, "budget-exceeded", str(e))
         except OrderCapExceeded as e:
@@ -366,7 +361,8 @@ def _theorem_a_sweep(
     """
     rep = VerificationReport(claim, formation.name, sigma_key, catalog.description)
 
-    def body(G, lat):
+    def body(G):
+        lat = all_subgroups(G, budget=lattice_budget)
         for S in lat.subgroups:
             chain = chain_fn(G, S)
             if chain is None:
@@ -391,7 +387,7 @@ def _theorem_a_sweep(
                 _fail(rep, G, subgroup=_members(S), chain=list(chain.order_trail()),
                       **escape, detail="centralizer of the subgroup's residual escapes it")
 
-    return _sweep(catalog, rep, body, lattice_budget)
+    return _sweep(catalog, rep, body)
 
 
 def verify_theorem_a(
@@ -421,7 +417,8 @@ def verify_schenkman_classic(
     overgroup."""
     rep = VerificationReport("schenkman", NILPOTENT.name, None, catalog.description)
 
-    def body(G, lat):
+    def body(G):
+        lat = all_subgroups(G, budget=lattice_budget)
         for S in lat.subgroups:
             if is_subnormal(G, S) is None:
                 continue
@@ -448,7 +445,7 @@ def verify_schenkman_classic(
                           detail="bridging claim failed: expected "
                           "trivial nilpotent and classical hypercentres")
 
-    return _sweep(catalog, rep, body, lattice_budget)
+    return _sweep(catalog, rep, body)
 
 
 def verify_holomorph_bound(
@@ -516,7 +513,8 @@ def verify_section3_corollaries(
         "section3-sigma-chain-agreement", nsigma.name, sigma.key, catalog.description
     )
 
-    def body(G, lat):
+    def body(G):
+        lat = all_subgroups(G, budget=lattice_budget)
         for S in lat.subgroups:
             agreement.checked += 1
             agreement.asserted += 1
@@ -527,7 +525,7 @@ def verify_section3_corollaries(
                       kegel_subnormal=via_kegel,
                       detail="sigma-chain and Kegel-chain verdicts differ")
 
-    reports.append(_sweep(catalog, agreement, body, lattice_budget))
+    reports.append(_sweep(catalog, agreement, body))
     return reports
 
 
@@ -806,7 +804,8 @@ def verify_lemma_suite(
     )
     rng = np.random.default_rng(20240601)
 
-    def body(G, lat):
+    def body(G):
+        lat = all_subgroups(G, budget=lattice_budget)
         normals = normal_subgroups(G)
         ctx = _LawContext(
             G, F, sigma, rng, lat, normals,
@@ -827,7 +826,7 @@ def verify_lemma_suite(
         for detail in failed:
             _fail(rep, G, **detail)
 
-    return _sweep(catalog, rep, body, lattice_budget)
+    return _sweep(catalog, rep, body)
 
 
 # -- orchestration -------------------------------------------------------------

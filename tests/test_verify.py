@@ -136,10 +136,11 @@ class TestCatalog:
         )
 
 
-def _v4_internal_error(run, error):
+def _v4_internal_error(run, error, v4_failures=1):
     """Run ``run`` on C2, V4, C3 and on C2, C3, and check that each report
-    holds one internal-error failure, on V4, with its Cayley table, and that
-    its other records on C2 and C3 equal those of the run without V4.
+    holds ``v4_failures`` failures on V4, the last of them its one
+    internal-error failure, with its Cayley table; that V4 has no skip; and
+    that the records on C2 and C3 equal those of the run without V4.
     Returns the (report, report without V4) pairs."""
     c2, v4, c3 = cyclic(2), elem_abelian(2, 2), cyclic(3)
     reports = run(verify.Catalog([c2, v4, c3], 4, "C2, V4, C3"))
@@ -150,8 +151,10 @@ def _v4_internal_error(run, error):
             (v4.label, error)
         ], rep.claim
         assert errors[0]["cayley"] == v4.table.tolist()
+        on_v4 = [f for f in rep.failures if f["group"] == v4.label]
+        assert len(on_v4) == v4_failures and on_v4[-1] is errors[0], rep.claim
         assert [f for f in rep.failures if f["group"] != v4.label] == ref.failures
-        assert [s for s in rep.skipped if s["group"] != v4.label] == ref.skipped
+        assert rep.skipped == ref.skipped, rep.claim
     return list(zip(reports, alone))
 
 
@@ -184,11 +187,12 @@ class TestTheoremB:
         assert rep.asserted == 1  # only the trivial group below order 60
 
     @pytest.mark.parametrize("sweep, v4_counts", [
-        pytest.param(verify_theorem_b, (1, 1), id="verify_theorem_b"),
-        # 1, three C2 and V4 itself; V4's own residual raises
-        pytest.param(verify_theorem_a, (5, 5), id="verify_theorem_a"),
+        pytest.param(verify_theorem_b, (1, 1, 1), id="verify_theorem_b"),
+        # subgroups 1, three C2 and V4 itself: the first four escape (their
+        # residual is 1), then V4's own residual raises
+        pytest.param(verify_theorem_a, (5, 5, 5), id="verify_theorem_a"),
         # the residual comes before the assertion
-        pytest.param(verify_holomorph_bound, (1, 0), id="verify_holomorph_bound"),
+        pytest.param(verify_holomorph_bound, (1, 0, 1), id="verify_holomorph_bound"),
     ])
     def test_internal_error_is_a_replayable_failure_and_the_sweep_goes_on(self, sweep,
                                                                           v4_counts):
@@ -197,9 +201,11 @@ class TestTheoremB:
         # quotients meet in 1, and V4/1 has order 4)
         broken = Formation("order-at-most-2", lambda G: G.order <= 2,
                            chief_rule=lambda G, H, K: False)
+        checked, asserted, failures = v4_counts
         [(rep, alone)] = _v4_internal_error(lambda cat: [sweep(cat, broken)],
-                                            "FormationLawViolated")
-        assert (rep.checked - alone.checked, rep.asserted - alone.asserted) == v4_counts
+                                            "FormationLawViolated", failures)
+        assert (rep.checked - alone.checked, rep.asserted - alone.asserted) == (
+            checked, asserted)
 
     def test_unsaturated_formation_rejected(self, catalog12):
         from finform import Formation
