@@ -46,7 +46,6 @@ from .construct import (
     quaternion,
     semidirect_product,
     semidirect_section,
-    standard_family,
     symmetric,
     trivial,
 )

@@ -39,6 +39,7 @@ from .formations import (
     is_nilpotent,
     is_soluble,
     is_supersoluble,
+    residual,
 )
 from .groups import DEFAULT_ORDER_CAP, Group, center, generated_subgroup
 from .lattice import (
@@ -91,24 +92,23 @@ def parse_selector(text: str, order_cap: int | None = DEFAULT_ORDER_CAP) -> Grou
             raise ValueError("elab selector looks like elab:p^k")
         p, _, k = arg.partition("^")
         return construct.elem_abelian(int(p), int(k), order_cap=order_cap)
-    names = {
-        "cyclic": "cyclic",
-        "dihedral": "dihedral",
-        "sym": "symmetric",
-        "alt": "alternating",
-        "quaternion": "quaternion",
+    builders = {
+        "cyclic": construct.cyclic,
+        "dihedral": construct.dihedral,
+        "sym": construct.symmetric,
+        "alt": construct.alternating,
+        "quaternion": construct.quaternion,
     }
-    if kind not in names:
+    if kind not in builders:
         raise ValueError(f"unknown family {kind!r}")
-    return construct.standard_family(names[kind], int(arg), order_cap=order_cap)
+    return builders[kind](int(arg), order_cap=order_cap)
 
 
 def _resolve_group(args) -> Group:
-    if args.input:
-        return load_group_file(args.input, order_cap=args.order_cap)
+    """The command's group; a bad or oversized selector is bad input that names it."""
     try:
         return parse_selector(args.selector, order_cap=args.order_cap)
-    except OrderCapExceeded as e:
+    except (OrderCapExceeded, ValueError) as e:
         raise ValueError(f"{args.selector}: {e}") from e
 
 
@@ -146,39 +146,25 @@ def cmd_group_show(args) -> int:
     return 0
 
 
+def _sigma_from_args(args) -> SigmaPartition | None:
+    return SigmaPartition.parse(args.sigma) if args.sigma else None
+
+
 def _formation_from_args(args):
-    sigma = SigmaPartition.parse(args.sigma) if args.sigma else None
-    return formation_by_selector(args.formation, sigma)
+    return formation_by_selector(args.formation, _sigma_from_args(args))
 
 
-def cmd_residual(args) -> int:
-    from .formations import residual
-
+def cmd_formation_subgroup(args) -> int:
+    """``residual`` or ``hypercentre``, whichever command was given."""
     G = _resolve_group(args)
     F = _formation_from_args(args)
-    R = residual(G, F)
+    S = {"residual": residual, "hypercentre": hypercentre}[args.command](G, F)
     _emit(
         {
             "group": G.label,
             "formation": F.name,
-            "residual_order": R.order,
-            "residual_members": R.array.tolist(),
-        },
-        args.format,
-    )
-    return 0
-
-
-def cmd_hypercentre(args) -> int:
-    G = _resolve_group(args)
-    F = _formation_from_args(args)
-    Z = hypercentre(G, F)
-    _emit(
-        {
-            "group": G.label,
-            "formation": F.name,
-            "hypercentre_order": Z.order,
-            "hypercentre_members": Z.array.tolist(),
+            f"{args.command}_order": S.order,
+            f"{args.command}_members": S.array.tolist(),
         },
         args.format,
     )
@@ -195,7 +181,7 @@ def cmd_subnormal(args) -> int:
         if not (0 <= g < G.order):
             raise ValueError(f"generator index {g} out of range 0..{G.order - 1}")
     A = generated_subgroup(G, gens)
-    sigma = SigmaPartition.parse(args.sigma) if args.sigma else None
+    sigma = _sigma_from_args(args)  # a bad --sigma is bad input whatever the kind
     if args.kind == "plain":
         chain = is_subnormal(G, A)
     elif args.kind == "sigma":
@@ -203,11 +189,8 @@ def cmd_subnormal(args) -> int:
             raise ValueError("--kind sigma requires --sigma")
         chain = is_sigma_subnormal(G, A, sigma, args.lattice_budget)
     else:
-        F = formation_by_selector(args.formation, sigma)
-        if args.kind == "kf":
-            chain = is_k_f_subnormal(G, A, F, args.lattice_budget)
-        else:
-            chain = is_f_subnormal(G, A, F, args.lattice_budget)
+        search = is_k_f_subnormal if args.kind == "kf" else is_f_subnormal
+        chain = search(G, A, _formation_from_args(args), args.lattice_budget)
     payload = {
         "group": G.label,
         "subgroup_order": A.order,
@@ -223,9 +206,10 @@ def cmd_subnormal(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sigma = SigmaPartition.parse(args.sigma) if args.sigma else None
+    sigma = _sigma_from_args(args)
     # resolved before the catalog is built, so a bad selector fails at once
-    formations = [_formation_from_args(args)] if args.formation else builtin_formations(sigma)
+    formations = ([formation_by_selector(args.formation, sigma)] if args.formation
+                  else builtin_formations(sigma))
     catalog = catalog_generate(args.max_order, files=tuple(args.input or ()),
                                order_cap=args.order_cap)
     sweeps = run_all if args.claim == "all" else verify.CLAIMS[args.claim]
@@ -274,12 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="finform", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, selector=True):
+    def common(p, selector=True, lattice_budget=True):
         if selector:
-            p.add_argument("selector", nargs="?", default="trivial")
-            p.add_argument("--input", help="group file (overrides the selector)")
+            p.add_argument("selector", nargs="?", default="trivial",
+                           help="group selector; file:<path> reads a group file")
         p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
-        p.add_argument("--lattice-budget", type=int, default=DEFAULT_LATTICE_BUDGET)
+        if lattice_budget:
+            p.add_argument("--lattice-budget", type=int, default=DEFAULT_LATTICE_BUDGET)
         p.add_argument(
             "--format", choices=("text", "structured"), default="text",
             help="text or json-like structured output",
@@ -292,17 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     show.add_argument("--cayley", action="store_true", help="include the full table")
     show.set_defaults(func=cmd_group_show)
 
-    res = sub.add_parser("residual", help="formation residual of a group")
-    common(res)
-    res.add_argument("--formation", required=True)
-    res.add_argument("--sigma")
-    res.set_defaults(func=cmd_residual)
-
-    hyp = sub.add_parser("hypercentre", help="formation hypercentre of a group")
-    common(hyp)
-    hyp.add_argument("--formation", required=True)
-    hyp.add_argument("--sigma")
-    hyp.set_defaults(func=cmd_hypercentre)
+    for name in ("residual", "hypercentre"):
+        p = sub.add_parser(name, help=f"formation {name} of a group")
+        common(p, lattice_budget=False)
+        p.add_argument("--formation", required=True)
+        p.add_argument("--sigma")
+        p.set_defaults(func=cmd_formation_subgroup)
 
     sn = sub.add_parser("subnormal", help="witness chains for subnormality notions")
     common(sn)
@@ -337,7 +317,7 @@ def _check_ranges(args) -> None:
         raise ValueError("max-order and order-cap must be positive")
     if getattr(args, "max_order", 1) > args.order_cap:
         raise ValueError("max-order cannot exceed order-cap")
-    if getattr(args, "budget", 1) < 1 or args.lattice_budget < 1:
+    if getattr(args, "budget", 1) < 1 or getattr(args, "lattice_budget", 1) < 1:
         raise ValueError("budgets must be positive")
 
 

@@ -7,7 +7,7 @@ Both semidirect constructions fill their table by one pair-table formula:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -217,22 +217,6 @@ def elem_abelian(p: int, k: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> G
         g = direct_product(g, cyclic(p, order_cap=order_cap), order_cap=order_cap)
     g.label = f"elab({p},{k})"
     return g
-
-
-FAMILY_BUILDERS: dict[str, Callable[..., Group]] = {
-    "cyclic": cyclic,
-    "dihedral": dihedral,
-    "symmetric": symmetric,
-    "alternating": alternating,
-    "quaternion": quaternion,
-    "elem_abelian": elem_abelian,
-}
-
-
-def standard_family(kind: str, *params: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
-    if kind not in FAMILY_BUILDERS:
-        raise ValueError(f"unknown family {kind!r}; choose from {sorted(FAMILY_BUILDERS)}")
-    return FAMILY_BUILDERS[kind](*params, order_cap=order_cap)
 
 
 # -- products ---------------------------------------------------------------

@@ -20,8 +20,7 @@ import numpy as np
 
 from . import construct
 from .errors import (
-    FormationLawViolated,
-    HypercentreNotHypercentral,
+    GroupError,
     LatticeBudgetExceeded,
     OrderCapExceeded,
     SearchBudgetExceeded,
@@ -291,7 +290,7 @@ def _sweep(
     """Run ``body`` on each catalog group, recording on ``rep``, and time it.
 
     ``body(G)`` records G's instances on ``rep``. A budget or cap hit on G is
-    a skip and an internal invariant failure a replayable ``internal-error``
+    a skip, and any other engine error a replayable ``internal-error``
     failure. What the body recorded before either stays, and the sweep goes
     on with the next group.
     """
@@ -303,7 +302,7 @@ def _sweep(
             _skip(rep, G, "budget-exceeded", str(e))
         except OrderCapExceeded as e:
             _skip(rep, G, "order-cap-exceeded", str(e))
-        except (FormationLawViolated, HypercentreNotHypercentral) as e:
+        except GroupError as e:
             _fail(rep, G, reason="internal-error", detail=f"{type(e).__name__}: {e}")
     rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return rep

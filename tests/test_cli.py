@@ -26,6 +26,9 @@ from finform.cli import main, parse_selector
 from finform.files import dump_group_table, load_group_file, parse_cycles
 
 GROUPS = Path(__file__).resolve().parent.parent / "groups"
+FROB20 = str(GROUPS / "frobenius20.grp")
+
+A4_IN_S4 = [0, 3, 4, 5, 11, 12, 13, 14, 15, 21, 22, 23]
 
 SECTION3_CLAIMS = [
     "section3-supersoluble-kegel-chains",
@@ -191,6 +194,25 @@ class TestCommands:
         assert main(["hypercentre", "sym:3", "--formation", "supersoluble"]) == 0
         out = capsys.readouterr().out
         assert "hypercentre_order: 6" in out
+
+    @pytest.mark.parametrize("extra, name, residual, hypercentre", [
+        (["nilpotent"], "nilpotent", A4_IN_S4, [0]),
+        (["supersoluble"], "supersoluble", [0, 5, 12, 23], [0]),
+        (["soluble"], "soluble", [0], list(range(24))),
+        (["sigma-nilpotent", "--sigma", "[[2,3]]"], "sigma-nilpotent[[2,3]]",
+         [0], list(range(24))),
+        (["sigma-nilpotent", "--sigma", "[[2],[3]]"], "sigma-nilpotent[[2],[3]]",
+         A4_IN_S4, [0]),
+    ], ids=["nilpotent", "supersoluble", "soluble", "sigma-one-block", "sigma-singletons"])
+    def test_residual_and_hypercentre_of_s4_are_pinned(self, extra, name, residual,
+                                                        hypercentre, capsys):
+        for command, members in (("residual", residual), ("hypercentre", hypercentre)):
+            argv = [command, "sym:4", "--formation", *extra, "--format", "structured"]
+            assert main(argv) == 0
+            want = {"formation": name, "group": "S4", f"{command}_order": len(members),
+                    f"{command}_members": members}
+            assert capsys.readouterr().out == (
+                json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n")
 
     @pytest.mark.parametrize("extra, order", [
         (["--formation", "nilpotent"], 1),
@@ -401,11 +423,11 @@ class TestCommands:
             (["hypercentre", "cyclic:6", "--formation", "sigma-nilpotent",
               "--sigma", "[[3.9,2]]"], 3),
             (["group", "show", "sym:3", "--lattice-budget", "0"], 3),
-            (["residual", "sym:3", "--formation", "nilpotent", "--lattice-budget", "-5"], 3),
-            (["hypercentre", "sym:3", "--formation", "nilpotent", "--lattice-budget", "0"], 3),
             (["subnormal", "sym:3", "--gens", "1", "--lattice-budget", "-5"], 3),
             (["verify", "theorem-b", "--lattice-budget", "0"], 3),
             (["group", "show", "sym:3", "--order-cap", "0"], 3),
+            (["group", "show", "cyclic:abc"], 3),
+            (["group", "show", "prod(sym:3,sym:3,sym:3)"], 3),
         ],
     )
     def test_caps_budgets_and_sigma_entries_exit_codes(self, argv, code, capsys):
@@ -413,6 +435,9 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        # an error in the group selector itself names the selector
+        bad = {"cyclic:1000", "cyclic:600", "cyclic:abc", "prod(sym:3,sym:3,sym:3)"}
+        assert all(err.startswith(f"error: {sel}: ") for sel in bad.intersection(argv))
 
     @pytest.mark.parametrize(
         "argv",
@@ -421,6 +446,12 @@ class TestCommands:
             ["verify", "theorem-b", "--max-order", "abc"],
             ["group", "show", "sym:3", "--no-such-flag"],
             ["residual", "sym:3"],
+            ["residual", "sym:3", "--formation", "nilpotent", "--lattice-budget", "-5"],
+            ["hypercentre", "sym:3", "--formation", "nilpotent", "--lattice-budget", "0"],
+            ["group", "show", "--input", FROB20],
+            ["residual", "--input", FROB20, "--formation", "nilpotent"],
+            ["hypercentre", "--input", FROB20, "--formation", "nilpotent"],
+            ["subnormal", "--input", FROB20, "--gens", "1"],
         ],
     )
     def test_usage_error_is_config_error(self, argv, capsys):

@@ -36,7 +36,6 @@ from finform import (
     quotient,
     semidirect_product,
     semidirect_section,
-    standard_family,
     symmetric,
     trivial,
     upper_central_series,
@@ -131,13 +130,13 @@ class TestPermutationClosure:
 
 class TestFamilies:
     def test_cyclic_one_is_trivial(self):
-        assert standard_family("cyclic", 1).order == 1
+        assert cyclic(1).order == 1
 
     def test_symmetric_four(self):
-        assert standard_family("symmetric", 4).order == 24
+        assert symmetric(4).order == 24
 
     def test_quaternion_single_involution(self):
-        q = standard_family("quaternion", 8)
+        q = quaternion(8)
         assert q.order == 8
         assert int((q.element_orders == 2).sum()) == 1
 

@@ -12,6 +12,7 @@ from finform import (
     SUPERSOLUBLE,
     Formation,
     HypercentreNotHypercentral,
+    NotNormal,
     OrderCapExceeded,
     SigmaPartition,
     Subgroup,
@@ -158,13 +159,13 @@ def _v4_internal_error(run, error, v4_failures=1):
     return list(zip(reports, alone))
 
 
-def _raising_on_order_4(monkeypatch, *names):
-    """Make each named engine call of ``verify`` raise
-    HypercentreNotHypercentral when its group has order 4."""
+def _raising_on_order_4(monkeypatch, *names, error=HypercentreNotHypercentral):
+    """Make each named engine call of ``verify`` raise ``error`` when its
+    group has order 4."""
     for name in names:
         def call(G, *args, real=getattr(verify, name)):
             if G.order == 4:
-                raise HypercentreNotHypercentral("planted on V4")
+                raise error("planted on V4")
             return real(G, *args)
 
         monkeypatch.setattr(verify, name, call)
@@ -206,6 +207,14 @@ class TestTheoremB:
                                             "FormationLawViolated", failures)
         assert (rep.checked - alone.checked, rep.asserted - alone.asserted) == (
             checked, asserted)
+
+    def test_any_engine_error_is_a_replayable_failure(self, monkeypatch):
+        # NotNormal is no invariant check of the sweep, yet it is recorded
+        # on V4 like one and the sweep goes on
+        _raising_on_order_4(monkeypatch, "hypercentre", error=NotNormal)
+        [(rep, alone)] = _v4_internal_error(
+            lambda cat: [verify_theorem_b(cat, NILPOTENT)], "NotNormal")
+        assert (rep.checked - alone.checked, rep.asserted - alone.asserted) == (1, 0)
 
     def test_unsaturated_formation_rejected(self, catalog12):
         from finform import Formation
