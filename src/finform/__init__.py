@@ -13,7 +13,6 @@ from .errors import (
     HypercentreNotHypercentral,
     LatticeBudgetExceeded,
     NotAGroup,
-    NotCentralized,
     NotNormal,
     OrderCapExceeded,
     SearchBudgetExceeded,

@@ -181,7 +181,8 @@ def cmd_subnormal(args) -> int:
         if not (0 <= g < G.order):
             raise ValueError(f"generator index {g} out of range 0..{G.order - 1}")
     A = generated_subgroup(G, gens)
-    sigma = _sigma_from_args(args)  # a bad --sigma is bad input whatever the kind
+    # a bad --sigma or --formation is bad input whatever the kind
+    sigma, F = _sigma_from_args(args), _formation_from_args(args)
     if args.kind == "plain":
         chain = is_subnormal(G, A)
     elif args.kind == "sigma":
@@ -190,7 +191,7 @@ def cmd_subnormal(args) -> int:
         chain = is_sigma_subnormal(G, A, sigma, args.lattice_budget)
     else:
         search = is_k_f_subnormal if args.kind == "kf" else is_f_subnormal
-        chain = search(G, A, _formation_from_args(args), args.lattice_budget)
+        chain = search(G, A, F, args.lattice_budget)
     payload = {
         "group": G.label,
         "subgroup_order": A.order,

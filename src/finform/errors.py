@@ -30,10 +30,6 @@ class NotNormal(_WitnessedError):
     """
 
 
-class NotCentralized(_WitnessedError):
-    """An element required to centralize a section moves one of its cosets."""
-
-
 class OrderCapExceeded(GroupError):
     """A construction would produce a group larger than the configured cap."""
 

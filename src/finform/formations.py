@@ -99,19 +99,11 @@ class SigmaPartition:
 
     def one_class(self, n: int) -> bool:
         """Whether all primes of n lie in a single class."""
-        return len({self.class_key(p) for p in _prime_factors(n)}) <= 1
+        return len({self.prime_class(p) for p in _prime_factors(n)}) <= 1
 
-    def class_key(self, p: int):
-        """A hashable identifier of the class containing prime p."""
-        for i, cls in enumerate(self.classes):
-            if p in cls:
-                return ("class", i)
-        return ("prime", p)
-
-    def class_primes(self, key) -> frozenset[int]:
-        if key[0] == "class":
-            return self.classes[key[1]]
-        return frozenset((key[1],))
+    def prime_class(self, p: int) -> frozenset[int]:
+        """The class containing prime p: a listed one, else {p}."""
+        return next((cls for cls in self.classes if p in cls), frozenset({p}))
 
     @property
     def key(self) -> str:
@@ -153,10 +145,8 @@ def is_sigma_nilpotent(G: Group, sigma: SigmaPartition) -> bool:
     The internal product of those Hall subgroups is then automatically
     direct and equal to the group.
     """
-    keys = {sigma.class_key(p) for p in _prime_factors(G.order)}
-    return all(
-        normal_hall_subgroup(G, sigma.class_primes(k)) is not None for k in keys
-    )
+    classes = {sigma.prime_class(p) for p in _prime_factors(G.order)}
+    return all(normal_hall_subgroup(G, cls) is not None for cls in classes)
 
 
 # -- formations --------------------------------------------------------------
@@ -203,8 +193,7 @@ class Formation:
 
 def _sigma_rule(sigma: SigmaPartition) -> ChiefRule:
     """All primes of m·|Q| lie in one class; this covers nonabelian factors."""
-    return lambda G, H, K: sigma.one_class(
-        H.order // K.order * (G.order // centralizer_of_section(G, H, K).order))
+    return lambda G, H, K: is_sigma_central(G, H, K, sigma)
 
 
 def _soluble_rule(G: Group, H: Subgroup, K: Subgroup) -> bool:
@@ -281,16 +270,13 @@ def residual(G: Group, F: Formation) -> Subgroup:
 
 
 def section_product(G: Group, H: Subgroup, K: Subgroup) -> Group:
-    """The semidirect product of H/K by G modulo the section's centralizer.
+    """The section product [H/K](G/C_G(H/K)), memoised on G and capped.
 
     This single product decides centrality: testing at the full centralizer
     is equivalent to the existential definition over admissible kernels.
     """
-    def compute():
-        C = centralizer_of_section(G, H, K)
-        return semidirect_section(G, H, K, C, order_cap=SECTION_PRODUCT_CAP)
-
-    return _memo(G, ("section_product", H, K), compute)
+    return _memo(G, ("section_product", H, K),
+                 lambda: semidirect_section(G, H, K, order_cap=SECTION_PRODUCT_CAP))
 
 
 def is_f_central(G: Group, H: Subgroup, K: Subgroup, F: Formation) -> bool:
@@ -299,8 +285,11 @@ def is_f_central(G: Group, H: Subgroup, K: Subgroup, F: Formation) -> bool:
 
 
 def is_sigma_central(G: Group, H: Subgroup, K: Subgroup, sigma: SigmaPartition) -> bool:
-    """Whether H/K is sigma-central: the section product is sigma-primary."""
-    return is_sigma_primary(section_product(G, H, K), sigma)
+    """Whether the normal section H/K is sigma-central: the section product
+    [H/K](G/C_G(H/K)) is sigma-primary, read off its order
+    |H/K|·|G : C_G(H/K)| without building it."""
+    return sigma.one_class(
+        H.order // K.order * (G.order // centralizer_of_section(G, H, K).order))
 
 
 # -- hypercentres ----------------------------------------------------------------

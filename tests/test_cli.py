@@ -424,6 +424,10 @@ class TestCommands:
               "--sigma", "[[3.9,2]]"], 3),
             (["group", "show", "sym:3", "--lattice-budget", "0"], 3),
             (["subnormal", "sym:3", "--gens", "1", "--lattice-budget", "-5"], 3),
+            (["subnormal", "sym:3", "--gens", "1", "--kind", "plain",
+              "--formation", "bogus"], 3),
+            (["subnormal", "sym:3", "--gens", "1", "--kind", "sigma", "--sigma", "[[2,3]]",
+              "--formation", "bogus"], 3),
             (["verify", "theorem-b", "--lattice-budget", "0"], 3),
             (["group", "show", "sym:3", "--order-cap", "0"], 3),
             (["group", "show", "cyclic:abc"], 3),

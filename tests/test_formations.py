@@ -204,6 +204,28 @@ class TestCentralSections:
         c5 = generated_subgroup(d10, [e for e in range(10) if d10.element_orders[e] == 5])
         assert not is_sigma_central(d10, c5, d10.trivial_subgroup(), sig)
 
+    @pytest.mark.parametrize("sigma", ["[[2,3]]", "[]"])
+    def test_sigma_central_reads_the_order_without_building(self, sigma, monkeypatch):
+        # the expected verdicts come from a separate catalog, built and
+        # decided before the builder is patched, so no memo hides a build
+        sig = SigmaPartition.parse(sigma)
+
+        def pairs(catalog):
+            for g in catalog.groups:
+                normals = normal_subgroups(g)
+                yield from ((g, H, K) for H in normals for K in normals if K <= H)
+
+        want = [is_sigma_primary(section_product(g, H, K), sig)
+                for g, H, K in pairs(catalog_generate(24))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("section product built")
+
+        monkeypatch.setattr(construct, "semidirect_section", refuse)
+        monkeypatch.setattr(formations, "semidirect_section", refuse)
+        got = [is_sigma_central(g, H, K, sig) for g, H, K in pairs(catalog_generate(24))]
+        assert got == want and len(want) > 2000 and 0 < sum(want) < len(want)
+
 
 class TestHypercentre:
     def test_trivial_normal_is_hypercentral(self):
