@@ -150,14 +150,10 @@ def _sigma_from_args(args) -> SigmaPartition | None:
     return SigmaPartition.parse(args.sigma) if args.sigma else None
 
 
-def _formation_from_args(args):
-    return formation_by_selector(args.formation, _sigma_from_args(args))
-
-
 def cmd_formation_subgroup(args) -> int:
     """``residual`` or ``hypercentre``, whichever command was given."""
     G = _resolve_group(args)
-    F = _formation_from_args(args)
+    F = formation_by_selector(args.formation, _sigma_from_args(args))
     S = {"residual": residual, "hypercentre": hypercentre}[args.command](G, F)
     _emit(
         {
@@ -182,7 +178,8 @@ def cmd_subnormal(args) -> int:
             raise ValueError(f"generator index {g} out of range 0..{G.order - 1}")
     A = generated_subgroup(G, gens)
     # a bad --sigma or --formation is bad input whatever the kind
-    sigma, F = _sigma_from_args(args), _formation_from_args(args)
+    sigma = _sigma_from_args(args)
+    F = formation_by_selector(args.formation, sigma)
     if args.kind == "plain":
         chain = is_subnormal(G, A)
     elif args.kind == "sigma":

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotAGroup, NotNormal, OrderCapExceeded
+from .errors import NotAGroup, OrderCapExceeded
 from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
@@ -284,10 +284,7 @@ def semidirect_section(
     representatives in one gather, valid by construction and so not checked
     again.
     """
-    for sub, name in ((H, "H"), (K, "K")):
-        if not sub.is_normal():
-            raise NotNormal(f"{name} is not normal in {G.label}")
-    C = centralizer_of_section(G, H, K)  # ValueError unless K <= H
+    C = centralizer_of_section(G, H, K)  # checks K <= H and H, K normal in G
     check_order_cap((H.order // K.order) * (G.order // C.order), order_cap)
     sec_reps, sec_index, sec_table = _cosets(G, K, H)
     quo_reps, _, quo_table = _cosets(G, C, G.full_subgroup())

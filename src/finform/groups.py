@@ -540,12 +540,17 @@ def _normality_witness(G: Group, N: Subgroup) -> tuple[int, int]:
 
 
 def centralizer_of_section(G: Group, H: Subgroup, K: Subgroup) -> Subgroup:
-    """C_G(H/K) = elements whose conjugation fixes every coset hK."""
+    """C_G(H/K) = elements whose conjugation fixes every coset hK.
+
+    The section must have K <= H (else ValueError) with H and K normal in G
+    (else NotNormal); the checks run once per section, with the memo.
+    """
     def compute():
         if not K <= H:
             raise ValueError("section requires K <= H")
-        if not _normal_in(H, K):
-            raise NotNormal("section bottom is not normal in its top")
+        for sub, name in ((H, "H"), (K, "K")):
+            if not sub.is_normal():
+                raise NotNormal(f"{name} is not normal in {G.label}")
         repK = G.table[:, K.array].min(axis=1)  # x -> least element of xK
         conj = _conjugates(G, np.arange(G.order, dtype=np.int32), H.array)  # g^-1 h g
         return _subgroup(G, (repK[conj] == repK[H.array][None, :]).all(axis=1))

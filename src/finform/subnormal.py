@@ -101,32 +101,20 @@ def is_subnormal(G: Group, A: Subgroup) -> WitnessChain | None:
     return WitnessChain(tuple(chain), (NORMAL_STEP,) * (len(chain) - 1))
 
 
-StepTest = Callable[[Subgroup, Subgroup], str | None]
-
-
-def _step(quotient_ok: Callable[[Group], bool], normal_steps: bool = True) -> StepTest:
-    """A step is normal (when allowed) or has its core-quotient pass the test."""
-    def test(low: Subgroup, high: Subgroup) -> str | None:
-        if normal_steps and _normal_in(high, low):
-            return NORMAL_STEP
-        if quotient_ok(_core_quotient(low, high)):
-            return F_STEP
-        return None
-
-    return test
-
-
 def _chain_search(
     G: Group,
     A: Subgroup,
-    step: StepTest,
-    step_cache_key: str,
+    quotient_ok: Callable[[Group], bool],
+    normal_steps: bool,
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> WitnessChain | None:
     """Breadth-first shortest witness chain over the overgroups of A.
 
-    Ties are broken in lattice order, so witnesses are reproducible. Edge
-    verdicts are memoised per step kind on the lower subgroup.
+    A step X < Y is normal when ``normal_steps`` allows it and X is normal in
+    Y, else an f-step when ``quotient_ok`` accepts Y / core_Y(X), else no step.
+    Normality and the core quotient are memoised per pair, so every chain
+    kind shares them. Ties are broken in lattice order, so witnesses are
+    reproducible.
     """
     _check_parent(G, A)
     overs = all_subgroups(G, budget=lattice_budget).overgroups_of(A)  # A first, G last
@@ -139,8 +127,11 @@ def _chain_search(
             for Y in overs:
                 if Y in chains or not X <= Y:  # X itself is in chains
                     continue
-                kind = _memo(X, ("chain_edge", step_cache_key, Y), lambda: step(X, Y))
-                if kind is None:
+                if normal_steps and _memo(X, ("normal_in", Y), lambda: _normal_in(Y, X)):
+                    kind = NORMAL_STEP
+                elif quotient_ok(_core_quotient(X, Y)):
+                    kind = F_STEP
+                else:
                     continue
                 terms, kinds = chains[X]
                 chains[Y] = (terms + (Y,), kinds + (kind,))
@@ -158,7 +149,7 @@ def is_k_f_subnormal(
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> WitnessChain | None:
     """Kegel chain: each step normal or with core-quotient in F."""
-    return _chain_search(G, A, _step(F.contains), f"kf:{F.name}", lattice_budget)
+    return _chain_search(G, A, F.contains, True, lattice_budget)
 
 
 def is_f_subnormal(
@@ -168,8 +159,7 @@ def is_f_subnormal(
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> WitnessChain | None:
     """Chain of core-quotient steps only."""
-    return _chain_search(G, A, _step(F.contains, normal_steps=False),
-                         f"f:{F.name}", lattice_budget)
+    return _chain_search(G, A, F.contains, False, lattice_budget)
 
 
 def is_sigma_subnormal(
@@ -179,5 +169,4 @@ def is_sigma_subnormal(
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> WitnessChain | None:
     """Chain of normal steps or sigma-primary core-quotient steps."""
-    return _chain_search(G, A, _step(lambda Q: is_sigma_primary(Q, sigma)),
-                         f"sigma:{sigma.key}", lattice_budget)
+    return _chain_search(G, A, lambda Q: is_sigma_primary(Q, sigma), True, lattice_budget)

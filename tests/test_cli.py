@@ -365,6 +365,16 @@ class TestCommands:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "554e33cab2b17c9617d756ff16e405ac3d334445d7d39e3494265425ac741172"
 
+    def test_verify_all_report_at_order_24_is_pinned(self, capsys):
+        # the one pinned report that covers theorem-a, section3 and
+        # schenkman: a chain search or hypercentre that alters a verdict
+        # moves this digest
+        args = ["verify", "all", "--max-order", "24", "--sigma", "[[2,3]]",
+                "--format", "structured"]
+        assert main(args) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "035202db8cc6a108d535b925669d56bade6681a5e884f9687859d7635981f456"
+
     def test_verify_with_input_file(self, tmp_path, capsys):
         path = tmp_path / "extra.grp"
         path.write_text("perm 3\n(0 1 2)\n")

@@ -204,6 +204,16 @@ class TestCentralSections:
         c5 = generated_subgroup(d10, [e for e in range(10) if d10.element_orders[e] == 5])
         assert not is_sigma_central(d10, c5, d10.trivial_subgroup(), sig)
 
+    def test_both_predicates_reject_a_section_not_normal_in_g(self):
+        s3 = symmetric(3)
+        t = next(e for e in range(6) if s3.element_orders[e] == 2)
+        c2 = generated_subgroup(s3, [t])
+        sig = SigmaPartition.parse("[[2,3]]")
+        for decide in (lambda H, K: is_f_central(s3, H, K, NILPOTENT),
+                       lambda H, K: is_sigma_central(s3, H, K, sig)):
+            with pytest.raises(NotNormal, match="H is not normal in S3"):
+                decide(c2, s3.trivial_subgroup())
+
     @pytest.mark.parametrize("sigma", ["[[2,3]]", "[]"])
     def test_sigma_central_reads_the_order_without_building(self, sigma, monkeypatch):
         # the expected verdicts come from a separate catalog, built and

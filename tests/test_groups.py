@@ -413,7 +413,7 @@ class TestSubgroupBasics:
         assert centralizer_of_section(s4, v4, s4.trivial_subgroup()) == v4
         with pytest.raises(ValueError, match="K <= H"):
             centralizer_of_section(s4, v4, d8)  # V4 does not contain D8
-        with pytest.raises(NotNormal, match="not normal in its top"):
+        with pytest.raises(NotNormal, match="K is not normal"):
             centralizer_of_section(s4, s4.full_subgroup(), d8)
 
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from finform import (
@@ -15,9 +17,10 @@ from finform import (
     sigma_nilpotent_formation,
     symmetric,
 )
-from finform.groups import cyclic_subgroup
+from finform import groups, subnormal
+from finform.groups import core, cyclic_subgroup
 from finform.formations import is_sigma_primary
-from finform.subnormal import F_STEP, NORMAL_STEP, WitnessChain, _core_quotient, _step
+from finform.subnormal import F_STEP, NORMAL_STEP, WitnessChain, _core_quotient
 
 
 def d4_in_s4(s4):
@@ -198,16 +201,34 @@ def _reference_chain_search(G, A, step):
     return None
 
 
-def test_chain_search_matches_index_reference(catalog24):
+def _definition_step(quotient_ok, normal_steps=True):
+    """The step rule as defined: low < high is a normal step when low is its
+    own core in high, else an f-step when high / core passes the test."""
+    def step(low, high):
+        if normal_steps and core(high, low) == low:
+            return NORMAL_STEP
+        if quotient_ok(_core_quotient(low, high)):
+            return F_STEP
+        return None
+
+    return step
+
+
+def _four_deciders():
     sig = SigmaPartition.parse("[[2,3]]")
-    kinds = [
-        (lambda g, S: is_k_f_subnormal(g, S, NILPOTENT), _step(NILPOTENT.contains)),
-        (lambda g, S: is_k_f_subnormal(g, S, SUPERSOLUBLE), _step(SUPERSOLUBLE.contains)),
+    return [
+        (lambda g, S: is_k_f_subnormal(g, S, NILPOTENT), _definition_step(NILPOTENT.contains)),
+        (lambda g, S: is_k_f_subnormal(g, S, SUPERSOLUBLE),
+         _definition_step(SUPERSOLUBLE.contains)),
         (lambda g, S: is_f_subnormal(g, S, SUPERSOLUBLE),
-         _step(SUPERSOLUBLE.contains, normal_steps=False)),
+         _definition_step(SUPERSOLUBLE.contains, normal_steps=False)),
         (lambda g, S: is_sigma_subnormal(g, S, sig),
-         _step(lambda Q: is_sigma_primary(Q, sig))),
+         _definition_step(lambda Q: is_sigma_primary(Q, sig))),
     ]
+
+
+def test_chain_search_matches_index_reference(catalog24):
+    kinds = _four_deciders()
     found = 0
     for g in catalog24.groups:
         for S in all_subgroups(g):
@@ -220,6 +241,25 @@ def test_chain_search_matches_index_reference(catalog24):
                     assert len(chain.terms) == len(ref.terms)
                     assert chain.step_kinds == ref.step_kinds
     assert found > 0
+
+
+def test_each_normality_fact_is_tested_once_across_chain_kinds(monkeypatch):
+    # normality of a pair does not depend on the chain kind, so the four
+    # deciders share one memo per (ambient, sub) pair
+    tested = Counter()
+    normal_in = groups._normal_in
+
+    def record(ambient, sub):
+        tested[ambient, sub] += 1
+        return normal_in(ambient, sub)
+
+    monkeypatch.setattr(groups, "_normal_in", record)
+    monkeypatch.setattr(subnormal, "_normal_in", record)
+    s4 = symmetric(4)
+    for decide, _ in _four_deciders():
+        for S in all_subgroups(s4).subgroups:
+            decide(s4, S)
+    assert tested and max(tested.values()) == 1
 
 
 def test_subgroup_of_another_group_is_rejected():
