@@ -1,9 +1,11 @@
 """Group constructions: standard families, products, and section products.
 
-Both semidirect constructions fill their table by one pair-table formula:
-``semidirect_product`` once it has checked its caller's action, and
-``semidirect_section``, the section product [H/K](G/C_G(H/K)), straight
-from the parent's table.
+``semidirect_product`` fills its table by the pair-table formula once it
+has checked its caller's action. ``semidirect_section``, the section
+product [H/K](G/C_G(H/K)), reads its table straight off the parent's: by
+the same formula when G/C_G(H/K) acts, and as H/K alone when G centralizes
+the section, since the formula with a one-element acting group gives H/K's
+table unchanged.
 """
 
 from __future__ import annotations
@@ -279,15 +281,19 @@ def semidirect_section(
     The coset gC acts by sending hK to (g h g^-1)K; reading conjugation on
     the other side yields the same group up to isomorphism.
 
-    The table is read off G's: the cosets of K in H and of C = C_G(H/K) in
-    G, each numbered by its least element, with the action on those
-    representatives in one gather, valid by construction and so not checked
-    again.
+    The table is read off G's: the cosets of K in H, numbered by their
+    least elements, give H/K, which is the product when C = C_G(H/K) is G
+    (the pair-table formula with a one-element acting group gives the same
+    table). Otherwise the cosets of C in G are numbered the same way, with
+    the action on those representatives in one gather, valid by
+    construction and so not checked again.
     """
     C = centralizer_of_section(G, H, K)  # checks K <= H and H, K normal in G
     check_order_cap((H.order // K.order) * (G.order // C.order), order_cap)
+    label = f"[{H.order}/{K.order}]({G.label}/{C.order})"
     sec_reps, sec_index, sec_table = _cosets(G, K, H)
+    if C.order == G.order:
+        return _derived_group(sec_table, label)
     quo_reps, _, quo_table = _cosets(G, C, G.full_subgroup())
     conj = G.table[G.table[quo_reps[:, None], sec_reps], G.inverse[quo_reps][:, None]]
-    return _derived_group(_pair_table(sec_table, quo_table, sec_index[conj]),
-                          f"[{H.order}/{K.order}]({G.label}/{C.order})")
+    return _derived_group(_pair_table(sec_table, quo_table, sec_index[conj]), label)

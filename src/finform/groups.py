@@ -500,15 +500,33 @@ def derived_series(G: Group) -> list[Subgroup]:
 # -- quotients and section machinery -------------------------------------
 
 
+def _coset_least(G: Group, N: Subgroup) -> np.ndarray:
+    """The map x -> (least element of xN) over all of G, memoised on N.
+
+    ``_cosets`` and ``centralizer_of_section`` both read it, so N's cosets
+    are read once for every quotient and section that N ends.
+    """
+    def compute():
+        least = G.table[:, N.array].min(axis=1)
+        least.flags.writeable = False
+        return least
+
+    return _memo(N, "coset_least", compute)
+
+
 def _cosets(G: Group, N: Subgroup, within: Subgroup) -> tuple[np.ndarray, ...]:
     """The cosets of N in ``within``, for N normal in ``within``.
+
+    The least elements are read from ``_coset_least``, the left cosets xN
+    over all of G: xN = Nx for every x in ``within``, where N is normal, and
+    the entries outside ``within`` are never read.
 
     Returns the least element of each coset, sorted (coset i is the one
     with the i-th least representative); the coset index of every element
     of ``within`` (an array over G's elements, -1 outside ``within``); and
     the table of the quotient ``within``/N on those indices.
     """
-    least = G.table[N.array].take(within.array, axis=1).min(axis=0)  # least of N*x
+    least = _coset_least(G, N)[within.array]
     reps = np.unique(least)
     index = np.full(G.order, -1, dtype=np.int32)
     index[within.array] = np.searchsorted(reps, least)
@@ -543,7 +561,9 @@ def centralizer_of_section(G: Group, H: Subgroup, K: Subgroup) -> Subgroup:
     """C_G(H/K) = elements whose conjugation fixes every coset hK.
 
     The section must have K <= H (else ValueError) with H and K normal in G
-    (else NotNormal); the checks run once per section, with the memo.
+    (else NotNormal); the checks run once per section, with the memo. A
+    trivial section H = K is centralized by all of G, with no conjugation
+    read; otherwise the cosets hK are read from ``_coset_least``.
     """
     def compute():
         if not K <= H:
@@ -551,7 +571,9 @@ def centralizer_of_section(G: Group, H: Subgroup, K: Subgroup) -> Subgroup:
         for sub, name in ((H, "H"), (K, "K")):
             if not sub.is_normal():
                 raise NotNormal(f"{name} is not normal in {G.label}")
-        repK = G.table[:, K.array].min(axis=1)  # x -> least element of xK
+        if H == K:
+            return G.full_subgroup()
+        repK = _coset_least(G, K)
         conj = _conjugates(G, np.arange(G.order, dtype=np.int32), H.array)  # g^-1 h g
         return _subgroup(G, (repK[conj] == repK[H.array][None, :]).all(axis=1))
 

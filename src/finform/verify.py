@@ -715,8 +715,8 @@ def _hypercentre_meets_subgroups(c: _LawContext):
 def _supplements(
     G: Group, lat: SubgroupLattice, normals: list[Subgroup]
 ) -> dict[Subgroup, list[Subgroup]]:
-    """For each normal N, the subgroups U with NU = G; both supplement laws
-    read them."""
+    """For each normal N, the subgroups U with NU = G in lattice order; both
+    supplement laws read them."""
     return {
         N: [U for U in lat.subgroups if N.order * U.order // N.intersect(U).order == G.order]
         for N in normals
@@ -724,12 +724,18 @@ def _supplements(
 
 
 def _minimal_supplement_membership(c: _LawContext):
-    """A minimal supplement of a normal N with G/N in F is in F."""
+    """A minimal supplement of a normal N with G/N in F is in F.
+
+    The supplements come in lattice order, smaller ones first, so a
+    supplement below U contains a minimal one that came before U: U is
+    minimal when none of the minimal ones found so far lies in it.
+    """
     for N in c.normals:
         if c.F.contains(quotient(c.G, N)[0]):
-            supplements = c.supplements[N]
-            for U in supplements:
-                if not any(V < U for V in supplements):
+            minimal: list[Subgroup] = []
+            for U in c.supplements[N]:
+                if not any(V <= U for V in minimal):
+                    minimal.append(U)
                     ok = c.F.contains(U.as_group())
                     yield None if ok else {
                         "normal": _members(N), "supplement": _members(U)

@@ -9,9 +9,15 @@ minimal normal subgroups and quotients for supersolubility.
 ``semidirect_section`` builds a section product through derived groups:
 the section as a quotient of ``H.as_group()``, the quotient ``G/L``, and an
 action handed to the checking ``semidirect_product``.
+``cosets`` reads the least element of each coset Nx of ``within`` straight
+off G's table, as ``groups._cosets`` did before it read the memoised
+coset-least array.
 ``central_sections_restrict_to_subgroups`` and ``central_sections_refine``
 are the lemma laws as they were before they read per-group verdict tables:
 they decide every item through ``is_f_central`` on its own.
+``minimal_supplement_membership`` is the lemma law as it was before it kept
+the minimal supplements found so far: it compares every pair of
+supplements.
 ``catalog_groups`` is the catalog as it was deduplicated before family
 groups carried direct-factor keys: every seed and every pairwise product is
 built, and the first of each isomorphism type is kept by
@@ -113,6 +119,17 @@ def semidirect_section(G, H, K, L):
     return semidirect_product(sec, quo, action, order_cap=None)
 
 
+def cosets(G, N, within):
+    """The cosets of N in ``within`` (N normal in ``within``): sorted least
+    elements, the coset index over G (-1 outside ``within``), the quotient
+    table."""
+    least = G.table[N.array].take(within.array, axis=1).min(axis=0)  # least of N*x
+    reps = np.unique(least)
+    index = np.full(G.order, -1, dtype=np.int32)
+    index[within.array] = np.searchsorted(reps, least)
+    return reps, index, index[G.table[reps[:, None], reps]]
+
+
 def central_sections_restrict_to_subgroups(c):
     """An F-central section R/S stays F-central when cut down to a subgroup."""
     if c.F.hereditary:
@@ -132,6 +149,20 @@ def central_sections_refine(c):
             if S <= T <= R:
                 ok = is_f_central(c.G, T, S, c.F) and is_f_central(c.G, R, T, c.F)
                 yield None if ok else {"section": [R.order, S.order], "middle": T.order}
+
+
+def minimal_supplement_membership(c):
+    """A minimal supplement of a normal N with G/N in F is in F."""
+    for N in c.normals:
+        if c.F.contains(quotient(c.G, N)[0]):
+            supplements = c.supplements[N]
+            for U in supplements:
+                if not any(V < U for V in supplements):
+                    ok = c.F.contains(U.as_group())
+                    yield None if ok else {
+                        "normal": N.array.tolist(),
+                        "supplement": U.array.tolist(),
+                    }
 
 
 def dedupe(groups):

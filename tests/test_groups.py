@@ -309,7 +309,9 @@ class TestSemidirectSection:
             semidirect_section(s4, d4, s4.trivial_subgroup())
 
     def test_matches_reference_route_at_the_centralizer(self, catalog24):
-        cases = 0
+        # covers both routes: sections G centralizes, H = K among them, are
+        # their own product, and the rest are built with an acting quotient
+        cases = Counter()
         for g in catalog24.groups + [direct_product(alternating(5), cyclic(2))]:
             normals = normal_subgroups(g)
             for H, K in product(normals, normals):
@@ -319,8 +321,28 @@ class TestSemidirectSection:
                         want = references.semidirect_section(g, H, K, C)
                         got = semidirect_section(g, H, K, order_cap=SECTION_PRODUCT_CAP)
                         assert np.array_equal(got.table, want.table), (g.label, H, K)
-                        cases += 1
-        assert cases == 2216  # 2,208 in catalog_generate(24), 8 in A5xC2
+                        cases["all"] += 1
+                        cases["centralized"] += C.order == g.order
+                        cases["trivial"] += H == K
+        # 2,208 in catalog_generate(24), 8 in A5xC2
+        assert cases == {"all": 2216, "centralized": 2008, "trivial": 501}
+
+    def test_centralized_section_is_its_own_product(self, catalog12, monkeypatch):
+        # with a one-element acting group the product is H/K, shared with
+        # the quotient of H as a group, and no pair table is filled
+        def refuse(*args):
+            raise AssertionError("pair table filled for a centralized section")
+
+        monkeypatch.setattr(construct, "_pair_table", refuse)
+        cases = 0
+        for g in catalog12:
+            normals = normal_subgroups(g)
+            for H, K in product(normals, normals):
+                if K <= H and centralizer_of_section(g, H, K) == g.full_subgroup():
+                    got = semidirect_section(g, H, K)
+                    assert got is quotient(H.as_group(), H.localize(K))[0], (g.label, H, K)
+                    cases += 1
+        assert cases == 284
 
     def test_builds_no_derived_group_on_the_way(self, monkeypatch):
         # the product is read off G's table: no subgroup as a group, no
@@ -405,6 +427,22 @@ class TestSubgroupBasics:
         t = next(e for e in range(6) if s3.element_orders[e] == 2)
         c2 = cyclic_subgroup(s3, t)
         assert join(a3, c2).order == 6
+
+    def test_trivial_section_is_centralized_without_conjugation(self, monkeypatch):
+        s4 = symmetric(4)
+        normals = normal_subgroups(s4)
+        t = next(e for e in range(24) if s4.element_orders[e] == 2)
+        c2 = cyclic_subgroup(s4, t)
+        assert all(N.is_normal() for N in normals) and not c2.is_normal()
+
+        def no_conjugation(*args):
+            raise AssertionError("conjugation matrix built for a trivial section")
+
+        monkeypatch.setattr(groups, "_conjugates", no_conjugation)
+        for N in normals:
+            assert centralizer_of_section(s4, N, N) is s4.full_subgroup()
+        with pytest.raises(NotNormal, match="H is not normal"):
+            centralizer_of_section(s4, c2, c2)
 
     def test_centralizer_of_section_validates_the_section(self):
         s4 = symmetric(4)
@@ -524,6 +562,22 @@ def test_closure_matches_oracle(catalog24):
             gens = rng.integers(0, g.order, size=int(rng.integers(1, 4))).tolist()
             want = oracles.closure(gens, lambda a, b: table[a][b], 0)
             assert set(generated_subgroup(g, gens).array.tolist()) == want, (g.label, gens)
+
+
+def test_cosets_match_inline_least_reference(catalog24):
+    # _cosets reads least elements from an array over all of G, and N normal
+    # in ``within`` is all its contract asks, so S4's lattice pairs with N
+    # normal in ``within`` but not in S4 are checked too
+    pairs = [(g, N, W) for g in catalog24.groups
+             for N, W in product(normal_subgroups(g), repeat=2) if N <= W]
+    s4 = symmetric(4)
+    subs = all_subgroups(s4).subgroups
+    local = [(s4, N, W) for N, W in product(subs, repeat=2)
+             if N <= W and groups._normal_in(W, N) and not N.is_normal()]
+    for g, N, W in pairs + local:
+        got, want = groups._cosets(g, N, W), references.cosets(g, N, W)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (g.label, N, W)
+    assert (len(pairs), len(local)) == (2208, 54)
 
 
 def test_exhaustive_axioms_small_groups():

@@ -427,6 +427,28 @@ class TestLemmaSuite:
         # the per-item reference decides every item, far more than the sections
         assert law_calls <= len(distinct) < len(calls) == items
 
+    @pytest.mark.parametrize("F, items, failures", [
+        (NILPOTENT, 1990, 0),
+        (SUPERSOLUBLE, 2036, 0),
+        # unsaturated: Q8 is a minimal supplement of its centre, with an
+        # abelian quotient, so failure details and their order are compared
+        (Formation("abelian", lambda G: G.is_abelian(), hereditary=True), 1959, 45),
+    ], ids=["nilpotent", "supersoluble", "abelian"])
+    def test_minimal_supplement_law_matches_pairwise_reference(self, catalog24, F,
+                                                               items, failures):
+        got = []
+        for G in catalog24:
+            lat, normals = all_subgroups(G), normal_subgroups(G)
+            ctx = verify._LawContext(
+                G, F, None, np.random.default_rng(0), lat, normals,
+                factors=[], in_f=False, Z=G.trivial_subgroup(), central={},
+                supplements=verify._supplements(G, lat, normals),
+            )
+            law = list(verify._minimal_supplement_membership(ctx))
+            assert law == list(references.minimal_supplement_membership(ctx)), G.label
+            got += law
+        assert (len(got), sum(d is not None for d in got)) == (items, failures)
+
     def test_every_law_checks_an_instance(self, catalog12, monkeypatch):
         counts = dict.fromkeys(verify.LAWS, 0)
 
