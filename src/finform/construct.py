@@ -1,11 +1,12 @@
 """Group constructions: standard families, products, and section products.
 
-``semidirect_product`` fills its table by the pair-table formula once it
-has checked its caller's action. ``semidirect_section``, the section
-product [H/K](G/C_G(H/K)), reads its table straight off the parent's: by
-the same formula when G/C_G(H/K) acts, and as H/K alone when G centralizes
-the section, since the formula with a one-element acting group gives H/K's
-table unchanged.
+Two table formulas build the products and permutation groups. The pair
+table serves ``direct_product`` (identity action), ``semidirect_product``
+(once it has checked its caller's action) and ``semidirect_section``: the
+section product [H/K](G/C_G(H/K)) read off the parent's table, which is
+H/K's own table when G centralizes the section, as the formula with a
+one-element acting group gives. The permutation table serves
+``from_permutation_gens`` and the automorphism group.
 """
 
 from __future__ import annotations
@@ -82,6 +83,25 @@ def _longest_orbit(degree: int, gens: list[tuple[int, ...]]) -> int:
     return longest
 
 
+def _permutation_table(perms: np.ndarray) -> np.ndarray:
+    """The table of distinct permutations ``perms`` (one per row, closed
+    under composition): entry (i, j) is the row of compose(perms[i],
+    perms[j]), found by one ``searchsorted`` per row among the rows sorted
+    as byte strings. Degree 0 has no byte key; its one element gives [[0]]."""
+    n, degree = perms.shape
+    if degree == 0:
+        return np.zeros((1, 1), dtype=np.int32)
+    key = np.dtype((np.void, perms.itemsize * degree))
+    keys = np.ascontiguousarray(perms).view(key).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    table = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        products = np.ascontiguousarray(perms[:, perms[i]])  # row j: compose(perms[i], perms[j])
+        table[i] = order[np.searchsorted(sorted_keys, products.view(key).ravel())]
+    return table
+
+
 def from_permutation_gens(
     degree: int,
     gens: Iterable[Sequence[int]],
@@ -91,7 +111,8 @@ def from_permutation_gens(
     """Close generator permutations of {0..degree-1} into a group.
 
     Elements are indexed in breadth-first discovery order starting from the
-    identity, which makes the construction deterministic.
+    identity, which makes the construction deterministic, and the table is
+    their permutation table.
     """
     identity = tuple(range(degree))
     gen_list = []
@@ -103,28 +124,20 @@ def from_permutation_gens(
     longest = _longest_orbit(degree, gen_list)  # |G| is at least every orbit's length
     if order_cap is not None and longest > order_cap:
         raise OrderCapExceeded(f"an orbit of length {longest} exceeds order cap {order_cap}")
-    index: dict[tuple[int, ...], int] = {identity: 0}
-    elements = [identity]
+    elements = {identity: None}  # an ordered set, in discovery order
     frontier = [identity]
     while frontier:
         nxt = []
         for p in frontier:
             for g in gen_list:
                 q = compose(p, g)
-                if q not in index:
+                if q not in elements:
                     if order_cap is not None and len(elements) >= order_cap:
-                        raise OrderCapExceeded(
-                            f"closure exceeds order cap {order_cap}"
-                        )
-                    index[q] = len(elements)
-                    elements.append(q)
+                        raise OrderCapExceeded(f"closure exceeds order cap {order_cap}")
+                    elements[q] = None
                     nxt.append(q)
         frontier = nxt
-    n = len(elements)
-    table = np.empty((n, n), dtype=np.int32)
-    for i, p in enumerate(elements):
-        for j, q in enumerate(elements):
-            table[i, j] = index[compose(p, q)]
+    table = _permutation_table(np.array(list(elements), dtype=np.int32))
     return Group(table, label=label, validate=False)
 
 
@@ -144,23 +157,13 @@ def cyclic(n: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
 
 
 def _two_part_table(n: int, flip_square: int) -> np.ndarray:
-    """Table on pairs (i, j), i mod n, j in {0,1}, with b*a = a^-1*b and
-    b^2 = a^flip_square. Encodes dihedral (flip_square=0) and generalized
-    quaternion / dicyclic (flip_square=n//2) families; index = 2*i + j."""
-    size = 2 * n
-    table = np.empty((size, size), dtype=np.int32)
-    for i1 in range(n):
-        for j1 in range(2):
-            for i2 in range(n):
-                for j2 in range(2):
-                    if j1 == 0:
-                        i, j = (i1 + i2) % n, j2
-                    elif j2 == 0:
-                        i, j = (i1 - i2) % n, 1
-                    else:
-                        i, j = (i1 - i2 + flip_square) % n, 0
-                    table[2 * i1 + j1, 2 * i2 + j2] = 2 * i + j
-    return table
+    """Table on pairs (i, j), i mod n, j in {0,1}, index 2*i + j, with b*a =
+    a^-1*b and b^2 = a^flip_square: dihedral (flip_square=0) and generalized
+    quaternion (flip_square=n//2). (i1, j1)(i2, j2) = (i1 + (1-2*j1)*i2 +
+    flip_square*(j1 and j2), j1 xor j2), broadcast in int32."""
+    i1, j1, i2, j2 = np.ix_(*(np.arange(k, dtype=np.int32) for k in (n, 2, n, 2)))
+    i = (i1 + (1 - 2 * j1) * i2 + flip_square * (j1 & j2)) % n
+    return (2 * i + (j1 ^ j2)).reshape(2 * n, 2 * n)
 
 
 def dihedral(n: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
@@ -218,14 +221,11 @@ def elem_abelian(p: int, k: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> G
 
 
 def direct_product(G: Group, H: Group, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
-    """Componentwise product; pair (a, b) is encoded as a*|H| + b."""
+    """Componentwise product: the pair table with the identity action, so
+    pair (a, b) is encoded as a*|H| + b. A new group, not a shared one."""
     check_order_cap(G.order * H.order, order_cap)
-    nh = H.order
-    a = np.arange(G.order * nh, dtype=np.int32)
-    g_part, h_part = a // nh, a % nh
-    table = (
-        G.table[np.ix_(g_part, g_part)] * nh + H.table[np.ix_(h_part, h_part)]
-    ).astype(np.int32)
+    identity = np.broadcast_to(np.arange(G.order, dtype=np.int32), (H.order, G.order))
+    table = _pair_table(G.table, H.table, identity)
     return Group(table, label=f"{G.label}x{H.label}", validate=False)
 
 
@@ -257,6 +257,8 @@ def semidirect_product(
     if action.shape != (H.order, N.order):
         raise ValueError("action table has wrong shape")
     check_order_cap(N.order * H.order, order_cap)
+    if action.min() < 0 or action.max() >= N.order:
+        raise NotAGroup(f"action values out of range 0..{N.order - 1}")
     if not np.array_equal(action[0], np.arange(N.order)):
         raise NotAGroup("action of the identity is not trivial")
     lhs = action[:, N.table]

@@ -163,13 +163,15 @@ class Formation:
     factor H/K of G is F-central. A formation has one exactly when it is
     saturated (Gaschütz–Lubeseder–Schmid); without it the section product
     decides. The flags are trusted when selecting which theorems apply, but
-    the verifier's law sweeps exercise them on the whole catalog.
+    the verifier's law sweeps exercise them on the whole catalog. ``sigma``
+    is the partition of a sigma-nilpotent class, and None for any other.
     """
 
     name: str
     predicate: Callable[[Group], bool] = field(compare=False)
     hereditary: bool = True
     chief_rule: ChiefRule | None = field(default=None, compare=False)
+    sigma: SigmaPartition | None = field(default=None, compare=False)
 
     @property
     def saturated(self) -> bool:
@@ -212,7 +214,7 @@ SOLUBLE = Formation("soluble", is_soluble, chief_rule=_soluble_rule)
 def sigma_nilpotent_formation(sigma: SigmaPartition) -> Formation:
     name = f"sigma-nilpotent{sigma.key}"
     return Formation(name, lambda G: is_sigma_nilpotent(G, sigma),
-                     chief_rule=_sigma_rule(sigma))
+                     chief_rule=_sigma_rule(sigma), sigma=sigma)
 
 
 def builtin_formations(sigma: SigmaPartition | None = None) -> list[Formation]:

@@ -388,9 +388,17 @@ def _normal_in(ambient: Subgroup, sub: Subgroup) -> bool:
 # -- closures and generated subgroups -----------------------------------
 
 
+def _element_indices(G: Group, elems: Iterable[int]) -> np.ndarray:
+    """``elems`` as an index array; one outside 0..|G|-1 raises ValueError."""
+    idx = np.fromiter(elems, dtype=np.int64)
+    if idx.size and not 0 <= idx.min() <= idx.max() < G.order:
+        raise ValueError("element index out of range")
+    return idx
+
+
 def generated_subgroup(G: Group, gens: Iterable[int]) -> Subgroup:
     """The subgroup generated by ``gens``, by right-multiplication closure."""
-    return _closure(G, _marked(G.order, np.fromiter(gens, dtype=np.int64)))
+    return _closure(G, _marked(G.order, _element_indices(G, gens)))
 
 
 def _closure(G: Group, gens: np.ndarray) -> Subgroup:
@@ -454,7 +462,7 @@ def center(G: Group) -> Subgroup:
 def normal_closure(G: Group, elems: Iterable[int]) -> Subgroup:
     """Smallest normal subgroup of G containing ``elems``."""
     class_of = G.class_of()
-    hit = _marked(len(G.conjugacy_classes()), class_of[np.fromiter(elems, dtype=np.int64)])
+    hit = _marked(len(G.conjugacy_classes()), class_of[_element_indices(G, elems)])
     return _closure(G, hit[class_of])
 
 

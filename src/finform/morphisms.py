@@ -21,7 +21,7 @@ from .groups import (
     derived_series,
     generated_subgroup,
 )
-from .construct import semidirect_product
+from .construct import _permutation_table, semidirect_product
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -195,14 +195,10 @@ def automorphism_group(
     """
     perms = automorphisms(G, budget)
     check_order_cap(len(perms), order_cap)
-    index = {p.tobytes(): i for i, p in enumerate(perms)}
-    m = len(perms)
-    table = np.empty((m, m), dtype=np.int32)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[p[q].tobytes()]  # function composition p.q
-    aut = Group(table, label=f"Aut({G.label})", validate=False)
-    aut.action = np.stack(perms) if perms else np.zeros((1, G.order), dtype=np.int32)
+    action = np.stack(perms)
+    # p.q (q first) is compose(q, p), entry (j, i) of the permutation table
+    aut = Group(_permutation_table(action).T, label=f"Aut({G.label})", validate=False)
+    aut.action = action
     return aut
 
 

@@ -564,7 +564,6 @@ class _LawContext:
 
     G: Group
     F: Formation
-    sigma: SigmaPartition | None
     rng: np.random.Generator  # one stream for the whole suite
     lat: SubgroupLattice
     normals: list[Subgroup]
@@ -632,11 +631,10 @@ def _hypercentral_normal_with_member_quotient(c: _LawContext):
 def _sigma_centrality_coherence(c: _LawContext):
     """A chief factor is sigma-central exactly when it is central for the
     sigma-nilpotent class."""
-    if c.sigma is not None:
-        nsig = sigma_nilpotent_formation(c.sigma)
+    if c.F.sigma is not None:
         for top, bottom in c.factors:
-            ok = is_sigma_central(c.G, top, bottom, c.sigma) == is_f_central(
-                c.G, top, bottom, nsig
+            ok = is_sigma_central(c.G, top, bottom, c.F.sigma) == is_f_central(
+                c.G, top, bottom, c.F
             )
             yield None if ok else {"factor": [top.order, bottom.order]}
 
@@ -792,7 +790,6 @@ LAWS: dict[str, Callable[[_LawContext], Iterator[dict | None]]] = {
 def verify_lemma_suite(
     catalog: Catalog,
     F: Formation,
-    sigma: SigmaPartition | None = None,
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> VerificationReport:
     """Property sweep of the supporting lemmas over the catalog.
@@ -801,11 +798,11 @@ def verify_lemma_suite(
     lattice fits ``lattice_budget``. A group's items count only once all of
     its laws have run, so a group that ``_sweep`` records as a skip (its
     section products exceed the cap) or an ``internal-error`` failure adds
-    none of them. The sigma-centrality law applies only when a sigma
-    partition is supplied.
+    none of them. The sigma-centrality law applies only when F is a
+    sigma-nilpotent class, and the report names its sigma.
     """
     rep = VerificationReport(
-        "lemmas", F.name, sigma.key if sigma else None, catalog.description
+        "lemmas", F.name, F.sigma.key if F.sigma else None, catalog.description
     )
     rng = np.random.default_rng(20240601)
 
@@ -813,7 +810,7 @@ def verify_lemma_suite(
         lat = all_subgroups(G, budget=lattice_budget)
         normals = normal_subgroups(G)
         ctx = _LawContext(
-            G, F, sigma, rng, lat, normals,
+            G, F, rng, lat, normals,
             factors=chief_series(G).factors(),
             in_f=F.contains(G),
             Z=hypercentre(G, F),
@@ -865,15 +862,7 @@ def _section3(catalog, formations, sigma, lattice_budget, aut_budget):
 
 
 def _lemmas(catalog, formations, sigma, lattice_budget, aut_budget):
-    return [
-        verify_lemma_suite(
-            catalog,
-            F,
-            sigma=sigma if F.name.startswith("sigma-nilpotent") else None,
-            lattice_budget=lattice_budget,
-        )
-        for F in formations
-    ]
+    return [verify_lemma_suite(catalog, F, lattice_budget) for F in formations]
 
 
 # Every claim's sweeps, called as (catalog, formations, sigma, lattice_budget,

@@ -18,6 +18,11 @@ they decide every item through ``is_f_central`` on its own.
 ``minimal_supplement_membership`` is the lemma law as it was before it kept
 the minimal supplements found so far: it compares every pair of
 supplements.
+``two_part_table``, ``direct_product_table``, ``permutation_gens_table`` and
+``automorphism_table`` are the table builders as they were before the pair
+table and the permutation table served them: four nested loops for the
+dihedral and quaternion families, two gathers for the direct product, and
+one dict lookup per pair of permutations or automorphisms.
 ``catalog_groups`` is the catalog as it was deduplicated before family
 groups carried direct-factor keys: every seed and every pairwise product is
 built, and the first of each isomorphism type is kept by
@@ -35,6 +40,7 @@ from finform import (
     semidirect_product,
 )
 from finform.formations import is_f_central, is_prime
+from finform.construct import compose
 from finform.groups import DEFAULT_ORDER_CAP, commutator_subgroup, derived_series
 from finform.morphisms import fingerprint
 from finform.verify import _family_seeds
@@ -163,6 +169,71 @@ def minimal_supplement_membership(c):
                         "normal": N.array.tolist(),
                         "supplement": U.array.tolist(),
                     }
+
+
+def two_part_table(n, flip_square):
+    """Table on pairs (i, j), i mod n, j in {0,1}, with b*a = a^-1*b and
+    b^2 = a^flip_square; index = 2*i + j."""
+    size = 2 * n
+    table = np.empty((size, size), dtype=np.int32)
+    for i1 in range(n):
+        for j1 in range(2):
+            for i2 in range(n):
+                for j2 in range(2):
+                    if j1 == 0:
+                        i, j = (i1 + i2) % n, j2
+                    elif j2 == 0:
+                        i, j = (i1 - i2) % n, 1
+                    else:
+                        i, j = (i1 - i2 + flip_square) % n, 0
+                    table[2 * i1 + j1, 2 * i2 + j2] = 2 * i + j
+    return table
+
+
+def direct_product_table(G, H):
+    """Componentwise product; pair (a, b) is encoded as a*|H| + b."""
+    nh = H.order
+    a = np.arange(G.order * nh, dtype=np.int32)
+    g_part, h_part = a // nh, a % nh
+    return (
+        G.table[np.ix_(g_part, g_part)] * nh + H.table[np.ix_(h_part, h_part)]
+    ).astype(np.int32)
+
+
+def permutation_gens_table(degree, gens):
+    """The closure of ``gens`` numbered breadth-first from the identity,
+    with each product looked up in a dict."""
+    identity = tuple(range(degree))
+    index = {identity: 0}
+    elements = [identity]
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = compose(p, g)
+                if q not in index:
+                    index[q] = len(elements)
+                    elements.append(q)
+                    nxt.append(q)
+        frontier = nxt
+    n = len(elements)
+    table = np.empty((n, n), dtype=np.int32)
+    for i, p in enumerate(elements):
+        for j, q in enumerate(elements):
+            table[i, j] = index[compose(p, q)]
+    return table
+
+
+def automorphism_table(perms):
+    """The table of the automorphisms ``perms`` under composition p.q."""
+    index = {p.tobytes(): i for i, p in enumerate(perms)}
+    m = len(perms)
+    table = np.empty((m, m), dtype=np.int32)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            table[i, j] = index[p[q].tobytes()]  # function composition p.q
+    return table
 
 
 def dedupe(groups):

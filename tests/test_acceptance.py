@@ -122,15 +122,8 @@ def test_criterion_4_holomorph_bound(catalog48):
 
 
 def test_criterion_5_lemma_suite(catalog24):
-    runs = [
-        (NILPOTENT, None),
-        (SUPERSOLUBLE, None),
-        (SOLUBLE, None),
-        (sigma_nilpotent_formation(SIGMA_23), SIGMA_23),
-    ]
-    reports = [
-        verify_lemma_suite(catalog24, F, sigma=sig) for F, sig in runs
-    ]
+    formations = [NILPOTENT, SUPERSOLUBLE, SOLUBLE, sigma_nilpotent_formation(SIGMA_23)]
+    reports = [verify_lemma_suite(catalog24, F) for F in formations]
     ok = all(r.passed for r in reports) and all(r.checked > 0 for r in reports)
     print(
         f"  lemmas: {sum(r.checked for r in reports)} property instances, "

@@ -29,6 +29,7 @@ from finform import (
     from_permutation_gens,
     generated_subgroup,
     is_isomorphic,
+    load_group_file,
     normal_closure,
     normal_subgroups,
     quaternion,
@@ -39,13 +40,15 @@ from finform import (
     trivial,
     upper_central_series,
 )
-from finform import construct, groups
+from finform import construct, files, groups
 from finform.formations import SECTION_PRODUCT_CAP, section_product
 from finform.groups import cyclic_subgroup, derived_series, join
 from finform.lattice import all_subgroups
 
 import oracles
 import references
+
+GROUP_FILES = sorted((Path(__file__).resolve().parent.parent / "groups").glob("*.grp"))
 
 
 def subgroup_of_order(G, n):
@@ -126,6 +129,30 @@ class TestPermutationClosure:
         with pytest.raises(NotAGroup):
             from_permutation_gens(3, [(0, 0, 1)])
 
+    def test_table_matches_dict_lookup_reference(self, monkeypatch):
+        seen = []
+        real = construct.from_permutation_gens
+
+        def recording(degree, gens, *args, **kwargs):
+            gens = [tuple(g) for g in gens]
+            seen.append((degree, gens))
+            return real(degree, gens, *args, **kwargs)
+
+        monkeypatch.setattr(construct, "from_permutation_gens", recording)
+        monkeypatch.setattr(files, "from_permutation_gens", recording)
+        built = [symmetric(4), alternating(5), symmetric(5), alternating(6)]
+        built += [load_group_file(path) for path in GROUP_FILES]
+        assert [G.order for G in built] == [24, 60, 120, 360, 20, 21]
+        for G, (degree, gens) in zip(built, seen, strict=True):
+            assert np.array_equal(G.table, references.permutation_gens_table(degree, gens)), G.label
+
+    def test_automorphism_table_matches_loop_reference(self):
+        for G in (elem_abelian(2, 3), dihedral(4), symmetric(4), cyclic(15)):
+            aut = automorphism_group(G)
+            perms = list(aut.action)
+            assert np.array_equal(aut.table, references.automorphism_table(perms)), G.label
+        assert aut.order == 8  # Aut(C15) = C2 x C4
+
 
 class TestFamilies:
     def test_cyclic_one_is_trivial(self):
@@ -156,6 +183,13 @@ class TestFamilies:
         assert dihedral(6).order == 12
         assert dihedral(6).label == "D12"
 
+    def test_two_part_table_matches_loop_reference(self):
+        for n in range(1, 65):
+            for flip in sorted({0, n // 2}):
+                got = construct._two_part_table(n, flip)
+                assert got.dtype == np.int32
+                assert np.array_equal(got, references.two_part_table(n, flip)), (n, flip)
+
     def test_elem_abelian(self):
         g = elem_abelian(3, 2)
         assert g.order == 9
@@ -178,6 +212,16 @@ class TestDirectProduct:
     def test_coprime_cyclics(self):
         g = direct_product(cyclic(2), cyclic(3))
         assert int(g.element_orders.max()) == 6
+
+    def test_matches_two_gather_reference(self, catalog24):
+        pairs = 0
+        for G, H in product(catalog24, repeat=2):
+            if G.order * H.order <= 96:
+                P = direct_product(G, H)
+                assert np.array_equal(P.table, references.direct_product_table(G, H)), (
+                    G.label, H.label)
+                pairs += 1
+        assert pairs == 912
 
 
 class TestQuotient:
@@ -239,6 +283,12 @@ class TestCentralizersAndCores:
             if s4.element_orders[e] == 2 and normal_closure(s4, [e]).order == 24
         )
         assert normal_closure(s4, [transposition]).order == 24
+
+    @pytest.mark.parametrize("close", [generated_subgroup, normal_closure])
+    @pytest.mark.parametrize("index", [-1, 6, 9])
+    def test_closures_reject_out_of_range_elements(self, close, index):
+        with pytest.raises(ValueError, match="out of range"):
+            close(symmetric(3), [1, index])
 
     def test_core_of_itself(self):
         s4 = symmetric(4)
@@ -385,6 +435,9 @@ class TestSemidirectProduct:
             semidirect_product(c3, c2, [[0, 1, 2], [1, 0, 2]])
         with pytest.raises(NotAGroup, match="homomorphism"):
             semidirect_product(c3, c4, [[0, 1, 2], inversion, inversion, inversion])
+        for wild in (7, -1):
+            with pytest.raises(NotAGroup, match="out of range"):
+                semidirect_product(c3, c2, [[0, 1, 2], [0, 2, wild]])
 
 
 class TestSubgroupBasics:

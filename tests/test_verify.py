@@ -324,7 +324,7 @@ class TestSection3:
 def _section_law_context(G, F):
     """A lemma-suite context holding what the central-section laws read."""
     return verify._LawContext(
-        G, F, None, np.random.default_rng(0), all_subgroups(G), normal_subgroups(G),
+        G, F, np.random.default_rng(0), all_subgroups(G), normal_subgroups(G),
         factors=[], in_f=False, Z=G.trivial_subgroup(),
         central=verify._central_normal_pairs(G, F), supplements={},
     )
@@ -338,9 +338,7 @@ class TestLemmaSuite:
 
     def test_sigma_coherence_included(self, catalog12):
         sig = SigmaPartition.parse("[[2,3]]")
-        rep = verify_lemma_suite(
-            catalog12, sigma_nilpotent_formation(sig), sigma=sig
-        )
+        rep = verify_lemma_suite(catalog12, sigma_nilpotent_formation(sig))
         assert rep.passed
 
     def test_order_cap_hit_is_a_skip(self):
@@ -440,7 +438,7 @@ class TestLemmaSuite:
         for G in catalog24:
             lat, normals = all_subgroups(G), normal_subgroups(G)
             ctx = verify._LawContext(
-                G, F, None, np.random.default_rng(0), lat, normals,
+                G, F, np.random.default_rng(0), lat, normals,
                 factors=[], in_f=False, Z=G.trivial_subgroup(), central={},
                 supplements=verify._supplements(G, lat, normals),
             )
@@ -463,9 +461,7 @@ class TestLemmaSuite:
         for name, law in list(verify.LAWS.items()):
             monkeypatch.setitem(verify.LAWS, name, counting(name, law))
         sig = SigmaPartition.parse("[[2,3]]")
-        rep = verify_lemma_suite(
-            catalog12, sigma_nilpotent_formation(sig), sigma=sig
-        )
+        rep = verify_lemma_suite(catalog12, sigma_nilpotent_formation(sig))
         assert [name for name, n in counts.items() if n == 0] == []
         assert sum(counts.values()) == rep.checked
 
