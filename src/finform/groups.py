@@ -350,6 +350,8 @@ class Homomorphism:
             raise ValueError("mapping length does not match source order")
         if validate:
             m = self.mapping
+            if m.min() < 0 or m.max() >= target.order:
+                raise ValueError(f"mapping values out of range 0..{target.order - 1}")
             lhs = m[source.table]
             rhs = target.table[m[:, None], m[None, :]]
             if not np.array_equal(lhs, rhs):

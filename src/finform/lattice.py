@@ -233,8 +233,13 @@ def normal_hall_subgroup(G: Group, primes: Iterable[int]) -> Subgroup | None:
 
     A normal Hall subgroup for a prime set must equal the set of elements
     whose orders factor inside that set, so existence reduces to that set
-    being closed under multiplication.
+    being closed under multiplication. Raises ValueError for an entry of
+    ``primes`` that is not prime.
     """
+    primes = list(primes)
+    for p in primes:
+        if int(p) != p or not is_prime(int(p)):
+            raise ValueError(f"{p} is not prime")
     prime_set = frozenset(int(p) for p in primes)
     part = 1
     n = G.order

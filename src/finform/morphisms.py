@@ -3,7 +3,9 @@
 Isomorphisms are found by backtracking over images of a small generating
 set, pruned by element-order and conjugacy-class invariants; negatives are
 certified by an invariant mismatch whenever one exists and by exhausted
-search otherwise.
+search otherwise. Each group has one memoised word script, its generators
+and one step per element; the backtrack fills each image once from it and,
+at generator i, checks the map only on the subgroup of the first i+1.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .groups import (
     center,
     check_order_cap,
     derived_series,
-    generated_subgroup,
 )
 from .construct import _permutation_table, semidirect_product
 
@@ -27,72 +28,80 @@ DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
 def fingerprint(G: Group) -> tuple:
-    """Cheap isomorphism invariants: a mismatch certifies non-isomorphism."""
+    """Cheap isomorphism invariants: a mismatch certifies non-isomorphism.
+
+    The class profile, sorted (element order, class size) pairs, also fixes
+    the multiset of element orders.
+    """
     def compute():
-        orders = tuple(sorted(G.element_orders.tolist()))
-        classes = G.conjugacy_classes()
         class_profile = tuple(
-            sorted((int(G.element_orders[c[0]]), len(c)) for c in classes)
+            sorted((int(G.element_orders[c[0]]), len(c)) for c in G.conjugacy_classes())
         )
         derived = tuple(s.order for s in derived_series(G))
-        return (G.order, orders, class_profile, center(G).order, derived)
+        return (G.order, class_profile, center(G).order, derived)
 
     return _memo(G, "fingerprint", compute)
 
 
-def generating_set(G: Group) -> list[int]:
-    """A small generating set, chosen greedily and deterministically."""
+def _word_script(
+    G: Group,
+) -> tuple[list[int], list[tuple[int, int, int]], list[int], list[np.ndarray]]:
+    """One word for every element of G over a greedy generating set.
+
+    Returns ``(gens, steps, ends, members)``. Generators are taken by
+    descending element order, then ascending index, each one outside the
+    subgroup its predecessors generate. A step ``(y, x, j)`` says
+    y = x·gens[j] with x reached before y; breadth-first right
+    multiplication reaches every non-identity element by exactly one step.
+    ``steps[ends[i]:ends[i+1]]`` reach the members of <gens[:i+1]> outside
+    <gens[:i]>, and ``members[i]`` is the sorted member array of
+    <gens[:i+1]>.
+    """
     def compute():
-        by_order = sorted(range(G.order), key=lambda g: (-int(G.element_orders[g]), g))
+        known = np.zeros(G.order, dtype=bool)
+        known[0] = True
         gens: list[int] = []
-        current = G.trivial_subgroup()
-        for g in by_order:
-            if current.order == G.order:
+        steps: list[tuple[int, int, int]] = []
+        ends, members = [0], []
+        for g in sorted(range(G.order), key=lambda g: (-int(G.element_orders[g]), g)):
+            if len(steps) + 1 == G.order:
                 break
-            if g in current:
+            if known[g]:
                 continue
             gens.append(g)
-            current = generated_subgroup(G, gens)
-        return gens
+            frontier = np.flatnonzero(known).tolist()
+            while frontier:
+                new = []
+                for x in frontier:
+                    for j, h in enumerate(gens):
+                        y = int(G.table[x, h])
+                        if not known[y]:
+                            known[y] = True
+                            steps.append((y, x, j))
+                            new.append(y)
+                frontier = new
+            ends.append(len(steps))
+            members.append(np.flatnonzero(known).astype(np.int32))
+        return gens, steps, ends, members
 
-    return _memo(G, "gens", compute)
+    return _memo(G, "word_script", compute)
 
 
-def _bfs_script(G: Group, gens: list[int]) -> tuple[list[np.ndarray], list[list[tuple[int, int, int]]]]:
-    """Per-prefix closure members and word scripts.
-
-    For each prefix gens[:i+1], return the member array of the generated
-    subgroup and a script of (element, parent, gen_index) steps that lets a
-    partial map be extended by table lookups in discovery order.
-    """
-    members_per_level: list[np.ndarray] = []
-    scripts: list[list[tuple[int, int, int]]] = []
-    known = {0}
-    script_all: list[tuple[int, int, int]] = []
-    for i in range(len(gens)):
-        frontier = sorted(known)
-        active = gens[: i + 1]
-        while frontier:
-            new = []
-            for x in frontier:
-                for j, g in enumerate(active):
-                    y = int(G.table[x, g])
-                    if y not in known:
-                        known.add(y)
-                        script_all.append((y, x, j))
-                        new.append(y)
-            frontier = new
-        members_per_level.append(np.asarray(sorted(known), dtype=np.int32))
-        scripts.append(list(script_all))
-    return members_per_level, scripts
+def generating_set(G: Group) -> list[int]:
+    """A small generating set, chosen greedily and deterministically: the
+    generators of ``_word_script``."""
+    return _word_script(G)[0]
 
 
 def _element_invariant(G: Group) -> np.ndarray:
     """Per-element (order, class size) key used to filter image candidates."""
-    class_sizes = np.empty(G.order, dtype=np.int32)
-    for c in G.conjugacy_classes():
-        class_sizes[c] = len(c)
-    return np.stack([G.element_orders, class_sizes], axis=1)
+    def compute():
+        class_sizes = np.empty(G.order, dtype=np.int32)
+        for c in G.conjugacy_classes():
+            class_sizes[c] = len(c)
+        return np.stack([G.element_orders, class_sizes], axis=1)
+
+    return _memo(G, "element_invariant", compute)
 
 
 def _search_embeddings(
@@ -101,11 +110,17 @@ def _search_embeddings(
     budget: int,
     find_all: bool,
 ) -> list[np.ndarray]:
-    """Bijective multiplicative maps G -> H via generator-image backtracking."""
-    gens = generating_set(G)
-    if not gens:  # trivial group
-        return [np.zeros(1, dtype=np.int32)] if H.order == 1 else []
-    members, scripts = _bfs_script(G, gens)
+    """Bijective multiplicative maps G -> H, for H of G's order, found by
+    backtracking over the images of G's generators.
+
+    Level i tries each image of gens[i] whose (order, class size) matches,
+    then fills the images of <gens[:i+1]> outside <gens[:i]> by that
+    level's steps of G's word script, each image once. It keeps the partial
+    map only if it is injective and multiplicative on <gens[:i+1]>; a map
+    kept at the last level is an isomorphism, since the generators
+    generate G. Every candidate tried counts as one node of ``budget``.
+    """
+    gens, steps, ends, members = _word_script(G)
     inv_G = _element_invariant(G)
     inv_H = _element_invariant(H)
     candidates = [
@@ -116,6 +131,11 @@ def _search_embeddings(
 
     def dfs(level: int, current: np.ndarray) -> bool:
         nonlocal nodes
+        if level == len(gens):
+            found.append(current)
+            return not find_all
+        mem = members[level]
+        sub = G.table[np.ix_(mem, mem)]
         for img in candidates[level]:
             nodes += 1
             if nodes > budget:
@@ -123,31 +143,15 @@ def _search_embeddings(
                     f"isomorphism search exceeded {budget} nodes"
                 )
             trial = current.copy()
-            if trial[gens[level]] >= 0 and trial[gens[level]] != img:
-                continue
             trial[gens[level]] = img
-            consistent = True
-            for y, x, j in scripts[level]:
-                val = H.table[trial[x], trial[gens[j]]]
-                if trial[y] >= 0 and trial[y] != val:
-                    consistent = False
-                    break
-                trial[y] = val
-            if not consistent:
-                continue
-            mem = members[level]
+            for y, x, j in steps[ends[level]:ends[level + 1]]:
+                trial[y] = H.table[trial[x], trial[gens[j]]]
             images = trial[mem]
             if len(np.unique(images)) != len(mem):
                 continue
-            sub = G.table[np.ix_(mem, mem)]
             if not np.array_equal(trial[sub], H.table[images[:, None], images[None, :]]):
                 continue
-            if level + 1 == len(gens):
-                if len(mem) == G.order:
-                    found.append(trial.copy())
-                    if not find_all:
-                        return True
-            elif dfs(level + 1, trial):
+            if dfs(level + 1, trial):
                 return True
         return False
 

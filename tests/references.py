@@ -27,11 +27,17 @@ one dict lookup per pair of permutations or automorphisms.
 groups carried direct-factor keys: every seed and every pairwise product is
 built, and the first of each isomorphism type is kept by
 ``is_isomorphic`` within fingerprint buckets.
+``generating_set``, ``bfs_script`` and ``search_embeddings`` are the
+isomorphism search as it was before one word script per group served it:
+the generators are found by subgroup closure and found again by the
+breadth-first script, and every search node replays every earlier step and
+checks each written image against the one already there.
 """
 
 import numpy as np
 
 from finform import (
+    SearchBudgetExceeded,
     direct_product,
     is_isomorphic,
     load_group_file,
@@ -41,7 +47,12 @@ from finform import (
 )
 from finform.formations import is_f_central, is_prime
 from finform.construct import compose
-from finform.groups import DEFAULT_ORDER_CAP, commutator_subgroup, derived_series
+from finform.groups import (
+    DEFAULT_ORDER_CAP,
+    commutator_subgroup,
+    derived_series,
+    generated_subgroup,
+)
 from finform.morphisms import fingerprint
 from finform.verify import _family_seeds
 
@@ -266,3 +277,106 @@ def catalog_groups(max_order, files=(), order_cap=DEFAULT_ORDER_CAP):
         if g.order <= max_order:
             everything.append(g)
     return dedupe(everything)
+
+
+def generating_set(G):
+    """Greedy generators: by descending order, then index, each outside the
+    subgroup generated so far."""
+    by_order = sorted(range(G.order), key=lambda g: (-int(G.element_orders[g]), g))
+    gens = []
+    current = G.trivial_subgroup()
+    for g in by_order:
+        if current.order == G.order:
+            break
+        if g in current:
+            continue
+        gens.append(g)
+        current = generated_subgroup(G, gens)
+    return gens
+
+
+def bfs_script(G, gens):
+    """Per prefix gens[:i+1], the member array of the generated subgroup and
+    the (element, parent, gen_index) steps reaching all of it."""
+    members_per_level = []
+    scripts = []
+    known = {0}
+    script_all = []
+    for i in range(len(gens)):
+        frontier = sorted(known)
+        active = gens[: i + 1]
+        while frontier:
+            new = []
+            for x in frontier:
+                for j, g in enumerate(active):
+                    y = int(G.table[x, g])
+                    if y not in known:
+                        known.add(y)
+                        script_all.append((y, x, j))
+                        new.append(y)
+            frontier = new
+        members_per_level.append(np.asarray(sorted(known), dtype=np.int32))
+        scripts.append(list(script_all))
+    return members_per_level, scripts
+
+
+def _element_invariant(G):
+    class_sizes = np.empty(G.order, dtype=np.int32)
+    for c in G.conjugacy_classes():
+        class_sizes[c] = len(c)
+    return np.stack([G.element_orders, class_sizes], axis=1)
+
+
+def search_embeddings(G, H, budget, find_all):
+    """Bijective multiplicative maps G -> H via generator-image backtracking."""
+    gens = generating_set(G)
+    if not gens:  # trivial group
+        return [np.zeros(1, dtype=np.int32)] if H.order == 1 else []
+    members, scripts = bfs_script(G, gens)
+    inv_G = _element_invariant(G)
+    inv_H = _element_invariant(H)
+    candidates = [
+        np.nonzero((inv_H == inv_G[g]).all(axis=1))[0].astype(np.int32) for g in gens
+    ]
+    found = []
+    nodes = 0
+
+    def dfs(level, current):
+        nonlocal nodes
+        for img in candidates[level]:
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(f"isomorphism search exceeded {budget} nodes")
+            trial = current.copy()
+            if trial[gens[level]] >= 0 and trial[gens[level]] != img:
+                continue
+            trial[gens[level]] = img
+            consistent = True
+            for y, x, j in scripts[level]:
+                val = H.table[trial[x], trial[gens[j]]]
+                if trial[y] >= 0 and trial[y] != val:
+                    consistent = False
+                    break
+                trial[y] = val
+            if not consistent:
+                continue
+            mem = members[level]
+            images = trial[mem]
+            if len(np.unique(images)) != len(mem):
+                continue
+            sub = G.table[np.ix_(mem, mem)]
+            if not np.array_equal(trial[sub], H.table[images[:, None], images[None, :]]):
+                continue
+            if level + 1 == len(gens):
+                if len(mem) == G.order:
+                    found.append(trial.copy())
+                    if not find_all:
+                        return True
+            elif dfs(level + 1, trial):
+                return True
+        return False
+
+    start = np.full(G.order, -1, dtype=np.int32)
+    start[0] = 0
+    dfs(0, start)
+    return found

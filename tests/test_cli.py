@@ -264,6 +264,26 @@ class TestCommands:
         )
         assert "NEGATIVE" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra, want", [
+        (["--gens", "5", "--kind", "plain"],
+         {"kind": "plain", "verdict": "POSITIVE", "chain_orders": [2, 4, 24],
+          "step_kinds": ["normal-step", "normal-step"]}),
+        (["--gens", "1", "--kind", "plain"], {"kind": "plain", "verdict": "NEGATIVE"}),
+        (["--gens", "1", "--kind", "sigma", "--sigma", "[[2,3]]"],
+         {"kind": "sigma", "verdict": "POSITIVE", "chain_orders": [2, 24],
+          "step_kinds": ["f-step"]}),
+    ])
+    def test_subnormal_plain_and_sigma_kinds(self, extra, want, capsys):
+        assert main(["subnormal", "sym:4", *extra, "--format", "structured"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert (got["group"], got["subgroup_order"]) == ("S4", 2)
+        assert {key: got.get(key) for key in want} == want
+        assert ("chain" in got) == (want["verdict"] == "POSITIVE")
+
+    def test_subnormal_sigma_kind_needs_sigma(self, capsys):
+        assert main(["subnormal", "sym:4", "--gens", "1", "--kind", "sigma"]) == 3
+        assert capsys.readouterr().err == "error: --kind sigma requires --sigma\n"
+
     def test_gens_out_of_range_is_config_error(self, capsys):
         assert main(["subnormal", "sym:3", "--gens", "99"]) == 3
 

@@ -4,6 +4,7 @@ from finform import (
     Formation,
     FormationLawViolated,
     Group,
+    HypercentreNotHypercentral,
     NILPOTENT,
     NotNormal,
     SUPERSOLUBLE,
@@ -255,6 +256,16 @@ class TestHypercentre:
         assert hypercentre(s3, NILPOTENT).order == 1
         assert hypercentre(s3, SUPERSOLUBLE).order == 6
         assert hypercentre(symmetric(4), SUPERSOLUBLE).order == 1
+
+    def test_hypercentre_self_check_raises(self):
+        # the rule passes <2>/1 but not the other order-2 subgroups of V4 over
+        # 1, so the climb 1 < <2> < V4 passes and the re-check, on a chief
+        # series through another order-2 subgroup, fails
+        planted = Formation("planted", lambda G: True,
+                            chief_rule=lambda G, H, K: H.order == G.order
+                            or (K.order == 1 and 2 in H))
+        with pytest.raises(HypercentreNotHypercentral):
+            hypercentre(elem_abelian(2, 2), planted)
 
     def test_member_group_is_its_own_hypercentre(self, catalog12):
         for g in catalog12.groups:

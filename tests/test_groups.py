@@ -10,6 +10,7 @@ import pytest
 
 from finform import (
     Group,
+    Homomorphism,
     NotAGroup,
     NotNormal,
     OrderCapExceeded,
@@ -583,6 +584,20 @@ class TestInternedSubgroups:
         first = formations.hypercentre(meet, NILPOTENT)
         assert formations.hypercentre(d8.intersect(a4).as_group(), NILPOTENT) is first
         assert len(checks) == 1
+
+
+class TestHomomorphism:
+    @pytest.mark.parametrize("mapping", [[0, 5], [0, -1], [2, 0]])
+    def test_out_of_range_mapping_is_rejected(self, mapping):
+        with pytest.raises(ValueError, match="out of range"):
+            Homomorphism(cyclic(2), cyclic(2), mapping)
+
+    def test_unvalidated_mapping_is_kept(self):
+        assert Homomorphism(cyclic(2), cyclic(2), [0, 5], validate=False)(1) == 5
+
+    def test_non_multiplicative_mapping_is_not_a_group_map(self):
+        with pytest.raises(NotAGroup, match="not multiplicative"):
+            Homomorphism(cyclic(2), cyclic(2), [1, 0])
 
 
 class TestSeriesHelpers:

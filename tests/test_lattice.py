@@ -300,6 +300,11 @@ class TestNormalHall:
         assert normal_hall_subgroup(s3, {3}).order == 3
         assert normal_hall_subgroup(s3, {2}) is None
 
+    @pytest.mark.parametrize("primes", [[1], [0], [-2], [4], [2, 9], [2.5]])
+    def test_non_prime_entry_is_rejected(self, primes):
+        with pytest.raises(ValueError, match="is not prime"):
+            normal_hall_subgroup(symmetric(3), primes)
+
     def test_matches_normal_scan(self, catalog24):
         # dual route: the element-order construction must agree with a scan
         # of the normal subgroup list for the full primes-part order

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from finform import (
@@ -12,10 +13,22 @@ from finform import (
     holomorph,
     is_isomorphic,
     quaternion,
+    semidirect_product,
     symmetric,
     trivial,
 )
+from finform import morphisms
 from finform.morphisms import fingerprint, generating_set
+
+import references
+
+
+def c4_by_c4_and_c2_by_q8():
+    """C4 x| C4, the odd elements acting by inversion, and C2 x Q8: equal
+    fingerprints, and not isomorphic."""
+    c4 = cyclic(4)
+    action = np.stack([c4.inverse if h % 2 else np.arange(4) for h in range(4)])
+    return semidirect_product(c4, c4, action), direct_product(cyclic(2), quaternion(8))
 
 
 class TestIsomorphism:
@@ -67,6 +80,15 @@ class TestIsomorphism:
                     ):
                         assert is_isomorphic(a, c) is not None
 
+    def test_negative_after_exhausted_search(self):
+        a, b = c4_by_c4_and_c2_by_q8()
+        assert fingerprint(a) == fingerprint(b)
+        for x, y in ((a, b), (b, a)):
+            assert is_isomorphic(x, y) is None
+            # the negative comes from the search, not from the fingerprint
+            with pytest.raises(SearchBudgetExceeded):
+                is_isomorphic(x, y, budget=1)
+
     def test_budget_raises(self):
         big = elem_abelian(2, 4)
         with pytest.raises(SearchBudgetExceeded):
@@ -100,6 +122,28 @@ class TestAutomorphisms:
         for g in (symmetric(4), quaternion(16), elem_abelian(3, 2)):
             gens = generating_set(g)
             assert generated_subgroup(g, gens).order == g.order
+
+
+class TestAgainstReferenceSearch:
+    """The word-script search returns the generators, maps and map order of
+    the search that found its generators by closure and replayed every
+    earlier step at each node."""
+
+    def test_same_generators_automorphisms_and_isomorphisms(self, catalog24):
+        groups = catalog24.groups
+        for G in groups:
+            assert generating_set(G) == references.generating_set(G), G.label
+            if len(generating_set(G)) <= 3:
+                got = morphisms._search_embeddings(G, G, 10**6, find_all=True)
+                want = references.search_embeddings(G, G, 10**6, find_all=True)
+                assert [p.tolist() for p in got] == [p.tolist() for p in want], G.label
+        pairs = [(G, H) for G in groups for H in groups if G.order == H.order]
+        for G, H in [*pairs, c4_by_c4_and_c2_by_q8()]:
+            w = is_isomorphic(G, H)
+            want = (references.search_embeddings(G, H, 10**6, find_all=False)
+                    if fingerprint(G) == fingerprint(H) else [])
+            assert (None if w is None else w.mapping.tolist()) == (
+                want[0].tolist() if want else None), (G.label, H.label)
 
 
 class TestHolomorph:

@@ -22,6 +22,7 @@ from finform import (
     cyclic,
     dihedral,
     elem_abelian,
+    from_cayley_table,
     is_isomorphic,
     normal_subgroups,
     sigma_nilpotent_formation,
@@ -186,6 +187,22 @@ class TestTheoremB:
         reasons = {s["reason"] for s in rep.skipped}
         assert reasons <= {"hypothesis-failed"}
         assert rep.asserted == 1  # only the trivial group below order 60
+
+    def test_hypercentre_self_check_is_a_replayable_failure(self):
+        planted = Formation("planted", lambda G: True,
+                            chief_rule=lambda G, H, K: H.order == G.order
+                            or (K.order == 1 and 2 in H))
+        c2, v4 = cyclic(2), elem_abelian(2, 2)
+        rep = verify_theorem_b(verify.Catalog([c2, v4], 4, "C2, V4"), planted)
+        [error] = rep.failures
+        assert (error["group"], error["reason"]) == (v4.label, "internal-error")
+        assert error["detail"].startswith("HypercentreNotHypercentral:")
+        assert np.array_equal(from_cayley_table(error["cayley"]).table, v4.table)
+        # C2 is checked and skipped (its hypercentre is C2); V4 is checked
+        # before its hypercentre raises
+        assert (rep.checked, rep.asserted) == (2, 0)
+        assert [(s["group"], s["reason"]) for s in rep.skipped] == [
+            (c2.label, "hypothesis-failed")]
 
     @pytest.mark.parametrize("sweep, v4_counts", [
         pytest.param(verify_theorem_b, (1, 1, 1), id="verify_theorem_b"),
