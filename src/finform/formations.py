@@ -5,8 +5,9 @@ hereditary/saturated metadata. The built-ins are the nilpotent,
 supersoluble, and soluble classes and the sigma-nilpotent class for a
 chosen prime partition; all four are hereditary saturated formations, and
 the verification sweeps exercise those laws rather than assuming them.
-Membership is read off the chief series and normal Hall subgroups, both of
-which the engine builds and memoises for its other work.
+Membership builds no chief series: solubility is read off the derived
+series, supersolubility by peeling normal subgroups of prime order one
+quotient at a time, and (sigma-)nilpotence off normal Hall subgroups.
 
 A section H/K is F-central when (H/K)⋊(G/C_G(H/K)) lies in F. On a chief
 factor a saturated formation decides that by its local definition (Doerk &
@@ -33,11 +34,12 @@ from .groups import (
     _memo,
     centralizer,
     centralizer_of_section,
+    cyclic_subgroup,
+    derived_series,
     quotient,
 )
 from .lattice import (
     _prime_factors,
-    chief_series,
     chief_series_through,
     is_prime,
     normal_covers,
@@ -66,6 +68,8 @@ class SigmaPartition:
     def __post_init__(self):
         seen: set[int] = set()
         for cls in self.classes:
+            if not cls:
+                raise ValueError("sigma class is empty")
             for p in cls:
                 if isinstance(p, bool) or not isinstance(p, int):
                     raise ValueError(f"sigma entry {p!r} is not an integer")
@@ -121,17 +125,31 @@ def is_nilpotent(G: Group) -> bool:
 
 
 def is_soluble(G: Group) -> bool:
-    """Every chief factor has prime-power order.
-
-    A nonabelian chief factor is a power of a nonabelian simple group, whose
-    order has at least three prime divisors by Burnside's p^a q^b theorem.
-    """
-    return all(len(_prime_factors(o)) == 1 for o in chief_series(G).factor_orders())
+    """The derived series reaches 1. Exact: G^(i) lies in the i-th term of
+    every subnormal series with abelian factors, so it reaches 1 if one does."""
+    return derived_series(G)[-1].order == 1
 
 
 def is_supersoluble(G: Group) -> bool:
-    """Every chief factor has prime order."""
-    return all(is_prime(o) for o in chief_series(G).factor_orders())
+    """Peel normal subgroups N of prime order, G := G/N, until G = 1.
+
+    N = <x> for a class representative x of prime order p whose class has
+    fewer than p elements and lies in <x>, as every normal N of order p is.
+    Exact: a nontrivial supersoluble group has such an N (its minimal normal
+    subgroups) and supersoluble quotients; conversely N with G/N supersoluble
+    gives a chief series with prime factors, so by Jordan-Hölder all have them.
+    """
+    while G.order > 1:
+        for cls in G.conjugacy_classes()[1:]:
+            p = int(G.element_orders[cls[0]])
+            if len(cls) < p and is_prime(p):
+                N = cyclic_subgroup(G, int(cls[0]))
+                if all(y in N for y in cls):
+                    break
+        else:
+            return False
+        G = quotient(G, N)[0]
+    return True
 
 
 def is_sigma_primary(G: Group, sigma: SigmaPartition) -> bool:

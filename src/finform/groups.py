@@ -349,6 +349,8 @@ class Homomorphism:
         if self.mapping.shape != (source.order,):
             raise ValueError("mapping length does not match source order")
         if validate:
+            if np.asarray(mapping).dtype.kind not in "iu":
+                raise ValueError("mapping entries are not integers")
             m = self.mapping
             if m.min() < 0 or m.max() >= target.order:
                 raise ValueError(f"mapping values out of range 0..{target.order - 1}")

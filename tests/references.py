@@ -5,6 +5,9 @@ The membership tests each follow their class's textbook definition through
 the package's own subgroup arithmetic: the lower central series for
 nilpotence, the derived series for solubility, and a descent through
 minimal normal subgroups and quotients for supersolubility.
+``is_soluble_by_chief_series`` and ``is_supersoluble_by_chief_series`` are
+the engine's membership tests as they were before they stopped building a
+chief series: every chief factor of prime-power order, and of prime order.
 ``class_closures`` takes one normal closure per conjugacy class.
 ``semidirect_section`` builds a section product through derived groups:
 the section as a quotient of ``H.as_group()``, the quotient ``G/L``, and an
@@ -38,6 +41,7 @@ import numpy as np
 
 from finform import (
     SearchBudgetExceeded,
+    chief_series,
     direct_product,
     is_isomorphic,
     load_group_file,
@@ -46,6 +50,7 @@ from finform import (
     semidirect_product,
 )
 from finform.formations import is_f_central, is_prime
+from finform.lattice import _prime_factors
 from finform.construct import compose
 from finform.groups import (
     DEFAULT_ORDER_CAP,
@@ -104,6 +109,14 @@ def is_supersoluble(G) -> bool:
             return False
         Q = quotient(Q, M)[0]
     return True
+
+
+def is_soluble_by_chief_series(G) -> bool:
+    return all(len(_prime_factors(o)) == 1 for o in chief_series(G).factor_orders())
+
+
+def is_supersoluble_by_chief_series(G) -> bool:
+    return all(is_prime(o) for o in chief_series(G).factor_orders())
 
 
 def class_closures(G):

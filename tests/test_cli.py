@@ -462,6 +462,7 @@ class TestCommands:
             (["group", "show", "sym:3", "--order-cap", "0"], 3),
             (["group", "show", "cyclic:abc"], 3),
             (["group", "show", "prod(sym:3,sym:3,sym:3)"], 3),
+            (["verify", "lemmas", "--max-order", "6", "--sigma", "[[],[2,3]]"], 3),
         ],
     )
     def test_caps_budgets_and_sigma_entries_exit_codes(self, argv, code, capsys):

@@ -13,6 +13,7 @@ from finform import (
     alternating,
     builtin_formations,
     catalog_generate,
+    centralizer_of_section,
     chief_series,
     cyclic,
     dihedral,
@@ -39,7 +40,7 @@ from finform import (
     symmetric,
     trivial,
 )
-from finform import construct, formations
+from finform import construct, formations, lattice
 from finform.formations import is_prime, section_product
 from finform.lattice import _prime_factors, chief_series_through, normal_covers
 
@@ -114,6 +115,10 @@ class TestSigma:
             SigmaPartition.parse("[2,3]")
         for entries in ([[3.9, 2]], [[2.5]], [[2.0]], [[True]], [["2"]], [[[2]]]):
             with pytest.raises(ValueError):
+                SigmaPartition.from_lists(entries)
+        # an empty class would name a listed partition a second time
+        for entries in ([[], [2, 3]], [[2], []]):
+            with pytest.raises(ValueError, match="empty"):
                 SigmaPartition.from_lists(entries)
 
     def test_selector(self):
@@ -395,28 +400,68 @@ class TestBuiltinLaws:
             assert is_nilpotent(g) == references.is_nilpotent(g), g.label
 
     def test_predicates_match_series_references(self, catalog24):
-        # Each group of the catalog, every quotient of it and the section
-        # product of every chief factor, each rebuilt cold from its table;
+        # Each group of the catalog, every quotient of it, the section
+        # product of every chief factor and of every normal section H/K on
+        # which G acts (C_G(H/K) != G), each rebuilt cold from its table;
         # the catalog is soluble, so A5 and S5 join it.
         panel = [alternating(5), symmetric(5)]
         for g in catalog24.groups:
+            normals = normal_subgroups(g)
             panel.append(g)
-            panel.extend(quotient(g, N)[0] for N in normal_subgroups(g))
+            panel.extend(quotient(g, N)[0] for N in normals)
             panel.extend(section_product(g, top, bottom)
                          for top, bottom in chief_series(g).factors())
+            panel.extend(section_product(g, top, bottom)
+                         for top in normals for bottom in normals if bottom < top
+                         and centralizer_of_section(g, top, bottom) != g.full_subgroup())
         pairs = [
             (is_nilpotent, references.is_nilpotent),
             (is_soluble, references.is_soluble),
+            (is_soluble, references.is_soluble_by_chief_series),
             (is_supersoluble, references.is_supersoluble),
+            (is_supersoluble, references.is_supersoluble_by_chief_series),
         ]
         verdicts = set()
         for X in panel:
             for fast, reference in pairs:
                 got = fast(Group(X.table, validate=False))
-                assert got == reference(Group(X.table, validate=False)), (X.label, fast.__name__)
+                assert got == reference(Group(X.table, validate=False)), (
+                    X.label, fast.__name__, reference.__name__)
                 verdicts.add((fast.__name__, got))
         # the panel holds members and non-members of every class
         assert len(verdicts) == 6
+
+    def test_predicates_build_no_chief_series(self, catalog24, monkeypatch):
+        # cold copies, so no memoised series can answer for the predicates
+        panel = [(X.table, references.is_soluble_by_chief_series(X),
+                  references.is_supersoluble_by_chief_series(X))
+                 for X in catalog24.groups + [alternating(5), symmetric(5)]]
+
+        def refuse(*args):
+            raise AssertionError("membership built a chief series")
+
+        for module in (formations, lattice):
+            for name in ("chief_series_through", "normal_covers"):
+                monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(lattice, "chief_series", refuse)
+        for table, soluble, supersoluble in panel:
+            assert is_soluble(Group(table, validate=False)) == soluble
+            assert is_supersoluble(Group(table, validate=False)) == supersoluble
+
+    def test_supersoluble_peels_before_it_fails(self, monkeypatch):
+        # C2 x A4 has one normal subgroup of prime order, its centre; the
+        # quotient A4 has none (its minimal normal subgroup is V4)
+        peeled = []
+
+        def spy(G, N):
+            peeled.append(N.order)
+            return quotient(G, N)
+
+        monkeypatch.setattr(formations, "quotient", spy)
+        c2_a4 = direct_product(cyclic(2), alternating(4))
+        assert not is_supersoluble(c2_a4)
+        assert peeled == [2]
+        assert is_soluble(c2_a4)
 
     def test_sigma_primary_implies_sigma_nilpotent(self, catalog12):
         for sig in (SigmaPartition.parse("[[2,3]]"), SigmaPartition.parse("[[2,5],[3]]")):

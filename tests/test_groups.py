@@ -592,8 +592,14 @@ class TestHomomorphism:
         with pytest.raises(ValueError, match="out of range"):
             Homomorphism(cyclic(2), cyclic(2), mapping)
 
+    @pytest.mark.parametrize("mapping", [[0, 1.7], ["0", "1"]])
+    def test_non_integer_mapping_is_rejected(self, mapping):
+        with pytest.raises(ValueError, match="not integers"):
+            Homomorphism(cyclic(2), cyclic(2), mapping)
+
     def test_unvalidated_mapping_is_kept(self):
         assert Homomorphism(cyclic(2), cyclic(2), [0, 5], validate=False)(1) == 5
+        assert Homomorphism(cyclic(2), cyclic(2), [0, 1.7], validate=False)(1) == 1
 
     def test_non_multiplicative_mapping_is_not_a_group_map(self):
         with pytest.raises(NotAGroup, match="not multiplicative"):
