@@ -44,6 +44,8 @@ def from_cayley_table(table, label: str = "G", order_cap: int | None = DEFAULT_O
     check_order_cap(n, order_cap)
     if n == 0 or arr.min() < 0 or arr.max() >= n:
         raise NotAGroup("table entries out of range 0..n-1")
+    if np.asarray(table).dtype.kind not in "iu":  # the int64 cast reads 0.7 as 0, "1" as 1
+        raise NotAGroup("table entries are not integers")
     idx = np.arange(n)
     ident = np.nonzero(
         (arr == idx[None, :]).all(axis=1) & (arr.T == idx[None, :]).all(axis=1)

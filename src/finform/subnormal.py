@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .formations import Formation, SigmaPartition, is_sigma_primary
-from .groups import Group, Subgroup, _memo, _normal_in, core, normal_closure_in, quotient
+from .groups import Group, Subgroup, _check_parent, _memo, core, normal_closure_in, quotient
 from .lattice import all_subgroups, DEFAULT_LATTICE_BUDGET
 
 NORMAL_STEP = "normal-step"
@@ -56,7 +56,7 @@ class WitnessChain:
             if not low < high:
                 return False
             if kind == NORMAL_STEP:
-                if not _normal_in(high, low):
+                if core(high, low) is not low:
                     return False
             elif kind == F_STEP:
                 if f_quotient_ok is None:
@@ -74,11 +74,6 @@ def _core_quotient(low: Subgroup, high: Subgroup) -> Group:
         return quotient(high.as_group(), high.localize(core(high, low)))[0]
 
     return _memo(low.parent, ("core_quotient", low, high), compute)
-
-
-def _check_parent(G: Group, A: Subgroup) -> None:
-    if A.parent is not G:
-        raise ValueError(f"{A} belongs to another Group object than {G!r}")
 
 
 def is_subnormal(G: Group, A: Subgroup) -> WitnessChain | None:
@@ -110,11 +105,11 @@ def _chain_search(
 ) -> WitnessChain | None:
     """Breadth-first shortest witness chain over the overgroups of A.
 
-    A step X < Y is normal when ``normal_steps`` allows it and X is normal in
-    Y, else an f-step when ``quotient_ok`` accepts Y / core_Y(X), else no step.
-    Normality and the core quotient are memoised per pair, so every chain
-    kind shares them. Ties are broken in lattice order, so witnesses are
-    reproducible.
+    A step X < Y is normal when ``normal_steps`` allows it and X is its own
+    core in Y, else an f-step when ``quotient_ok`` accepts Y / core_Y(X), else
+    no step. Both halves read the one core memoised per pair, and the core
+    quotient is memoised per pair too, so every chain kind shares them. Ties
+    are broken in lattice order, so witnesses are reproducible.
     """
     _check_parent(G, A)
     overs = all_subgroups(G, budget=lattice_budget).overgroups_of(A)  # A first, G last
@@ -127,7 +122,7 @@ def _chain_search(
             for Y in overs:
                 if Y in chains or not X <= Y:  # X itself is in chains
                     continue
-                if normal_steps and _memo(X, ("normal_in", Y), lambda: _normal_in(Y, X)):
+                if normal_steps and core(Y, X) is X:
                     kind = NORMAL_STEP
                 elif quotient_ok(_core_quotient(X, Y)):
                     kind = F_STEP

@@ -611,13 +611,13 @@ def _chief_factors_central_in_members(c: _LawContext):
     """Every chief factor of a member group is F-central."""
     if c.in_f:
         for top, bottom in c.factors:
-            ok = is_f_central(c.G, top, bottom, c.F)
+            ok = c.central[bottom, top]
             yield None if ok else {"factor": [top.order, bottom.order]}
 
 
 def _membership_by_central_factors(c: _LawContext):
     """G is in F exactly when all its chief factors are F-central."""
-    all_central = all(is_f_central(c.G, top, bottom, c.F) for top, bottom in c.factors)
+    all_central = all(c.central[bottom, top] for top, bottom in c.factors)
     yield None if all_central == c.in_f else {"member": c.in_f}
 
 
@@ -633,9 +633,7 @@ def _sigma_centrality_coherence(c: _LawContext):
     sigma-nilpotent class."""
     if c.F.sigma is not None:
         for top, bottom in c.factors:
-            ok = is_sigma_central(c.G, top, bottom, c.F.sigma) == is_f_central(
-                c.G, top, bottom, c.F
-            )
+            ok = is_sigma_central(c.G, top, bottom, c.F.sigma) == c.central[bottom, top]
             yield None if ok else {"factor": [top.order, bottom.order]}
 
 

@@ -21,6 +21,7 @@ from finform import (
     center,
     centralizer,
     centralizer_of_section,
+    chief_series_through,
     core,
     cyclic,
     dihedral,
@@ -30,6 +31,7 @@ from finform import (
     from_permutation_gens,
     generated_subgroup,
     is_isomorphic,
+    is_large,
     load_group_file,
     normal_closure,
     normal_subgroups,
@@ -106,6 +108,13 @@ class TestFromCayleyTable:
     def test_no_identity_rejected(self):
         with pytest.raises(NotAGroup):
             from_cayley_table([[1, 0], [1, 0]])
+
+    @pytest.mark.parametrize("table", [[[0, 1], [1, 0.7]], [["0", "1"], ["1", "0"]],
+                                       [[True, False], [False, True]]])
+    def test_entries_that_are_not_integers_rejected(self, table):
+        # cast to int64, each of these reads as C2
+        with pytest.raises(NotAGroup, match="not integers"):
+            from_cayley_table(table)
 
 
 class TestPermutationClosure:
@@ -264,6 +273,21 @@ class TestQuotient:
             if s3.conj(y, h) not in N
         )
         assert (g, x) == first
+
+    def test_every_normality_guard_carries_a_witness(self):
+        s4 = symmetric(4)
+        d8 = subgroup_of_order(s4, 8)
+        for call in (
+            lambda: quotient(s4, d8),
+            lambda: centralizer_of_section(s4, d8, s4.trivial_subgroup()),
+            lambda: centralizer_of_section(s4, s4.full_subgroup(), d8),
+            lambda: chief_series_through(s4, d8),
+            lambda: is_large(s4, d8),
+        ):
+            with pytest.raises(NotNormal) as err:
+                call()
+            g, x = err.value.witness
+            assert x in d8 and s4.conj(x, g) not in d8
 
 
 class TestCentralizersAndCores:
@@ -495,6 +519,7 @@ class TestSubgroupBasics:
         monkeypatch.setattr(groups, "_conjugates", no_conjugation)
         for N in normals:
             assert centralizer_of_section(s4, N, N) is s4.full_subgroup()
+        monkeypatch.undo()  # the NotNormal witness is read off the conjugates
         with pytest.raises(NotNormal, match="H is not normal"):
             centralizer_of_section(s4, c2, c2)
 
@@ -647,7 +672,7 @@ def test_cosets_match_inline_least_reference(catalog24):
     s4 = symmetric(4)
     subs = all_subgroups(s4).subgroups
     local = [(s4, N, W) for N, W in product(subs, repeat=2)
-             if N <= W and groups._normal_in(W, N) and not N.is_normal()]
+             if N <= W and groups.core(W, N) is N and not N.is_normal()]
     for g, N, W in pairs + local:
         got, want = groups._cosets(g, N, W), references.cosets(g, N, W)
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), (g.label, N, W)

@@ -204,8 +204,8 @@ class TestChiefSeries:
 
         series = chief_series(symmetric(4))  # warm: the terms' memos are filled
         calls = []
-        original = groups._normal_in
-        monkeypatch.setattr(groups, "_normal_in",
+        original = groups.core
+        monkeypatch.setattr(groups, "core",
                             lambda *args: calls.append(args) or original(*args))
         factors = series.factors()
         assert calls == []

@@ -6,19 +6,26 @@ from finform import (
     NILPOTENT,
     SUPERSOLUBLE,
     SigmaPartition,
+    Subgroup,
     all_subgroups,
     builtin_formations,
+    centralizer,
+    centralizer_of_section,
+    chief_series_through,
+    cyclic,
     from_cayley_table,
     generated_subgroup,
     is_f_subnormal,
     is_k_f_subnormal,
+    is_large,
     is_sigma_subnormal,
     is_subnormal,
+    quotient,
     sigma_nilpotent_formation,
     symmetric,
 )
-from finform import groups, subnormal
-from finform.groups import core, cyclic_subgroup
+from finform import groups
+from finform.groups import core, cyclic_subgroup, join
 from finform.formations import is_sigma_primary
 from finform.subnormal import F_STEP, NORMAL_STEP, WitnessChain, _core_quotient
 
@@ -244,17 +251,17 @@ def test_chain_search_matches_index_reference(catalog24):
 
 
 def test_each_normality_fact_is_tested_once_across_chain_kinds(monkeypatch):
-    # normality of a pair does not depend on the chain kind, so the four
-    # deciders share one memo per (ambient, sub) pair
+    # normality of a pair does not depend on the chain kind, and a normal
+    # step and an f-step read the same core, so the four deciders compute
+    # one core, one conjugation matrix, per (group, ambient, inner) triple
     tested = Counter()
-    normal_in = groups._normal_in
+    conjugates = groups._conjugates
 
-    def record(ambient, sub):
-        tested[ambient, sub] += 1
-        return normal_in(ambient, sub)
+    def record(G, ambient, inner):
+        tested[G, ambient.tobytes(), inner.tobytes()] += 1
+        return conjugates(G, ambient, inner)
 
-    monkeypatch.setattr(groups, "_normal_in", record)
-    monkeypatch.setattr(subnormal, "_normal_in", record)
+    monkeypatch.setattr(groups, "_conjugates", record)
     s4 = symmetric(4)
     for decide, _ in _four_deciders():
         for S in all_subgroups(s4).subgroups:
@@ -275,3 +282,23 @@ def test_subgroup_of_another_group_is_rejected():
     ):
         with pytest.raises(ValueError, match="another Group object"):
             decide(s4, foreign)
+
+
+def test_routines_reject_subgroups_of_another_group():
+    # each of these read a foreign subgroup's indices in another group's
+    # table; the quotient built an order-3 "group" that is not a Latin square
+    s3 = symmetric(3)
+    s3b = from_cayley_table(s3.table)  # an equal copy
+    a3 = generated_subgroup(s3, [e for e in range(6) if s3.element_orders[e] == 3])
+    a3b = Subgroup(s3b, a3.array)
+    for call in (
+        lambda: quotient(cyclic(4), cyclic(2).full_subgroup()),
+        lambda: is_large(s3b, a3),
+        lambda: chief_series_through(s3b, a3),
+        lambda: centralizer_of_section(s3b, a3, s3.trivial_subgroup()),
+        lambda: a3b.intersect(a3),
+        lambda: join(a3b, a3),
+        lambda: centralizer(s3b, a3),
+    ):
+        with pytest.raises(ValueError, match="another Group object"):
+            call()
