@@ -52,7 +52,6 @@ from .morphisms import (
     automorphism_count,
     automorphism_group,
     automorphisms,
-    holomorph,
     is_isomorphic,
 )
 from .lattice import (
@@ -77,7 +76,6 @@ from .formations import (
     hypercentre,
     is_f_central,
     is_f_hypercentral,
-    is_large,
     is_nilpotent,
     is_sigma_central,
     is_sigma_nilpotent,

@@ -35,17 +35,23 @@ def from_cayley_table(table, label: str = "G", order_cap: int | None = DEFAULT_O
     relabelled by the transposition (0 e) so that 0 becomes the identity.
     """
     try:
+        raw = np.asarray(table)
+    except ValueError:  # rows of unequal lengths
+        raise NotAGroup("table is not square") from None
+    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+        raise NotAGroup("table is not square")
+    n = raw.shape[0]
+    check_order_cap(n, order_cap)
+    try:
         arr = np.asarray(table, dtype=np.int64)
     except OverflowError:  # an entry beyond int64 is out of range too
         raise NotAGroup("table entries out of range 0..n-1") from None
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NotAGroup("table is not square")
-    n = arr.shape[0]
-    check_order_cap(n, order_cap)
+    except (TypeError, ValueError):  # such as None or "x"
+        raise NotAGroup("table entries are not integers") from None
+    if raw.dtype.kind not in "iu":  # the cast reads 0.7 as 0, "1" as 1
+        raise NotAGroup("table entries are not integers")
     if n == 0 or arr.min() < 0 or arr.max() >= n:
         raise NotAGroup("table entries out of range 0..n-1")
-    if np.asarray(table).dtype.kind not in "iu":  # the int64 cast reads 0.7 as 0, "1" as 1
-        raise NotAGroup("table entries are not integers")
     idx = np.arange(n)
     ident = np.nonzero(
         (arr == idx[None, :]).all(axis=1) & (arr.T == idx[None, :]).all(axis=1)

@@ -18,7 +18,7 @@ section product; ``is_f_central`` keeps the product definition.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .construct import semidirect_section
@@ -31,8 +31,6 @@ from .groups import (
     Group,
     Subgroup,
     _memo,
-    _require_normal,
-    centralizer,
     centralizer_of_section,
     cyclic_subgroup,
     derived_series,
@@ -173,7 +171,7 @@ def is_sigma_nilpotent(G: Group, sigma: SigmaPartition) -> bool:
 ChiefRule = Callable[[Group, Subgroup, Subgroup], bool]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Formation:
     """A named group-class predicate with hereditary/saturated metadata.
 
@@ -182,21 +180,22 @@ class Formation:
     saturated (Gaschütz–Lubeseder–Schmid); without it the section product
     decides. The flags are trusted when selecting which theorems apply, but
     the verifier's law sweeps exercise them on the whole catalog. ``sigma``
-    is the partition of a sigma-nilpotent class, and None for any other.
+    is the partition of a sigma-nilpotent class, and None for any other. A
+    formation equals only itself, and its memos are keyed by the object.
     """
 
     name: str
-    predicate: Callable[[Group], bool] = field(compare=False)
+    predicate: Callable[[Group], bool]
     hereditary: bool = True
-    chief_rule: ChiefRule | None = field(default=None, compare=False)
-    sigma: SigmaPartition | None = field(default=None, compare=False)
+    chief_rule: ChiefRule | None = None
+    sigma: SigmaPartition | None = None
 
     @property
     def saturated(self) -> bool:
         return self.chief_rule is not None
 
     def contains(self, G: Group) -> bool:
-        return _memo(G, "in-formation:" + self.name, lambda: bool(self.predicate(G)))
+        return _memo(G, ("in-formation", self), lambda: bool(self.predicate(G)))
 
     def chief_central(self, G: Group, H: Subgroup, K: Subgroup) -> bool:
         """Whether the chief factor H/K of G is F-central."""
@@ -229,10 +228,15 @@ SUPERSOLUBLE = Formation("supersoluble", is_supersoluble,
 SOLUBLE = Formation("soluble", is_soluble, chief_rule=_soluble_rule)
 
 
+_SIGMA_FORMATIONS: dict[str, Formation] = {}
+
+
 def sigma_nilpotent_formation(sigma: SigmaPartition) -> Formation:
-    name = f"sigma-nilpotent{sigma.key}"
-    return Formation(name, lambda G: is_sigma_nilpotent(G, sigma),
-                     chief_rule=_sigma_rule(sigma), sigma=sigma)
+    """The sigma-nilpotent formation, one object per ``sigma.key``, so the
+    sweeps of a run share its memos."""
+    return _SIGMA_FORMATIONS.setdefault(sigma.key, Formation(
+        f"sigma-nilpotent{sigma.key}", lambda G: is_sigma_nilpotent(G, sigma),
+        chief_rule=_sigma_rule(sigma), sigma=sigma))
 
 
 def builtin_formations(sigma: SigmaPartition | None = None) -> list[Formation]:
@@ -283,7 +287,7 @@ def residual(G: Group, F: Formation) -> Subgroup:
             )
         return out
 
-    return _memo(G, "residual:" + F.name, compute)
+    return _memo(G, ("residual", F), compute)
 
 
 # -- central sections ----------------------------------------------------------
@@ -350,10 +354,4 @@ def hypercentre(G: Group, F: Formation) -> Subgroup:
             )
         return Z
 
-    return _memo(G, "hypercentre:" + F.name, compute)
-
-
-def is_large(G: Group, N: Subgroup) -> bool:
-    """Whether N contains its own centralizer in G."""
-    _require_normal(G, N)
-    return centralizer(G, N) <= N
+    return _memo(G, ("hypercentre", F), compute)

@@ -373,9 +373,6 @@ class Homomorphism:
     def kernel(self) -> Subgroup:
         return _subgroup(self.source, self.mapping == 0)
 
-    def image(self) -> Subgroup:
-        return _subgroup(self.target, _marked(self.target.order, self.mapping))
-
     def is_injective(self) -> bool:
         return len(np.unique(self.mapping)) == self.source.order
 
@@ -481,6 +478,7 @@ def normal_closure(G: Group, elems: Iterable[int]) -> Subgroup:
 def normal_closure_in(ambient: Subgroup, sub: Subgroup) -> Subgroup:
     """Smallest subgroup of ``ambient`` containing ``sub`` and normal in it."""
     G = ambient.parent
+    _check_parent(G, sub)
     return _closure(G, _marked(G.order, _conjugates(G, ambient.array, sub.array)))
 
 
@@ -503,6 +501,8 @@ def core(ambient: Subgroup, inner: Subgroup) -> Subgroup:
 
 def commutator_subgroup(G: Group, A: Subgroup, B: Subgroup) -> Subgroup:
     """[A, B] generated by commutators a^-1 b^-1 a b."""
+    _check_parent(G, A)
+    _check_parent(G, B)
     t, inv = G.table, G.inverse
     comms = t[t[inv[A.array][:, None], inv[B.array]], t[A.array[:, None], B.array]]
     return _closure(G, _marked(G.order, comms))

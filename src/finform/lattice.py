@@ -12,6 +12,7 @@ from .errors import LatticeBudgetExceeded, NotAGroup
 from .groups import (
     Group,
     Subgroup,
+    _check_parent,
     _memo,
     _require_normal,
     _subgroup,
@@ -47,9 +48,13 @@ class SubgroupLattice:
         return iter(self.subgroups)
 
     def overgroups_of(self, s: Subgroup) -> tuple[Subgroup, ...]:
-        """The subgroups containing s, in lattice order: s first, the group last
-        (memoised: sweeps and chain searches ask for them once per pass)."""
-        return _memo(self, ("overgroups", s), lambda: tuple(t for t in self.subgroups if s <= t))
+        """The subgroups containing s, in lattice order: s first, the group last.
+        Memoised, parent check included: sweeps and chain searches ask often."""
+        def compute():
+            _check_parent(self.parent, s)
+            return tuple(t for t in self.subgroups if s <= t)
+
+        return _memo(self, ("overgroups", s), compute)
 
     def maximal_subgroups(self) -> list[Subgroup]:
         """Proper subgroups with nothing strictly between them and the group:

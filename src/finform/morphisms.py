@@ -1,4 +1,4 @@
-"""Isomorphism testing, automorphism groups, and holomorphs.
+"""Isomorphism testing, automorphisms and the automorphism group.
 
 Isomorphisms are found by backtracking over images of a small generating
 set, pruned by element-order and conjugacy-class invariants; negatives are
@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import SearchBudgetExceeded
 from .groups import (
-    DEFAULT_ORDER_CAP,
     Group,
     Homomorphism,
     _memo,
@@ -22,7 +21,7 @@ from .groups import (
     check_order_cap,
     derived_series,
 )
-from .construct import _permutation_table, semidirect_product
+from .construct import _permutation_table
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -85,12 +84,6 @@ def _word_script(
         return gens, steps, ends, members
 
     return _memo(G, "word_script", compute)
-
-
-def generating_set(G: Group) -> list[int]:
-    """A small generating set, chosen greedily and deterministically: the
-    generators of ``_word_script``."""
-    return _word_script(G)[0]
 
 
 def _element_invariant(G: Group) -> np.ndarray:
@@ -204,15 +197,3 @@ def automorphism_group(
     aut = Group(_permutation_table(action).T, label=f"Aut({G.label})", validate=False)
     aut.action = action
     return aut
-
-
-def holomorph(
-    G: Group,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-    order_cap: int | None = DEFAULT_ORDER_CAP,
-) -> Group:
-    """Hol(G) = G x| Aut(G) with the natural action."""
-    aut = automorphism_group(G, budget=budget)
-    return semidirect_product(
-        G, aut, aut.action, label=f"Hol({G.label})", order_cap=order_cap
-    )

@@ -103,7 +103,7 @@ def _chain_search(
     normal_steps: bool,
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> WitnessChain | None:
-    """Breadth-first shortest witness chain over the overgroups of A.
+    """Breadth-first shortest witness chain, from each term to its overgroups.
 
     A step X < Y is normal when ``normal_steps`` allows it and X is its own
     core in Y, else an f-step when ``quotient_ok`` accepts Y / core_Y(X), else
@@ -112,15 +112,15 @@ def _chain_search(
     are broken in lattice order, so witnesses are reproducible.
     """
     _check_parent(G, A)
-    overs = all_subgroups(G, budget=lattice_budget).overgroups_of(A)  # A first, G last
-    top = overs[-1]
+    lattice = all_subgroups(G, budget=lattice_budget)
+    top = G.full_subgroup()
     chains = {A: ((A,), ())}  # the first (terms, step kinds) found to each subgroup reached
     queue = [A]
     while queue:
         nxt_queue = []
         for X in queue:
-            for Y in overs:
-                if Y in chains or not X <= Y:  # X itself is in chains
+            for Y in lattice.overgroups_of(X):  # X first, G last
+                if Y in chains:  # X itself is in chains
                     continue
                 if normal_steps and core(Y, X) is X:
                     kind = NORMAL_STEP

@@ -25,7 +25,6 @@ from finform import (
     is_f_central,
     is_f_hypercentral,
     is_isomorphic,
-    is_large,
     is_nilpotent,
     is_sigma_central,
     is_sigma_nilpotent,
@@ -43,6 +42,7 @@ from finform import (
 from finform import construct, formations, lattice
 from finform.formations import is_prime, section_product
 from finform.lattice import _prime_factors, chief_series_through, normal_covers
+from finform.verify import _escape
 
 import oracles
 import references
@@ -365,20 +365,38 @@ class TestHypercentre:
             is_f_hypercentral(s3, cyclic_subgroup(s3, t), NILPOTENT)
 
 
+def test_formations_that_share_a_name_share_no_memos():
+    # memos are keyed by the formation object, not by its name
+    s3, s4 = symmetric(3), symmetric(4)
+    never = Formation("planted", lambda G: G.order == 1, chief_rule=lambda G, H, K: False)
+    always = Formation("planted", lambda G: G.order == 1, chief_rule=lambda G, H, K: True)
+    assert hypercentre(s4, never).order == 1
+    assert hypercentre(s4, always).order == 24
+    assert not NILPOTENT.contains(s3)
+    assert Formation("nilpotent", lambda G: True).contains(s3)
+    # one sigma-nilpotent object per partition, so the sweeps of a run share it
+    assert sigma_nilpotent_formation(SigmaPartition.parse("[[2,3]]")) is \
+        sigma_nilpotent_formation(SigmaPartition.parse("[[3,2]]"))
+
+
 class TestIsLarge:
+    """N is large in G when C_G(N) <= N; ``verify._escape`` is the one test
+    of it and returns the escaping centralizer otherwise."""
+
     def test_whole_group(self):
         s4 = symmetric(4)
-        assert is_large(s4, s4.full_subgroup())
+        assert _escape(s4, s4.full_subgroup()) is None
 
     def test_v4_in_s4(self):
         s4 = symmetric(4)
-        assert is_large(s4, v4_of(s4))
+        assert _escape(s4, v4_of(s4)) is None
 
     def test_center_of_d8_not_large(self):
         from finform import center
 
         d8 = dihedral(4)
-        assert not is_large(d8, center(d8))
+        z = center(d8)
+        assert _escape(d8, z) == {"residual": z.array.tolist(), "centralizer": list(range(8))}
 
 
 class TestBuiltinLaws:

@@ -17,7 +17,6 @@ from finform import (
     generated_subgroup,
     is_f_subnormal,
     is_k_f_subnormal,
-    is_large,
     is_sigma_subnormal,
     is_subnormal,
     quotient,
@@ -286,19 +285,22 @@ def test_subgroup_of_another_group_is_rejected():
 
 def test_routines_reject_subgroups_of_another_group():
     # each of these read a foreign subgroup's indices in another group's
-    # table; the quotient built an order-3 "group" that is not a Latin square
+    # table; the quotient built an order-3 "group" that is not a Latin
+    # square, and the lattice memoised no overgroups for the foreign subgroup
     s3 = symmetric(3)
     s3b = from_cayley_table(s3.table)  # an equal copy
     a3 = generated_subgroup(s3, [e for e in range(6) if s3.element_orders[e] == 3])
     a3b = Subgroup(s3b, a3.array)
     for call in (
         lambda: quotient(cyclic(4), cyclic(2).full_subgroup()),
-        lambda: is_large(s3b, a3),
         lambda: chief_series_through(s3b, a3),
         lambda: centralizer_of_section(s3b, a3, s3.trivial_subgroup()),
         lambda: a3b.intersect(a3),
         lambda: join(a3b, a3),
         lambda: centralizer(s3b, a3),
+        lambda: groups.commutator_subgroup(s3b, s3.full_subgroup(), s3.full_subgroup()),
+        lambda: groups.normal_closure_in(s3b.full_subgroup(), s3.full_subgroup()),
+        lambda: all_subgroups(s3).overgroups_of(s3b.trivial_subgroup()),
     ):
         with pytest.raises(ValueError, match="another Group object"):
             call()
