@@ -21,7 +21,6 @@ from .errors import (
 from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
-    Homomorphism,
     Subgroup,
     center,
     centralizer,

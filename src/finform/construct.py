@@ -221,8 +221,7 @@ def elem_abelian(p: int, k: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> G
     g = cyclic(p, order_cap=order_cap)
     for _ in range(k - 1):
         g = direct_product(g, cyclic(p, order_cap=order_cap), order_cap=order_cap)
-    g.label = f"elab({p},{k})"
-    return g
+    return Group(g.table, label=f"elab({p},{k})", validate=False)
 
 
 # -- products ---------------------------------------------------------------

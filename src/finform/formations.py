@@ -216,9 +216,13 @@ def _sigma_rule(sigma: SigmaPartition) -> ChiefRule:
 
 
 def _soluble_rule(G: Group, H: Subgroup, K: Subgroup) -> bool:
-    """m is a prime power and Q is soluble."""
-    return len(_prime_factors(H.order // K.order)) == 1 and is_soluble(
-        quotient(G, centralizer_of_section(G, H, K))[0])
+    """m is a prime power and Q is soluble: |Q| has at most two primes
+    (Burnside's p^a q^b theorem), or else G's last derived term lies in C,
+    as (G/C)^(i) = G^(i)C/C."""
+    if len(_prime_factors(H.order // K.order)) != 1:
+        return False
+    C = centralizer_of_section(G, H, K)
+    return len(_prime_factors(G.order // C.order)) <= 2 or derived_series(G)[-1] <= C
 
 
 NILPOTENT = Formation("nilpotent", is_nilpotent,

@@ -10,14 +10,15 @@ powers of its generator, about 3 times faster than the closure. N is
 normal in Y exactly when ``core(Y, N) is N``. A group built from one the
 engine already has (a quotient, a subgroup as a group, a semidirect
 product) is shared per Cayley table by ``_derived_group``, so what it
-memoises is computed once per table.
+memoises is computed once per table. A map between groups is an int32
+array of images indexed by the source's elements.
 """
 
 from __future__ import annotations
 
 import hashlib
 import weakref
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -131,13 +132,17 @@ class Group:
 
     # -- elementwise arithmetic ----------------------------------------
 
+    # Each raises ValueError on an element index outside 0..n-1.
+
     def mul(self, a: int, b: int) -> int:
+        a, b = _element_indices(self, (a, b))
         return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
-        return int(self.inverse[a])
+        return int(self.inverse[_element_indices(self, (a,))[0]])
 
     def power(self, g: int, k: int) -> int:
+        (g,) = _element_indices(self, (g,))
         if k < 0:
             g, k = self.inv(g), -k
         acc, base = 0, g
@@ -150,6 +155,7 @@ class Group:
 
     def conj(self, x: int, g: int) -> int:
         """g^-1 * x * g."""
+        x, g = _element_indices(self, (x, g))
         return int(self.table[self.table[self.inverse[g], x], g])
 
     def is_abelian(self) -> bool:
@@ -344,48 +350,6 @@ def _subgroup(G: Group, mask: np.ndarray, validate: bool = False) -> Subgroup:
     return _interned(G, bits, mask, validate)
 
 
-class Homomorphism:
-    """A total map between groups given by a per-element image table."""
-
-    def __init__(self, source: Group, target: Group, mapping: Sequence[int], validate: bool = True):
-        self.source = source
-        self.target = target
-        self.mapping = np.asarray(mapping, dtype=np.int32)
-        if self.mapping.shape != (source.order,):
-            raise ValueError("mapping length does not match source order")
-        if validate:
-            if np.asarray(mapping).dtype.kind not in "iu":
-                raise ValueError("mapping entries are not integers")
-            m = self.mapping
-            if m.min() < 0 or m.max() >= target.order:
-                raise ValueError(f"mapping values out of range 0..{target.order - 1}")
-            lhs = m[source.table]
-            rhs = target.table[m[:, None], m[None, :]]
-            if not np.array_equal(lhs, rhs):
-                a, b = divmod(int(np.argmax(lhs != rhs)), source.order)
-                raise NotAGroup(
-                    f"map is not multiplicative at ({a},{b})", witness=(a, b)
-                )
-
-    def __call__(self, g: int) -> int:
-        return int(self.mapping[g])
-
-    def kernel(self) -> Subgroup:
-        return _subgroup(self.source, self.mapping == 0)
-
-    def is_injective(self) -> bool:
-        return len(np.unique(self.mapping)) == self.source.order
-
-    def is_surjective(self) -> bool:
-        return len(np.unique(self.mapping)) == self.target.order
-
-    def is_isomorphism(self) -> bool:
-        return self.is_injective() and self.is_surjective()
-
-    def __repr__(self) -> str:
-        return f"Homomorphism({self.source.label} -> {self.target.label})"
-
-
 def _check_parent(G: Group, A: Subgroup) -> None:
     """ValueError unless A is a subgroup of this very Group object."""
     if A.parent is not G:
@@ -397,7 +361,10 @@ def _check_parent(G: Group, A: Subgroup) -> None:
 
 def _element_indices(G: Group, elems: Iterable[int]) -> np.ndarray:
     """``elems`` as an index array; one outside 0..|G|-1 raises ValueError."""
-    idx = np.fromiter(elems, dtype=np.int64)
+    try:
+        idx = np.fromiter(elems, dtype=np.int64)
+    except OverflowError:  # beyond int64, so out of range too
+        idx = np.array([-1])
     if idx.size and not 0 <= idx.min() <= idx.max() < G.order:
         raise ValueError("element index out of range")
     return idx
@@ -558,13 +525,14 @@ def _cosets(G: Group, N: Subgroup, within: Subgroup) -> tuple[np.ndarray, ...]:
     return reps, index, index[G.table[reps[:, None], reps]]
 
 
-def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
-    """The quotient group G/N with its projection; N must be normal."""
+def quotient(G: Group, N: Subgroup) -> tuple[Group, np.ndarray]:
+    """The quotient group G/N and its projection, the read-only array of
+    each element's coset number in G/N; N must be normal."""
     def compute():
         _require_normal(G, N)
         _, index, qtable = _cosets(G, N, G.full_subgroup())
-        Q = _derived_group(qtable, f"{G.label}/n{N.order}")
-        return Q, Homomorphism(G, Q, index, validate=False)
+        index.flags.writeable = False
+        return _derived_group(qtable, f"{G.label}/n{N.order}"), index
 
     return _memo(G, ("quotient", N), compute)
 
@@ -607,7 +575,7 @@ def upper_central_series(G: Group) -> list[Subgroup]:
     """Ascending series 1 <= Z(G) <= Z_2(G) <= ... until it stabilises."""
     def step(Z: Subgroup) -> Subgroup:
         Q, proj = quotient(G, Z)
-        return _subgroup(G, center(Q).mask()[proj.mapping])
+        return _subgroup(G, center(Q).mask()[proj])
 
     return _until_stable(G.trivial_subgroup(), step)
 

@@ -6,6 +6,8 @@ certified by an invariant mismatch whenever one exists and by exhausted
 search otherwise. Each group has one memoised word script, its generators
 and one step per element; the backtrack fills each image once from it and,
 at generator i, checks the map only on the subgroup of the first i+1.
+Every map found, an isomorphism witness or an automorphism, is an int32
+array of the images of the source's elements.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 from .errors import SearchBudgetExceeded
 from .groups import (
     Group,
-    Homomorphism,
     _memo,
     center,
     check_order_cap,
@@ -156,14 +157,13 @@ def _search_embeddings(
 
 def is_isomorphic(
     G: Group, H: Group, budget: int = DEFAULT_SEARCH_BUDGET
-) -> Homomorphism | None:
-    """A witness isomorphism if one exists, else None (a certified negative)."""
+) -> np.ndarray | None:
+    """A witness isomorphism, the image in H of each element of G, if one
+    exists, else None (a certified negative)."""
     if G.order != H.order or fingerprint(G) != fingerprint(H):
         return None
     maps = _search_embeddings(G, H, budget, find_all=False)
-    if not maps:
-        return None
-    return Homomorphism(G, H, maps[0], validate=False)
+    return maps[0] if maps else None
 
 
 def automorphisms(G: Group, budget: int = DEFAULT_SEARCH_BUDGET) -> list[np.ndarray]:
@@ -184,16 +184,13 @@ def automorphism_group(
     G: Group,
     budget: int = DEFAULT_SEARCH_BUDGET,
     order_cap: int | None = None,
-) -> Group:
-    """The group of all automorphisms under composition.
-
-    The result carries ``action``: an (|Aut|, |G|) array of the underlying
-    permutations of G's elements (row 0 is the identity map).
+) -> tuple[Group, np.ndarray]:
+    """The group Aut of all automorphisms under composition, and its
+    action: the (|Aut|, |G|) array whose row a is the image array of
+    automorphism a (row 0 is the identity map).
     """
     perms = automorphisms(G, budget)
     check_order_cap(len(perms), order_cap)
     action = np.stack(perms)
     # p.q (q first) is compose(q, p), entry (j, i) of the permutation table
-    aut = Group(_permutation_table(action).T, label=f"Aut({G.label})", validate=False)
-    aut.action = action
-    return aut
+    return Group(_permutation_table(action).T, label=f"Aut({G.label})", validate=False), action

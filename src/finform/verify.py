@@ -685,9 +685,7 @@ def _hypercentre_of_quotient(c: _LawContext):
     for N in c.normals:
         if N <= c.Z:
             Qn, proj = quotient(c.G, N)
-            image = Subgroup(
-                Qn, np.unique(proj.mapping[c.Z.array]).tolist(), validate=False
-            )
+            image = Subgroup(Qn, np.unique(proj[c.Z.array]).tolist(), validate=False)
             ok = image == hypercentre(Qn, c.F)
             yield None if ok else {"normal": _members(N)}
 

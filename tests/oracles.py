@@ -1,8 +1,10 @@
 """Brute-force reference implementations, independent of the package.
 
 Groups here are (elements, mul) pairs: a sorted tuple of hashable element
-labels and a binary callable. Everything is computed from first principles
-with sets and dicts; nothing imports finform. Only meant for tiny groups.
+labels and a binary callable. The map checks at the end read two Cayley
+tables instead, since a map is an image array over the source's indices.
+Everything is computed from first principles with sets, dicts and loops;
+nothing imports finform. Only meant for tiny groups.
 """
 
 from itertools import permutations
@@ -261,3 +263,19 @@ def hypercentre(elems, mul, membership):
         ):
             good = closure(good | n, mul, e)
     return good
+
+
+def is_homomorphism(G, H, image):
+    """Whether ``image``, one entry per element of G, is a multiplicative
+    map into H. G and H are read only through their Cayley tables
+    (``table[a][b]`` is a*b on the indices 0..order-1)."""
+    g, h = G.table.tolist(), H.table.tolist()
+    img = [int(x) for x in image]
+    return (len(img) == len(g) and all(0 <= y < len(h) for y in img)
+            and all(img[g[a][b]] == h[img[a]][img[b]]
+                    for a in range(len(g)) for b in range(len(g))))
+
+
+def is_isomorphism(G, H, image):
+    """Whether ``image`` is a multiplicative bijection from G onto H."""
+    return is_homomorphism(G, H, image) and sorted(int(x) for x in image) == list(range(len(H.table)))

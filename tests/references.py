@@ -135,7 +135,7 @@ def semidirect_section(G, H, K, L):
     # one parent-group representative per section element (first occurrence)
     first_local = np.full(sec.order, -1, dtype=np.int32)
     for local in range(Hgrp.order):
-        q = int(sec_proj.mapping[local])
+        q = int(sec_proj[local])
         if first_local[q] < 0:
             first_local[q] = local
     sec_reps = H.array[first_local]
@@ -145,7 +145,7 @@ def semidirect_section(G, H, K, L):
     for qi in range(quo.order):
         g = int(quo_reps[qi])
         conj = G.table[G.table[g, sec_reps], G.inverse[g]]  # stays in H since H is normal
-        action[qi] = sec_proj.mapping[np.searchsorted(H.array, conj)]
+        action[qi] = sec_proj[np.searchsorted(H.array, conj)]
     return semidirect_product(sec, quo, action, order_cap=None)
 
 

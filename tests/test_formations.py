@@ -7,6 +7,7 @@ from finform import (
     HypercentreNotHypercentral,
     NILPOTENT,
     NotNormal,
+    SOLUBLE,
     SUPERSOLUBLE,
     SigmaPartition,
     UnknownFormation,
@@ -20,6 +21,7 @@ from finform import (
     direct_product,
     elem_abelian,
     formation_by_selector,
+    from_permutation_gens,
     generated_subgroup,
     hypercentre,
     is_f_central,
@@ -31,6 +33,7 @@ from finform import (
     is_sigma_primary,
     is_soluble,
     is_supersoluble,
+    minimal_normal_subgroups,
     normal_subgroups,
     quaternion,
     quotient,
@@ -323,6 +326,21 @@ class TestHypercentre:
         assert checks > 5000
         # A5 in A5, A5xC2 and A5xC3: the A5/1 factors and A5xC_p/C_p
         assert nonabelian_central == (5 if sigma == "[[2,3,5]]" else 0)
+
+    def test_soluble_rule_reads_the_derived_series(self):
+        # |G : C_G(M)| has three primes, so Burnside does not decide and the
+        # rule reads G's derived series: AGL(1,31) on C31 (Q = C30, soluble)
+        # and 2^4:A5, A5 on the even flips of five pairs (Q = A5, insoluble)
+        agl = from_permutation_gens(31, [[(x + 1) % 31 for x in range(31)],
+                                         [3 * x % 31 for x in range(31)]], order_cap=None)
+        a5 = [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]
+        flips = from_permutation_gens(10, [s + [5 + x for x in s] for s in a5]
+                                      + [[5, 6, 2, 3, 4, 0, 1, 7, 8, 9]], order_cap=None)
+        for G, order, central in ((agl, 930, True), (flips, 960, False)):
+            M, one = minimal_normal_subgroups(G)[0], G.trivial_subgroup()
+            assert G.order == order and len(_prime_factors(G.order // M.order)) == 3
+            assert SOLUBLE.chief_central(G, M, one) is central
+            assert is_f_central(G, M, one, SOLUBLE) is central
 
     def test_hypercentre_builds_no_section_product(self, monkeypatch):
         calls = []

@@ -19,6 +19,7 @@ from finform import (
 from finform import morphisms
 from finform.morphisms import _word_script, fingerprint
 
+import oracles
 import references
 
 
@@ -34,7 +35,7 @@ class TestIsomorphism:
     def test_identity_witness(self):
         s3 = symmetric(3)
         w = is_isomorphic(s3, s3)
-        assert w is not None and w.is_isomorphism()
+        assert w is not None and oracles.is_isomorphism(s3, s3, w)
 
     def test_c4_vs_klein_negative_by_order_profile(self):
         assert is_isomorphic(cyclic(4), elem_abelian(2, 2)) is None
@@ -55,11 +56,7 @@ class TestIsomorphism:
         a4 = alternating(4)
         p = direct_product(elem_abelian(2, 2), cyclic(3))
         assert is_isomorphic(a4, p) is None
-        w = is_isomorphic(a4, a4)
-        m = w.mapping
-        for a in range(12):
-            for b in range(12):
-                assert m[a4.table[a, b]] == a4.table[m[a], m[b]]
+        assert oracles.is_isomorphism(a4, a4, is_isomorphic(a4, a4))
 
     def test_equivalence_relation_on_samples(self, catalog12):
         groups = catalog12.groups
@@ -107,7 +104,7 @@ class TestAutomorphisms:
         assert automorphism_count(elem_abelian(2, 3)) == 168
 
     def test_group_structure(self):
-        aut = automorphism_group(elem_abelian(2, 2))
+        aut, _ = automorphism_group(elem_abelian(2, 2))
         assert aut.order == 6
         assert is_isomorphic(aut, symmetric(3)) is not None
 
@@ -142,6 +139,6 @@ class TestAgainstReferenceSearch:
             w = is_isomorphic(G, H)
             want = (references.search_embeddings(G, H, 10**6, find_all=False)
                     if fingerprint(G) == fingerprint(H) else [])
-            assert (None if w is None else w.mapping.tolist()) == (
+            assert (None if w is None else w.tolist()) == (
                 want[0].tolist() if want else None), (G.label, H.label)
 
