@@ -22,6 +22,8 @@ from .groups import (
     Subgroup,
     _cosets,
     _derived_group,
+    _integer,
+    _table_array,
     centralizer_of_section,
     check_order_cap,
 )
@@ -34,24 +36,9 @@ def from_cayley_table(table, label: str = "G", order_cap: int | None = DEFAULT_O
     If the two-sided identity sits at some index e != 0, elements are
     relabelled by the transposition (0 e) so that 0 becomes the identity.
     """
-    try:
-        raw = np.asarray(table)
-    except ValueError:  # rows of unequal lengths
-        raise NotAGroup("table is not square") from None
-    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-        raise NotAGroup("table is not square")
-    n = raw.shape[0]
+    arr = _table_array(table).astype(np.int64)
+    n = len(arr)
     check_order_cap(n, order_cap)
-    try:
-        arr = np.asarray(table, dtype=np.int64)
-    except OverflowError:  # an entry beyond int64 is out of range too
-        raise NotAGroup("table entries out of range 0..n-1") from None
-    except (TypeError, ValueError):  # such as None or "x"
-        raise NotAGroup("table entries are not integers") from None
-    if raw.dtype.kind not in "iu":  # the cast reads 0.7 as 0, "1" as 1
-        raise NotAGroup("table entries are not integers")
-    if n == 0 or arr.min() < 0 or arr.max() >= n:
-        raise NotAGroup("table entries out of range 0..n-1")
     idx = np.arange(n)
     ident = np.nonzero(
         (arr == idx[None, :]).all(axis=1) & (arr.T == idx[None, :]).all(axis=1)
@@ -157,6 +144,7 @@ def trivial() -> Group:
 
 
 def cyclic(n: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
+    n = _integer(n)
     if n < 1:
         raise ValueError("cyclic group order must be >= 1")
     check_order_cap(n, order_cap)
@@ -176,6 +164,7 @@ def _two_part_table(n: int, flip_square: int) -> np.ndarray:
 
 def dihedral(n: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
     """Dihedral group of order 2n (symmetries of the n-gon for n >= 3)."""
+    n = _integer(n)
     if n < 1:
         raise ValueError("dihedral parameter must be >= 1")
     check_order_cap(2 * n, order_cap)
@@ -184,6 +173,7 @@ def dihedral(n: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
 
 def quaternion(order: int = 8, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
     """Generalized quaternion group of order 2^k, k >= 3."""
+    order = _integer(order)
     if order < 8 or order & (order - 1):
         raise ValueError("quaternion order must be a power of two >= 8")
     check_order_cap(order, order_cap)
@@ -192,6 +182,7 @@ def quaternion(order: int = 8, order_cap: int | None = DEFAULT_ORDER_CAP) -> Gro
 
 
 def symmetric(n: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
+    n = _integer(n)
     if n < 1:
         raise ValueError("symmetric degree must be >= 1")
     gens = [tuple([1, 0] + list(range(2, n)))] if n > 1 else []
@@ -201,6 +192,7 @@ def symmetric(n: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
 
 
 def alternating(n: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
+    n = _integer(n)
     if n < 1:
         raise ValueError("alternating degree must be >= 1")
     gens = []
@@ -212,16 +204,17 @@ def alternating(n: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
 
 
 def elem_abelian(p: int, k: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
-    """Elementary abelian group of order p^k."""
+    """Elementary abelian group of order p^k: indices add digitwise in base p."""
+    p, k = _integer(p), _integer(k)
     if k < 1 or p < 2:
         raise ValueError("need a prime p >= 2 and exponent k >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     check_order_cap(p**k, order_cap)
-    g = cyclic(p, order_cap=order_cap)
-    for _ in range(k - 1):
-        g = direct_product(g, cyclic(p, order_cap=order_cap), order_cap=order_cap)
-    return Group(g.table, label=f"elab({p},{k})", validate=False)
+    idx, table = np.arange(p**k, dtype=np.int32), np.zeros((p**k, p**k), dtype=np.int32)
+    for place in (p**j for j in range(k)):
+        table += (idx[:, None] // place + idx // place) % p * place
+    return Group(table, label=f"elab({p},{k})", validate=False)
 
 
 # -- products ---------------------------------------------------------------
@@ -257,8 +250,8 @@ def semidirect_product(
     ``action[h]`` is the permutation of N's elements induced by h; it must
     be a homomorphism H -> Aut(N). Pair (n, h) is encoded as n*|H| + h and
     multiplies as (n1, h1)(n2, h2) = (n1 * action[h1][n2], h1*h2). The
-    product is shared with every other derived group of the same table, so
-    it keeps the label of the first one built.
+    product is the live group of its table if there is one, so it keeps the
+    label of the first group built with that table.
     """
     action = np.asarray(action, dtype=np.int32)
     if action.shape != (H.order, N.order):

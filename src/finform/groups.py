@@ -7,16 +7,17 @@ at desk scale. A subgroup is an int bitmask over the indices, interned per
 parent group, and every generated subgroup comes from one boolean-mask
 closure, ``_closure``, except a cyclic one: ``cyclic_subgroup`` lists the
 powers of its generator, about 3 times faster than the closure. N is
-normal in Y exactly when ``core(Y, N) is N``. A group built from one the
-engine already has (a quotient, a subgroup as a group, a semidirect
-product) is shared per Cayley table by ``_derived_group``, so what it
-memoises is computed once per table. A map between groups is an int32
-array of images indexed by the source's elements.
+normal in Y exactly when ``core(Y, N) is N``. A weak registry holds every
+live group under its Cayley table, first built first; quotients, subgroups
+as groups and semidirect products are read from it (``_derived_group``), so
+G/1 is G and a table's memos are computed once. A map between groups is an
+int32 array of images indexed by the source's elements.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import weakref
 from typing import Iterable
 
@@ -66,21 +67,15 @@ class Group:
     share once constructed. ``validate`` checks the whole table: identity
     at 0, every row and column a permutation, and associativity.
 
-    ``Group(...)`` always builds a new object. Quotients, subgroups as groups
-    and semidirect products are shared per table instead (``_derived_group``):
-    such a group keeps the label of its first construction, which only
-    messages show.
+    ``Group(...)`` always builds a new object, registered under its table
+    unless a live group holds that table already. Quotients, subgroups as
+    groups and semidirect products are read from there (``_derived_group``),
+    keeping the label of the table's first group, which only messages show.
     """
 
     def __init__(self, table: np.ndarray, label: str = "G", validate: bool = True):
-        table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise NotAGroup("table is not square")
+        table = np.ascontiguousarray(_table_array(table), dtype=np.int32)
         n = table.shape[0]
-        if n == 0:
-            raise NotAGroup("empty table")
-        if table.min() < 0 or table.max() >= n:
-            raise NotAGroup("table entries out of range")
         self.order: int = n
         self.table: np.ndarray = table
         self.label: str = label
@@ -92,6 +87,7 @@ class Group:
         self.inverse.flags.writeable = False
         self.element_orders: np.ndarray = self._compute_element_orders()
         self.element_orders.flags.writeable = False
+        _LIVE_GROUPS.setdefault(_table_key(table), self)
 
     # -- validation ----------------------------------------------------
 
@@ -132,7 +128,8 @@ class Group:
 
     # -- elementwise arithmetic ----------------------------------------
 
-    # Each raises ValueError on an element index outside 0..n-1.
+    # Each raises ValueError on an element index that is not an integer in
+    # 0..n-1 (a float or a bool is not).
 
     def mul(self, a: int, b: int) -> int:
         a, b = _element_indices(self, (a, b))
@@ -142,7 +139,7 @@ class Group:
         return int(self.inverse[_element_indices(self, (a,))[0]])
 
     def power(self, g: int, k: int) -> int:
-        (g,) = _element_indices(self, (g,))
+        (g,), k = _element_indices(self, (g,)), _integer(k)
         if k < 0:
             g, k = self.inv(g), -k
         acc, base = 0, g
@@ -199,27 +196,54 @@ class Group:
         return f"Group({self.label!r}, order={self.order})"
 
 
+def _table_array(table) -> np.ndarray:
+    """``table`` as a square array of integers in 0..n-1, n >= 1; NotAGroup
+    otherwise. Both ``Group`` and ``from_cayley_table`` read a table here.
+
+    The entries' own type is checked, since a cast to int reads 0.7 as 0,
+    "1" as 1 and True as 1.
+    """
+    try:
+        raw = np.asarray(table)
+    except ValueError:  # rows of unequal lengths
+        raise NotAGroup("table is not square") from None
+    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+        raise NotAGroup("table is not square")
+    if raw.dtype.kind not in "iu":
+        try:
+            np.asarray(table, dtype=np.int64)
+        except OverflowError:  # an integer beyond int64 is out of range too
+            raise NotAGroup("table entries out of range 0..n-1") from None
+        except (TypeError, ValueError):  # such as None or "x"
+            pass
+        raise NotAGroup("table entries are not integers")
+    if raw.size == 0:
+        raise NotAGroup("empty table")
+    if raw.min() < 0 or raw.max() >= len(raw):
+        raise NotAGroup("table entries out of range 0..n-1")
+    return raw
+
+
 def _table_key(table: np.ndarray) -> tuple[int, bytes]:
     """The registry key of a C-contiguous int32 table: its order and digest."""
     return len(table), hashlib.blake2b(table.tobytes(), digest_size=16).digest()
 
 
-# _table_key(table) -> the one live derived group with that table
-_DERIVED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# _table_key(table) -> the first live group built with that table
+_LIVE_GROUPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _derived_group(table: np.ndarray, label: str) -> Group:
-    """The live derived group with this valid table, built on first use.
+    """The live group with this valid table, built on first use.
 
-    The registry is weak: a group lives while some memo refers to it. A key
-    hit counts only if the tables are equal, so a digest collision cannot
-    hand back a wrong group.
+    ``Group.__init__`` registers each group it builds, weakly: a group lives
+    while something refers to it. A key hit counts only if the tables are
+    equal, so a digest collision cannot hand back a wrong group.
     """
     table = np.ascontiguousarray(table, dtype=np.int32)
-    key = _table_key(table)
-    G = _DERIVED.get(key)
+    G = _LIVE_GROUPS.get(_table_key(table))
     if G is None or not np.array_equal(G.table, table):
-        G = _DERIVED[key] = Group(table, label=label, validate=False)
+        G = Group(table, label=label, validate=False)
     return G
 
 
@@ -243,7 +267,7 @@ class Subgroup:
     """
 
     def __new__(cls, parent: Group, members: Iterable[int], validate: bool = True):
-        mem = [int(m) for m in members]
+        mem = [_integer(m) for m in members]
         if not mem or min(mem) != 0:
             raise NotAGroup("subgroup must contain the identity (index 0)")
         if max(mem) >= parent.order:
@@ -258,7 +282,11 @@ class Subgroup:
         return self._mask
 
     def __contains__(self, g: int) -> bool:
-        g = int(g)
+        """Whether g is a member; a non-integer never is."""
+        try:
+            g = _integer(g)
+        except ValueError:
+            return False
         return g >= 0 and (self.members >> g) & 1 == 1
 
     def __len__(self) -> int:
@@ -279,8 +307,8 @@ class Subgroup:
         return _interned(self.parent, self.members & other.members)
 
     def as_group(self) -> Group:
-        """This subgroup reindexed as a standalone group, shared with every
-        subgroup (of any parent) whose reindexed table is the same;
+        """This subgroup reindexed as a standalone group: the live group with
+        the reindexed table, so the whole group's is the parent itself;
         ``localize`` and ``lift`` map subgroups into and out of it."""
         def compute():
             mem = self.array
@@ -359,15 +387,24 @@ def _check_parent(G: Group, A: Subgroup) -> None:
 # -- closures and generated subgroups -----------------------------------
 
 
-def _element_indices(G: Group, elems: Iterable[int]) -> np.ndarray:
-    """``elems`` as an index array; one outside 0..|G|-1 raises ValueError."""
+def _integer(x) -> int:
+    """``x`` as an int; ValueError for a bool or a non-integer, such as 1.7,
+    which ``int()`` would read as 1."""
+    if isinstance(x, bool):
+        raise ValueError(f"{x!r} is not an integer")
     try:
-        idx = np.fromiter(elems, dtype=np.int64)
-    except OverflowError:  # beyond int64, so out of range too
-        idx = np.array([-1])
-    if idx.size and not 0 <= idx.min() <= idx.max() < G.order:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{x!r} is not an integer") from None
+
+
+def _element_indices(G: Group, elems: Iterable[int]) -> np.ndarray:
+    """``elems`` as an index array; ValueError for one that is not an
+    integer in 0..|G|-1."""
+    idx = [_integer(x) for x in elems]
+    if idx and not 0 <= min(idx) <= max(idx) < G.order:
         raise ValueError("element index out of range")
-    return idx
+    return np.array(idx, dtype=np.int64)
 
 
 def generated_subgroup(G: Group, gens: Iterable[int]) -> Subgroup:

@@ -107,14 +107,22 @@ class TestFromCayleyTable:
         with pytest.raises(NotAGroup):
             from_cayley_table([[1, 0], [1, 0]])
 
+    @pytest.mark.parametrize("build", [from_cayley_table, Group])
     @pytest.mark.parametrize("table", [[[0, 1], [1, 0.7]], [["0", "1"], ["1", "0"]],
                                        [[True, False], [False, True]],
                                        [["x", "1"], ["1", "0"]], [[0, 1], [1, None]]])
-    def test_entries_that_are_not_integers_rejected(self, table):
-        # cast to int64, the first three read as C2 and the last two raise
-        # numpy's own ValueError and TypeError
-        with pytest.raises(NotAGroup, match="not integers"):
-            from_cayley_table(table)
+    def test_entries_that_are_not_integers_rejected(self, build, table):
+        # cast to an int type, the first three read as C2 and the last two
+        # raise numpy's own ValueError and TypeError
+        with pytest.raises(NotAGroup, match="table entries are not integers"):
+            build(table)
+
+    @pytest.mark.parametrize("build", [from_cayley_table, Group])
+    def test_entries_beyond_int32_are_out_of_range(self, build):
+        # an int64 array cast to int32 wraps 2**32 to 0; 2**70 fits no int type
+        for table in ([[0, 1], [1, 2**32]], np.array([[0, 1], [1, 2**32]]), [[0, 1], [1, 2**70]]):
+            with pytest.raises(NotAGroup, match="out of range"):
+                build(table)
 
     def test_ragged_table_rejected(self):
         # numpy cannot cast rows of unequal lengths to an array
@@ -193,6 +201,19 @@ class TestFamilies:
         q16 = quaternion(16)
         assert q16.order == 16
         assert int((q16.element_orders == 2).sum()) == 1
+
+    @pytest.mark.parametrize("build, args", [
+        (cyclic, (3.5,)), (cyclic, (True,)), (cyclic, ("3",)), (dihedral, (2.5,)),
+        (quaternion, (8.0,)), (symmetric, (3.0,)), (alternating, (False,)),
+        (elem_abelian, (2.0, 2)), (elem_abelian, (2, 2.0)), (elem_abelian, (True, 2)),
+    ])
+    def test_sizes_that_are_not_integers_rejected(self, build, args):
+        with pytest.raises(ValueError, match="is not an integer"):
+            build(*args)
+
+    def test_sizes_may_be_numpy_integers(self):
+        assert cyclic(np.int64(3)).label == "C3"
+        assert elem_abelian(np.int32(2), np.uint8(3)).label == "elab(2,3)"
 
     def test_dihedral_labels_by_order(self):
         assert dihedral(6).order == 12
@@ -336,6 +357,23 @@ class TestCentralizersAndCores:
     def test_arithmetic_rejects_out_of_range_elements(self, call, index):
         with pytest.raises(ValueError, match="out of range"):
             call(symmetric(3), index)
+
+    @pytest.mark.parametrize("call", [
+        lambda G, x: generated_subgroup(G, [x]), lambda G, x: normal_closure(G, [1, x]),
+        lambda G, x: G.mul(x, 1), lambda G, x: G.mul(1, x), lambda G, x: G.inv(x),
+        lambda G, x: G.power(x, 3), lambda G, x: G.power(1, x),
+        lambda G, x: G.conj(x, 1), lambda G, x: G.conj(1, x),
+        lambda G, x: Subgroup(G, [0, x])])
+    @pytest.mark.parametrize("x", [1.7, 1.0, True, np.bool_(True), np.float64(2), "1"])
+    def test_elements_that_are_not_integers_rejected(self, call, x):
+        # a cast to int would read each of these as an element index
+        with pytest.raises(ValueError, match="is not an integer"):
+            call(symmetric(3), x)
+
+    @pytest.mark.parametrize("x", [1.5, 1.0, True, np.bool_(False), "0", None])
+    def test_non_integers_are_never_members(self, x):
+        assert x not in symmetric(3).full_subgroup()
+        assert 1 in symmetric(3).full_subgroup() and np.int32(5) in symmetric(3).full_subgroup()
 
     def test_core_of_itself(self):
         s4 = symmetric(4)
@@ -617,7 +655,7 @@ class TestInternedSubgroups:
 
         # a cold registry: no group with the meet's table, left alive by an
         # earlier test, brings its hypercentre along
-        monkeypatch.setattr(groups, "_DERIVED", weakref.WeakValueDictionary())
+        monkeypatch.setattr(groups, "_LIVE_GROUPS", weakref.WeakValueDictionary())
         checks = []
         original = formations.is_f_hypercentral
         monkeypatch.setattr(formations, "is_f_hypercentral",
@@ -747,15 +785,16 @@ def test_memoised_results_are_per_group_objects():
 
 
 class TestDerivedGroups:
-    """Quotients, subgroups as groups and semidirect products are shared per
-    Cayley table through a weak registry; public constructors stay fresh."""
+    """Every live group is registered under its Cayley table, first built
+    first, and quotients, subgroups as groups and semidirect products are read
+    from that weak registry; public constructors stay fresh."""
 
     @pytest.fixture
     def registry(self, monkeypatch):
         from finform import groups
 
-        cold = type(groups._DERIVED)()  # empty, and as weak as the real one
-        monkeypatch.setattr(groups, "_DERIVED", cold)
+        cold = type(groups._LIVE_GROUPS)()  # empty, and as weak as the real one
+        monkeypatch.setattr(groups, "_LIVE_GROUPS", cold)
         return cold
 
     @staticmethod
@@ -763,6 +802,28 @@ class TestDerivedGroups:
         from finform import normal_subgroups
 
         return normal_subgroups(X)[1]
+
+    @staticmethod
+    def count_tables(monkeypatch) -> Counter:
+        """Group constructions per table from now on, outside the
+        equivalent-pairs law's relabelled copies (``verify._relabel``)."""
+        from finform import verify
+
+        built = Counter()
+        init, relabel = Group.__init__, verify._relabel
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built[self.table.tobytes()] += 1
+
+        def uncounted_relabel(*args):
+            copy = relabel(*args)
+            built[copy.table.tobytes()] -= 1
+            return copy
+
+        monkeypatch.setattr(Group, "__init__", counting_init)
+        monkeypatch.setattr(verify, "_relabel", uncounted_relabel)
+        return built
 
     def test_equal_parents_share_derived_groups(self):
         G = symmetric(4)
@@ -817,29 +878,35 @@ class TestDerivedGroups:
 
     def test_lemma_suite_builds_each_table_once(self, registry, monkeypatch):
         # a structural guard in place of a timing bound: outside the
-        # equivalent-pairs law's relabelled copies, no table is built twice
-        from finform import NILPOTENT, SUPERSOLUBLE, verify
+        # equivalent-pairs law's relabelled copies, no table is built twice,
+        # and no catalog group's table is built again as its own G/1 or whole
+        # subgroup as a group
+        from finform import NILPOTENT, SUPERSOLUBLE
         from finform.verify import verify_lemma_suite
 
         catalog = catalog_generate(12)
-        built = Counter()
-        init, relabel = Group.__init__, verify._relabel
-
-        def counting_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            built[self.table.tobytes()] += 1
-
-        def uncounted_relabel(*args):
-            copy = relabel(*args)
-            built[copy.table.tobytes()] -= 1
-            return copy
-
-        monkeypatch.setattr(Group, "__init__", counting_init)
-        monkeypatch.setattr(verify, "_relabel", uncounted_relabel)
+        built = self.count_tables(monkeypatch)
         for F in (NILPOTENT, SUPERSOLUBLE):
             assert verify_lemma_suite(catalog, F).passed
-        assert len(built) > 40
+        assert len(built) >= 27
         assert max(built.values()) == 1, sorted(built.values())[-5:]
+        assert not any(built[G.table.tobytes()] for G in catalog)
+
+    def test_every_claim_builds_no_catalog_table(self, registry, monkeypatch):
+        from finform import run_all
+        from finform.formations import SigmaPartition, builtin_formations
+
+        catalog = catalog_generate(12)
+        built = self.count_tables(monkeypatch)
+        sigma = SigmaPartition.parse("[[2,3]]")
+        assert all(r.passed for r in run_all(catalog, builtin_formations(sigma), sigma))
+        assert max(built.values()) == 1, sorted(built.values())[-5:]
+        assert not any(built[G.table.tobytes()] for G in catalog)
+
+    def test_catalog_group_is_its_own_quotient_and_whole_subgroup(self, registry):
+        for G in catalog_generate(24):
+            assert quotient(G, G.trivial_subgroup())[0] is G, G.label
+            assert G.full_subgroup().as_group() is G, G.label
 
 
 def test_only_groups_module_reads_member_storage():
