@@ -54,8 +54,6 @@ from .morphisms import (
     is_isomorphic,
 )
 from .lattice import (
-    ChiefSeries,
-    SubgroupLattice,
     all_subgroups,
     chief_series,
     chief_series_through,
@@ -63,6 +61,7 @@ from .lattice import (
     minimal_normal_subgroups,
     normal_hall_subgroup,
     normal_subgroups,
+    overgroups,
 )
 from .formations import (
     Formation,

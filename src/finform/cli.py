@@ -122,7 +122,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def cmd_group_show(args) -> int:
     G = _resolve_group(args)
-    series = chief_series(G)
+    terms = chief_series(G)
     payload = {
         "label": G.label,
         "order": G.order,
@@ -136,8 +136,9 @@ def cmd_group_show(args) -> int:
             for k in np.unique(G.element_orders)
         },
         "normal_subgroup_orders": [n.order for n in normal_subgroups(G)],
-        "chief_series_orders": [t.order for t in series.terms],
-        "chief_factor_orders": list(series.factor_orders()),
+        "chief_series_orders": [t.order for t in terms],
+        "chief_factor_orders": [top.order // bottom.order
+                                for top, bottom in zip(terms[1:], terms)],
         "frattini_order": frattini(G, budget=args.lattice_budget).order,
     }
     if args.cayley:

@@ -327,15 +327,16 @@ def is_f_hypercentral(G: Group, N: Subgroup, F: Formation) -> bool:
     """Whether the normal subgroup N is F-hypercentral in G: N = 1, or every
     chief factor of G below N is F-central.
 
-    Reads the (top, bottom) factors of the memoised chief series through N
-    that lie below N; that series runs on to G and is shared by every
-    formation. ``chief_series_through`` raises NotNormal when N is not
-    normal in G.
+    Reads the (top, bottom) factors ``zip(terms[1:], terms)`` of the
+    memoised chief series through N that lie below N; that series runs on
+    to G and is shared by every formation. ``chief_series_through`` raises
+    NotNormal when N is not normal in G.
     """
     if N.order == 1:
         return True
+    terms = chief_series_through(G, N)
     return all(F.chief_central(G, top, bottom)
-               for top, bottom in chief_series_through(G, N).factors() if top <= N)
+               for top, bottom in zip(terms[1:], terms) if top <= N)
 
 
 def hypercentre(G: Group, F: Formation) -> Subgroup:

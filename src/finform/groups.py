@@ -31,8 +31,10 @@ DEFAULT_ORDER_CAP = 512
 def _memo(owner, key, compute):
     """``owner._cache[key]``, filled by ``compute()`` on first use.
 
-    Every engine cache goes through here: groups, subgroups and subgroup
-    lattices own a ``_cache`` dict, and each result is computed once per owner.
+    Every engine cache goes through here: groups and subgroups own a
+    ``_cache`` dict, and each result is computed once per owner. Every value
+    a caller gets from a memo is immutable (a tuple, a read-only array, a
+    group or a subgroup), so no caller can change what later calls return.
     """
     cache = owner._cache
     if key in cache:
@@ -170,22 +172,23 @@ class Group:
         return _memo(self, "full_subgroup",
                      lambda: _subgroup(self, np.ones(self.order, dtype=bool)))
 
-    def _classes(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """The conjugacy classes and the element -> class index array."""
-        n = self.order
-        everyone = np.arange(n)
-        class_of = np.full(n, -1, dtype=np.int32)
-        classes: list[np.ndarray] = []
-        for x in range(n):
-            if class_of[x] >= 0:
-                continue
-            conjugates = self.table[self.table[self.inverse, x], everyone]
-            cls = _marked(n, conjugates).nonzero()[0].astype(np.int32)
-            class_of[cls] = len(classes)
-            classes.append(cls)
-        return classes, class_of
+    def _classes(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """The conjugacy classes and the element -> class index array, all
+        read-only: each class is a slice of one read-only array of the
+        elements sorted by class."""
+        everyone = np.arange(self.order)
+        class_of = np.full(self.order, -1, dtype=np.int32)
+        count = 0
+        for x in range(self.order):
+            if class_of[x] < 0:  # x is the least member of a new class
+                class_of[self.table[self.table[self.inverse, x], everyone]] = count
+                count += 1
+        by_class = np.argsort(class_of, kind="stable").astype(np.int32)
+        ends = np.cumsum(np.bincount(class_of)).tolist()
+        by_class.flags.writeable = class_of.flags.writeable = False
+        return tuple(by_class[a:b] for a, b in zip([0] + ends, ends)), class_of
 
-    def conjugacy_classes(self) -> list[np.ndarray]:
+    def conjugacy_classes(self) -> tuple[np.ndarray, ...]:
         """Conjugacy classes as sorted index arrays, ordered by least member."""
         return _memo(self, "classes", self._classes)[0]
 
@@ -512,15 +515,15 @@ def commutator_subgroup(G: Group, A: Subgroup, B: Subgroup) -> Subgroup:
     return _closure(G, _marked(G.order, comms))
 
 
-def _until_stable(first: Subgroup, step) -> list[Subgroup]:
-    """[first, step(first), step(step(first)), ...] while the order changes."""
+def _until_stable(first: Subgroup, step) -> tuple[Subgroup, ...]:
+    """(first, step(first), step(step(first)), ...) while the order changes."""
     series = [first]
     while (nxt := step(series[-1])).order != series[-1].order:
         series.append(nxt)
-    return series
+    return tuple(series)
 
 
-def derived_series(G: Group) -> list[Subgroup]:
+def derived_series(G: Group) -> tuple[Subgroup, ...]:
     """Descending derived series until it stabilises."""
     return _memo(G, "derived_series", lambda: _until_stable(
         G.full_subgroup(), lambda X: commutator_subgroup(G, X, X)))
@@ -608,7 +611,7 @@ def centralizer_of_section(G: Group, H: Subgroup, K: Subgroup) -> Subgroup:
     return _memo(G, ("centralizer_of_section", H, K), compute)
 
 
-def upper_central_series(G: Group) -> list[Subgroup]:
+def upper_central_series(G: Group) -> tuple[Subgroup, ...]:
     """Ascending series 1 <= Z(G) <= Z_2(G) <= ... until it stabilises."""
     def step(Z: Subgroup) -> Subgroup:
         Q, proj = quotient(G, Z)

@@ -1,9 +1,15 @@
 """Subgroup enumeration, normal structure, chief series, Frattini and Hall
-subgroups."""
+subgroups.
+
+Each structure query returns a memoised tuple, sorted by (order, members)
+unless it says otherwise: ``all_subgroups`` the subgroup lattice,
+``overgroups`` the subgroups above one subgroup, ``normal_subgroups``,
+``normal_covers`` and ``chief_series_through`` the terms of a chief series.
+Subgroups are interned per parent, so inclusion is ``<=``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -12,7 +18,6 @@ from .errors import LatticeBudgetExceeded, NotAGroup
 from .groups import (
     Group,
     Subgroup,
-    _check_parent,
     _memo,
     _require_normal,
     _subgroup,
@@ -28,45 +33,7 @@ def _sort_key(s: Subgroup) -> tuple:
     return (s.order, s.array.tolist())
 
 
-class SubgroupLattice:
-    """The complete subgroup lattice of a group.
-
-    ``subgroups`` comes distinct and sorted by (order, member tuple).
-    Subgroups are interned per parent, so each one is its own key and
-    inclusion is ``<=``.
-    """
-
-    def __init__(self, parent: Group, subgroups: list[Subgroup]):
-        self.parent = parent
-        self.subgroups = subgroups
-        self._cache: dict = {}
-
-    def __len__(self) -> int:
-        return len(self.subgroups)
-
-    def __iter__(self):
-        return iter(self.subgroups)
-
-    def overgroups_of(self, s: Subgroup) -> tuple[Subgroup, ...]:
-        """The subgroups containing s, in lattice order: s first, the group last.
-        Memoised, parent check included: sweeps and chain searches ask often."""
-        def compute():
-            _check_parent(self.parent, s)
-            return tuple(t for t in self.subgroups if s <= t)
-
-        return _memo(self, ("overgroups", s), compute)
-
-    def maximal_subgroups(self) -> list[Subgroup]:
-        """Proper subgroups with nothing strictly between them and the group:
-        by descending order, those in none of the maximal ones found before."""
-        found: list[Subgroup] = []
-        for s in reversed(self.subgroups[:-1]):
-            if not any(s <= m for m in found):
-                found.append(s)
-        return found[::-1]
-
-
-def _join_closure(bottom: Subgroup, seeds: Iterable[Subgroup]) -> list[Subgroup]:
+def _join_closure(bottom: Subgroup, seeds: Iterable[Subgroup]) -> tuple[Subgroup, ...]:
     """Every join of `bottom` with some of the seeds, sorted by (order, members).
 
     Each subgroup found is joined once with each distinct seed, so the cost
@@ -81,20 +48,29 @@ def _join_closure(bottom: Subgroup, seeds: Iterable[Subgroup]) -> list[Subgroup]
             if j not in found:
                 found.add(j)
                 grown.append(j)
-    return sorted(grown, key=_sort_key)
+    return tuple(sorted(grown, key=_sort_key))
 
 
-def all_subgroups(G: Group, budget: int = DEFAULT_LATTICE_BUDGET) -> SubgroupLattice:
-    """Every subgroup: each is the join of its cyclic subgroups."""
+def all_subgroups(G: Group, budget: int = DEFAULT_LATTICE_BUDGET) -> tuple[Subgroup, ...]:
+    """Every subgroup, sorted by (order, members): each is the join of its
+    cyclic subgroups. The budget is checked on every call, memo or not."""
     if budget is not None and G.order > budget:
         raise LatticeBudgetExceeded(
             f"lattice enumeration limited to order {budget}, group has {G.order}"
         )
-    return _memo(G, "lattice", lambda: SubgroupLattice(G, _join_closure(
-        G.trivial_subgroup(), (cyclic_subgroup(G, g) for g in range(1, G.order)))))
+    return _memo(G, "lattice", lambda: _join_closure(
+        G.trivial_subgroup(), (cyclic_subgroup(G, g) for g in range(1, G.order))))
 
 
-def _class_closures(G: Group) -> list[Subgroup]:
+def overgroups(S: Subgroup) -> tuple[Subgroup, ...]:
+    """The subgroups of S's group containing S, in lattice order: S first,
+    the group last. Memoised on S; it reads the lattice of S's group with no
+    budget, so a caller builds that lattice under its own budget first."""
+    return _memo(S, "overgroups",
+                 lambda: tuple(T for T in all_subgroups(S.parent, budget=None) if S <= T))
+
+
+def _class_closures(G: Group) -> tuple[Subgroup, ...]:
     """The distinct normal closures ncl(x) of the nontrivial elements x, in
     the order of the first class with each closure.
 
@@ -119,17 +95,17 @@ def _class_closures(G: Group) -> list[Subgroup]:
                 if orders[y] == orders[x]:
                     done[class_of[y]] = True
                 y = int(G.table[y, x])
-        return list(closures)
+        return tuple(closures)
 
     return _memo(G, "class_closures", compute)
 
 
-def normal_subgroups(G: Group) -> list[Subgroup]:
+def normal_subgroups(G: Group) -> tuple[Subgroup, ...]:
     """All normal subgroups: each is the join of the closures ncl(x) of its elements."""
     return _memo(G, "normals", lambda: _join_closure(G.trivial_subgroup(), _class_closures(G)))
 
 
-def normal_covers(G: Group, low: Subgroup) -> list[Subgroup]:
+def normal_covers(G: Group, low: Subgroup) -> tuple[Subgroup, ...]:
     """Normal subgroups M > low (low normal) with no normal subgroup strictly between.
 
     A normal M > low contains low*ncl(x) for any x in M outside low, so the
@@ -142,39 +118,22 @@ def normal_covers(G: Group, low: Subgroup) -> list[Subgroup]:
         for M in sorted(above, key=_sort_key):
             if not any(C < M for C in covers):
                 covers.append(M)
-        return covers
+        return tuple(covers)
 
     return _memo(G, ("normal_covers", low), compute)
 
 
-def minimal_normal_subgroups(G: Group) -> list[Subgroup]:
+def minimal_normal_subgroups(G: Group) -> tuple[Subgroup, ...]:
     """Normal subgroups minimal among the nontrivial ones."""
     if G.order == 1:
         raise ValueError("the trivial group has no minimal normal subgroups")
     return normal_covers(G, G.trivial_subgroup())
 
 
-@dataclass(frozen=True)
-class ChiefSeries:
-    """An ascending chain 1 = terms[0] < ... < terms[-1] = G of normal
-    subgroups of G, each a normal cover of the one before, so each factor
-    terms[i+1]/terms[i] is a chief factor of G."""
-
-    parent: Group
-    terms: tuple[Subgroup, ...]
-
-    def factors(self) -> list[tuple[Subgroup, Subgroup]]:
-        """The chief factors as (top, bottom) pairs of the series' own terms,
-        lowest first. Every term is normal in G, so each bottom is normal in
-        its top without a check."""
-        return list(zip(self.terms[1:], self.terms))
-
-    def factor_orders(self) -> tuple[int, ...]:
-        return tuple(top.order // bottom.order for top, bottom in self.factors())
-
-
-def chief_series_through(G: Group, N: Subgroup) -> ChiefSeries:
-    """A chief series of G with N as a term.
+def chief_series_through(G: Group, N: Subgroup) -> tuple[Subgroup, ...]:
+    """A chief series of G with N as a term: its terms 1 = T_0 < ... < T_k = G,
+    each a normal cover of the one before, so each T_{i+1}/T_i is a chief
+    factor of G, and ``zip(terms[1:], terms)`` are the (top, bottom) pairs.
 
     Climbs from 1 to N and then to G, each step taking the least normal
     cover that lies inside the current target, so the result is
@@ -186,22 +145,29 @@ def chief_series_through(G: Group, N: Subgroup) -> ChiefSeries:
         for target in (N, G.full_subgroup()):
             while terms[-1] != target:
                 terms.append(next(M for M in normal_covers(G, terms[-1]) if M <= target))
-        return ChiefSeries(G, tuple(terms))
+        return tuple(terms)
 
     return _memo(G, ("chief_series", N), compute)
 
 
-def chief_series(G: Group) -> ChiefSeries:
+def chief_series(G: Group) -> tuple[Subgroup, ...]:
     return chief_series_through(G, G.trivial_subgroup())
 
 
 def frattini(G: Group, budget: int = DEFAULT_LATTICE_BUDGET) -> Subgroup:
-    """Intersection of all maximal subgroups (the whole group if none)."""
-    lattice = all_subgroups(G, budget=budget)  # checks the budget, cache or not
+    """Intersection of all maximal subgroups (the whole group if none).
+
+    By descending order, a proper subgroup is maximal when it lies in none
+    of the maximal ones found before it."""
+    subgroups = all_subgroups(G, budget=budget)  # checks the budget, cache or not
 
     def compute():
+        maximal: list[Subgroup] = []
+        for s in reversed(subgroups[:-1]):
+            if not any(s <= m for m in maximal):
+                maximal.append(s)
         phi = G.full_subgroup()
-        for m in lattice.maximal_subgroups():
+        for m in maximal:
             phi = phi.intersect(m)
         return phi
 

@@ -45,7 +45,8 @@ def fingerprint(G: Group) -> tuple:
 
 def _word_script(
     G: Group,
-) -> tuple[list[int], list[tuple[int, int, int]], list[int], list[np.ndarray]]:
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[int, ...],
+           tuple[np.ndarray, ...]]:
     """One word for every element of G over a greedy generating set.
 
     Returns ``(gens, steps, ends, members)``. Generators are taken by
@@ -54,7 +55,7 @@ def _word_script(
     y = x·gens[j] with x reached before y; breadth-first right
     multiplication reaches every non-identity element by exactly one step.
     ``steps[ends[i]:ends[i+1]]`` reach the members of <gens[:i+1]> outside
-    <gens[:i]>, and ``members[i]`` is the sorted member array of
+    <gens[:i]>, and ``members[i]`` is the sorted, read-only member array of
     <gens[:i+1]>.
     """
     def compute():
@@ -82,7 +83,8 @@ def _word_script(
                 frontier = new
             ends.append(len(steps))
             members.append(np.flatnonzero(known).astype(np.int32))
-        return gens, steps, ends, members
+            members[-1].flags.writeable = False
+        return tuple(gens), tuple(steps), tuple(ends), tuple(members)
 
     return _memo(G, "word_script", compute)
 
@@ -93,7 +95,9 @@ def _element_invariant(G: Group) -> np.ndarray:
         class_sizes = np.empty(G.order, dtype=np.int32)
         for c in G.conjugacy_classes():
             class_sizes[c] = len(c)
-        return np.stack([G.element_orders, class_sizes], axis=1)
+        invariant = np.stack([G.element_orders, class_sizes], axis=1)
+        invariant.flags.writeable = False
+        return invariant
 
     return _memo(G, "element_invariant", compute)
 
@@ -166,12 +170,14 @@ def is_isomorphic(
     return maps[0] if maps else None
 
 
-def automorphisms(G: Group, budget: int = DEFAULT_SEARCH_BUDGET) -> list[np.ndarray]:
-    """All automorphisms as permutation arrays, sorted lexicographically."""
+def automorphisms(G: Group, budget: int = DEFAULT_SEARCH_BUDGET) -> tuple[np.ndarray, ...]:
+    """All automorphisms as read-only permutation arrays, sorted lexicographically."""
     def compute():
         perms = _search_embeddings(G, G, budget, find_all=True)
         perms.sort(key=lambda p: p.tolist())
-        return perms
+        for p in perms:
+            p.flags.writeable = False
+        return tuple(perms)
 
     return _memo(G, ("automorphisms", budget), compute)
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 from .formations import Formation, SigmaPartition, is_sigma_primary
 from .groups import Group, Subgroup, _check_parent, _memo, core, normal_closure_in, quotient
-from .lattice import all_subgroups, DEFAULT_LATTICE_BUDGET
+from .lattice import DEFAULT_LATTICE_BUDGET, all_subgroups, overgroups
 
 NORMAL_STEP = "normal-step"
 F_STEP = "f-step"
@@ -112,14 +112,14 @@ def _chain_search(
     are broken in lattice order, so witnesses are reproducible.
     """
     _check_parent(G, A)
-    lattice = all_subgroups(G, budget=lattice_budget)
+    all_subgroups(G, budget=lattice_budget)  # the lattice overgroups reads
     top = G.full_subgroup()
     chains = {A: ((A,), ())}  # the first (terms, step kinds) found to each subgroup reached
     queue = [A]
     while queue:
         nxt_queue = []
         for X in queue:
-            for Y in lattice.overgroups_of(X):  # X first, G last
+            for Y in overgroups(X):  # X first, G last
                 if Y in chains:  # X itself is in chains
                     continue
                 if normal_steps and core(Y, X) is X:

@@ -50,7 +50,6 @@ from .groups import (
 )
 from .lattice import (
     DEFAULT_LATTICE_BUDGET,
-    SubgroupLattice,
     _prime_factors,
     all_subgroups,
     chief_series,
@@ -58,6 +57,7 @@ from .lattice import (
     is_prime,
     minimal_normal_subgroups,
     normal_subgroups,
+    overgroups,
 )
 from .morphisms import DEFAULT_SEARCH_BUDGET, automorphism_count, is_isomorphic
 from .subnormal import (
@@ -108,10 +108,9 @@ def _dihedral_key(half: int) -> list[str]:
     return [f"D{2 * half}"]
 
 
-def _family_seeds(
-    max_order: int, order_cap: int | None
-) -> list[tuple[FactorKey, Callable[[], Group]]]:
-    """The family seeds in catalog order, each as (key, builder).
+def _family_seeds(max_order: int) -> list[tuple[FactorKey, Callable[[], Group]]]:
+    """The family seeds in catalog order, each as (key, builder); no seed is
+    larger than ``max_order``, so the builders apply no order cap.
 
     The key is the sorted multiset of the seed's indecomposable direct
     factors. By the Krull-Remak-Schmidt theorem (Robinson, A Course in the
@@ -122,7 +121,7 @@ def _family_seeds(
     seeds: list[tuple[FactorKey, Callable[[], Group]]] = []
 
     def add(key, build, *args):
-        seeds.append((tuple(sorted(key)), functools.partial(build, *args, order_cap=order_cap)))
+        seeds.append((tuple(sorted(key)), functools.partial(build, *args, order_cap=None)))
 
     for n in range(1, max_order + 1):
         add(_cyclic_key(n), construct.cyclic, n)
@@ -161,12 +160,13 @@ def catalog_generate(
     Family groups and their products are deduplicated by their keys of
     indecomposable direct factors, and a product is built only when its key
     is new. A user file's group is kept unless ``is_isomorphic`` finds it
-    among the groups already kept.
+    among the groups already kept. ``order_cap`` bounds ``max_order`` and the
+    user files; the families and products stay within ``max_order``.
     """
     if order_cap is not None and max_order > order_cap:
         raise OrderCapExceeded(f"max_order {max_order} exceeds order cap {order_cap}")
     kept: dict[FactorKey, Group] = {}
-    for key, build in _family_seeds(max_order, order_cap):
+    for key, build in _family_seeds(max_order):
         if key not in kept:
             kept[key] = build()
     base = list(kept.items())
@@ -178,7 +178,7 @@ def catalog_generate(
                 continue
             key = tuple(sorted(ka + kb))
             if key not in kept:
-                kept[key] = construct.direct_product(a, b, order_cap=order_cap)
+                kept[key] = construct.direct_product(a, b, order_cap=None)
     groups = list(kept.values())
     for path in files:
         g = load_group_file(path, order_cap=order_cap)
@@ -361,14 +361,13 @@ def _theorem_a_sweep(
     rep = VerificationReport(claim, formation.name, sigma_key, catalog.description)
 
     def body(G):
-        lat = all_subgroups(G, budget=lattice_budget)
-        for S in lat.subgroups:
+        for S in all_subgroups(G, budget=lattice_budget):
             chain = chain_fn(G, S)
             if chain is None:
                 continue
             rep.checked += 1
             bad = None
-            for E in lat.overgroups_of(S):
+            for E in overgroups(S):
                 if hypercentre(E.as_group(), formation).order != 1:
                     bad = E
                     break
@@ -417,8 +416,7 @@ def verify_schenkman_classic(
     rep = VerificationReport("schenkman", NILPOTENT.name, None, catalog.description)
 
     def body(G):
-        lat = all_subgroups(G, budget=lattice_budget)
-        for S in lat.subgroups:
+        for S in all_subgroups(G, budget=lattice_budget):
             if is_subnormal(G, S) is None:
                 continue
             rep.checked += 1
@@ -435,7 +433,7 @@ def verify_schenkman_classic(
             if escape:
                 _fail(rep, G, subgroup=_members(S), **escape,
                       detail="nilpotent residual is not large")
-            for E in lat.overgroups_of(S):
+            for E in overgroups(S):
                 Egrp = E.as_group()
                 zn = hypercentre(Egrp, NILPOTENT)
                 zc = hypercentre_classical(Egrp)
@@ -513,8 +511,7 @@ def verify_section3_corollaries(
     )
 
     def body(G):
-        lat = all_subgroups(G, budget=lattice_budget)
-        for S in lat.subgroups:
+        for S in all_subgroups(G, budget=lattice_budget):
             agreement.checked += 1
             agreement.asserted += 1
             via_sigma = is_sigma_subnormal(G, S, sigma, lattice_budget) is not None
@@ -565,13 +562,13 @@ class _LawContext:
     G: Group
     F: Formation
     rng: np.random.Generator  # one stream for the whole suite
-    lat: SubgroupLattice
-    normals: list[Subgroup]
-    factors: list[tuple[Subgroup, Subgroup]]  # chief factors (top, bottom) of G
+    subgroups: tuple[Subgroup, ...]  # all_subgroups(G)
+    normals: tuple[Subgroup, ...]  # normal_subgroups(G)
+    factors: tuple[tuple[Subgroup, Subgroup], ...]  # chief factors (top, bottom) of G
     in_f: bool
     Z: Subgroup  # Z_F(G)
     central: dict[tuple[Subgroup, Subgroup], bool]  # _central_normal_pairs(G, F)
-    supplements: dict[Subgroup, list[Subgroup]]  # _supplements(G, lat, normals)
+    supplements: dict[Subgroup, list[Subgroup]]  # _supplements(G, subgroups, normals)
 
     @property
     def central_pairs(self) -> list[tuple[Subgroup, Subgroup]]:
@@ -602,7 +599,7 @@ def _saturation(c: _LawContext):
 def _hereditary(c: _LawContext):
     """Every subgroup of a member group is a member."""
     if c.in_f and c.F.hereditary:
-        for S in c.lat.subgroups:
+        for S in c.subgroups:
             ok = c.F.contains(S.as_group())
             yield None if ok else {"subgroup": _members(S)}
 
@@ -646,7 +643,7 @@ def _central_sections_restrict_to_subgroups(c: _LawContext):
     """
     if not c.F.hereditary:
         return
-    pairs, subs = c.central_pairs, c.lat.subgroups
+    pairs, subs = c.central_pairs, c.subgroups
     # meets[N][i] is subs[i] meet N, for each N that ends a central pair
     ends = dict.fromkeys(N for pair in pairs for N in pair)
     meets = {N: [E.intersect(N) for E in subs] for N in ends}
@@ -692,7 +689,7 @@ def _hypercentre_of_quotient(c: _LawContext):
 
 def _hypercentre_meets_subgroups(c: _LawContext):
     """Z_F(B) meet A lies in Z_F(B meet A), on a sample of subgroup pairs."""
-    subs = c.lat.subgroups
+    subs = c.subgroups
     n = len(subs)
     # Pair k is (subs[k // n], subs[k % n]): the row-major order of all n^2 pairs.
     codes = range(n * n)
@@ -707,12 +704,12 @@ def _hypercentre_meets_subgroups(c: _LawContext):
 
 
 def _supplements(
-    G: Group, lat: SubgroupLattice, normals: list[Subgroup]
+    G: Group, subgroups: tuple[Subgroup, ...], normals: tuple[Subgroup, ...]
 ) -> dict[Subgroup, list[Subgroup]]:
     """For each normal N, the subgroups U with NU = G in lattice order; both
     supplement laws read them."""
     return {
-        N: [U for U in lat.subgroups if N.order * U.order // N.intersect(U).order == G.order]
+        N: [U for U in subgroups if N.order * U.order // N.intersect(U).order == G.order]
         for N in normals
     }
 
@@ -803,15 +800,16 @@ def verify_lemma_suite(
     rng = np.random.default_rng(20240601)
 
     def body(G):
-        lat = all_subgroups(G, budget=lattice_budget)
+        subgroups = all_subgroups(G, budget=lattice_budget)
         normals = normal_subgroups(G)
+        terms = chief_series(G)
         ctx = _LawContext(
-            G, F, rng, lat, normals,
-            factors=chief_series(G).factors(),
+            G, F, rng, subgroups, normals,
+            factors=tuple(zip(terms[1:], terms)),
             in_f=F.contains(G),
             Z=hypercentre(G, F),
             central=_central_normal_pairs(G, F),
-            supplements=_supplements(G, lat, normals),
+            supplements=_supplements(G, subgroups, normals),
         )
         items, failed = 0, []
         for name, law in LAWS.items():
@@ -831,7 +829,7 @@ def verify_lemma_suite(
 
 
 def _theorem_b(catalog, formations, sigma, lattice_budget, aut_budget):
-    return [verify_theorem_b(catalog, F) for F in formations]
+    return [verify_theorem_b(catalog, F) for F in formations if F.saturated]
 
 
 def _theorem_a(catalog, formations, sigma, lattice_budget, aut_budget):
@@ -847,7 +845,7 @@ def _schenkman(catalog, formations, sigma, lattice_budget, aut_budget):
 
 
 def _holomorph_bound(catalog, formations, sigma, lattice_budget, aut_budget):
-    return [verify_holomorph_bound(catalog, F, aut_budget) for F in formations]
+    return [verify_holomorph_bound(catalog, F, aut_budget) for F in formations if F.saturated]
 
 
 def _section3(catalog, formations, sigma, lattice_budget, aut_budget):
@@ -862,7 +860,8 @@ def _lemmas(catalog, formations, sigma, lattice_budget, aut_budget):
 
 
 # Every claim's sweeps, called as (catalog, formations, sigma, lattice_budget,
-# aut_budget), in the order run_all runs them.
+# aut_budget), in the order run_all runs them. Each sweeps only the formations
+# its theorem accepts, where a direct verify_* call raises ValueError.
 CLAIMS: dict[str, Callable[..., list[VerificationReport]]] = {
     "theorem-b": _theorem_b,
     "theorem-a": _theorem_a,

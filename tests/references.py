@@ -111,12 +111,18 @@ def is_supersoluble(G) -> bool:
     return True
 
 
+def chief_factor_orders(G) -> tuple[int, ...]:
+    """|top/bottom| for each chief factor of ``chief_series(G)``, lowest first."""
+    terms = chief_series(G)
+    return tuple(top.order // bottom.order for top, bottom in zip(terms[1:], terms))
+
+
 def is_soluble_by_chief_series(G) -> bool:
-    return all(len(_prime_factors(o)) == 1 for o in chief_series(G).factor_orders())
+    return all(len(_prime_factors(o)) == 1 for o in chief_factor_orders(G))
 
 
 def is_supersoluble_by_chief_series(G) -> bool:
-    return all(is_prime(o) for o in chief_series(G).factor_orders())
+    return all(is_prime(o) for o in chief_factor_orders(G))
 
 
 def class_closures(G):
@@ -164,7 +170,7 @@ def central_sections_restrict_to_subgroups(c):
     """An F-central section R/S stays F-central when cut down to a subgroup."""
     if c.F.hereditary:
         for S, R in c.central_pairs:
-            for E in c.lat.subgroups:
+            for E in c.subgroups:
                 er, es = E.localize(E.intersect(R)), E.localize(E.intersect(S))
                 ok = is_f_central(E.as_group(), er, es, c.F)
                 yield None if ok else {
@@ -276,7 +282,7 @@ def dedupe(groups):
 def catalog_groups(max_order, files=(), order_cap=DEFAULT_ORDER_CAP):
     """The seeds, their pairwise direct products within the bound, and the
     user files, deduplicated up to isomorphism by search."""
-    base = dedupe([build() for _, build in _family_seeds(max_order, order_cap)])
+    base = dedupe([build() for _, build in _family_seeds(max_order)])
     everything = list(base)
     for i, a in enumerate(base):
         if a.order < 2:

@@ -287,8 +287,9 @@ class TestHypercentre:
         def reference(G, central):
             members = {0}
             for N in normal_subgroups(G):
-                factors = chief_series_through(G, N).factors()
-                if all(central(top, bottom) for top, bottom in factors if top <= N):
+                terms = chief_series_through(G, N)
+                if all(central(top, bottom) for top, bottom in zip(terms[1:], terms)
+                       if top <= N):
                     members.update(N.array.tolist())
             return generated_subgroup(G, members)
 
@@ -445,8 +446,9 @@ class TestBuiltinLaws:
             normals = normal_subgroups(g)
             panel.append(g)
             panel.extend(quotient(g, N)[0] for N in normals)
+            terms = chief_series(g)
             panel.extend(section_product(g, top, bottom)
-                         for top, bottom in chief_series(g).factors())
+                         for top, bottom in zip(terms[1:], terms))
             panel.extend(section_product(g, top, bottom)
                          for top in normals for bottom in normals if bottom < top
                          and centralizer_of_section(g, top, bottom) != g.full_subgroup())

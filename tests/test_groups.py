@@ -539,7 +539,7 @@ class TestSubgroupBasics:
 
     def test_localize_then_lift_is_identity(self):
         s4 = symmetric(4)
-        subgroups = all_subgroups(s4).subgroups
+        subgroups = all_subgroups(s4)
         for H in subgroups:
             for K in subgroups:
                 if K <= H:
@@ -597,7 +597,7 @@ class TestSubgroupBasics:
 class TestInternedSubgroups:
     def test_operators_match_frozenset_reference(self):
         for g in catalog_generate(16).groups:
-            subs = all_subgroups(g).subgroups
+            subs = all_subgroups(g)
             ref = {s: frozenset(s.array.tolist()) for s in subs}
             for a in subs:
                 assert a.order == len(ref[a])
@@ -710,7 +710,7 @@ def test_cosets_match_inline_least_reference(catalog24):
     pairs = [(g, N, W) for g in catalog24.groups
              for N, W in product(normal_subgroups(g), repeat=2) if N <= W]
     s4 = symmetric(4)
-    subs = all_subgroups(s4).subgroups
+    subs = all_subgroups(s4)
     local = [(s4, N, W) for N, W in product(subs, repeat=2)
              if N <= W and groups.core(W, N) is N and not N.is_normal()]
     for g, N, W in pairs + local:

@@ -19,6 +19,7 @@ from finform import (
     is_k_f_subnormal,
     is_sigma_subnormal,
     is_subnormal,
+    overgroups,
     quotient,
     sigma_nilpotent_formation,
     symmetric,
@@ -89,7 +90,7 @@ class TestKegelChains:
     def test_chain_revalidates(self):
         s4 = symmetric(4)
         for F in (NILPOTENT, SUPERSOLUBLE):
-            for S in all_subgroups(s4).subgroups:
+            for S in all_subgroups(s4):
                 chain = is_k_f_subnormal(s4, S, F)
                 if chain is not None:
                     assert chain.validate(lambda Q: F.contains(Q))
@@ -114,7 +115,7 @@ class TestFormationChains:
     def test_implies_kegel(self, catalog12):
         for g in catalog12.groups:
             for F in (NILPOTENT, SUPERSOLUBLE):
-                for S in all_subgroups(g).subgroups:
+                for S in all_subgroups(g):
                     if is_f_subnormal(g, S, F) is not None:
                         assert is_k_f_subnormal(g, S, F) is not None
 
@@ -123,7 +124,7 @@ class TestSigmaChains:
     def test_everything_reachable_when_group_is_primary(self):
         sig = SigmaPartition.parse("[[2,3]]")
         s4 = symmetric(4)
-        for S in all_subgroups(s4).subgroups:
+        for S in all_subgroups(s4):
             assert is_sigma_subnormal(s4, S, sig) is not None
 
     def test_singletons_match_nilpotent_kegel(self):
@@ -138,7 +139,7 @@ class TestImplicationSweeps:
         sig = SigmaPartition.parse("[[2,3]]")
         formations = builtin_formations(sig)
         for g in catalog12.groups:
-            for S in all_subgroups(g).subgroups:
+            for S in all_subgroups(g):
                 if is_subnormal(g, S) is None:
                     continue
                 for F in formations:
@@ -148,7 +149,7 @@ class TestImplicationSweeps:
         for sig in (SigmaPartition.parse("[[2,3]]"), SigmaPartition.singletons()):
             nsig = sigma_nilpotent_formation(sig)
             for g in catalog12.groups:
-                for S in all_subgroups(g).subgroups:
+                for S in all_subgroups(g):
                     assert (is_sigma_subnormal(g, S, sig) is not None) == (
                         is_k_f_subnormal(g, S, nsig) is not None
                     )
@@ -157,12 +158,11 @@ class TestImplicationSweeps:
         # hereditary formations: a Kegel chain survives restriction to any
         # intermediate subgroup
         for g in catalog12.groups:
-            lat = all_subgroups(g)
             for F in (NILPOTENT, SUPERSOLUBLE):
-                for S in lat.subgroups:
+                for S in all_subgroups(g):
                     if is_k_f_subnormal(g, S, F) is None:
                         continue
-                    for W in lat.overgroups_of(S):
+                    for W in overgroups(S):
                         assert is_k_f_subnormal(W.as_group(), W.localize(S), F) is not None
 
 
@@ -170,7 +170,7 @@ def _reference_chain_search(G, A, step):
     """The engine's earlier breadth-first search, kept as a reference: over
     lattice indices, found through a member-set index and an inclusion
     matrix, with no edge memo."""
-    subs = all_subgroups(G).subgroups
+    subs = all_subgroups(G)
     sets = [frozenset(s.array.tolist()) for s in subs]
     index = {m: i for i, m in enumerate(sets)}
     inclusion = [[a <= b for b in sets] for a in sets]
@@ -263,7 +263,7 @@ def test_each_normality_fact_is_tested_once_across_chain_kinds(monkeypatch):
     monkeypatch.setattr(groups, "_conjugates", record)
     s4 = symmetric(4)
     for decide, _ in _four_deciders():
-        for S in all_subgroups(s4).subgroups:
+        for S in all_subgroups(s4):
             decide(s4, S)
     assert tested and max(tested.values()) == 1
 
@@ -285,8 +285,8 @@ def test_subgroup_of_another_group_is_rejected():
 
 def test_routines_reject_subgroups_of_another_group():
     # each of these read a foreign subgroup's indices in another group's
-    # table; the quotient built an order-3 "group" that is not a Latin
-    # square, and the lattice memoised no overgroups for the foreign subgroup
+    # table, and the quotient built an order-3 "group" that is not a Latin
+    # square
     s3 = symmetric(3)
     s3b = from_cayley_table(s3.table)  # an equal copy
     a3 = generated_subgroup(s3, [e for e in range(6) if s3.element_orders[e] == 3])
@@ -300,7 +300,6 @@ def test_routines_reject_subgroups_of_another_group():
         lambda: centralizer(s3b, a3),
         lambda: groups.commutator_subgroup(s3b, s3.full_subgroup(), s3.full_subgroup()),
         lambda: groups.normal_closure_in(s3b.full_subgroup(), s3.full_subgroup()),
-        lambda: all_subgroups(s3).overgroups_of(s3b.trivial_subgroup()),
     ):
         with pytest.raises(ValueError, match="another Group object"):
             call()

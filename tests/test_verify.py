@@ -241,6 +241,19 @@ class TestTheoremB:
             verify_theorem_b(catalog12, fake)
 
 
+def test_run_all_sweeps_each_formation_only_where_its_theorem_accepts_it():
+    # an unsaturated formation fits neither theorem-b, theorem-a nor the
+    # holomorph bound: run_all leaves those claims out, a direct call raises
+    cat = catalog_generate(6)
+    abelian = Formation("abelian", lambda G: G.is_abelian())
+    claims = [r.claim for r in verify.run_all(cat, [abelian])]
+    assert claims[0] == "schenkman" and claims[-1] == "lemmas"
+    assert all(c.startswith("section3-") for c in claims[1:-1]) and len(claims) == 7
+    for direct in (verify_theorem_b, verify_theorem_a, verify_holomorph_bound):
+        with pytest.raises(ValueError, match="requires a"):
+            direct(cat, abelian)
+
+
 class TestTheoremA:
     def test_nilpotent_at_12(self, catalog12):
         rep = verify_theorem_a(catalog12, NILPOTENT)
@@ -342,7 +355,7 @@ def _section_law_context(G, F):
     """A lemma-suite context holding what the central-section laws read."""
     return verify._LawContext(
         G, F, np.random.default_rng(0), all_subgroups(G), normal_subgroups(G),
-        factors=[], in_f=False, Z=G.trivial_subgroup(),
+        factors=(), in_f=False, Z=G.trivial_subgroup(),
         central=verify._central_normal_pairs(G, F), supplements={},
     )
 
@@ -422,7 +435,7 @@ class TestLemmaSuite:
         ctx = _section_law_context(G, SUPERSOLUBLE)
         distinct = {
             (E, E.intersect(R), E.intersect(S))
-            for S, R in ctx.central_pairs for E in ctx.lat.subgroups
+            for S, R in ctx.central_pairs for E in ctx.subgroups
         }
         calls = []
         real = verify.is_f_central
@@ -453,11 +466,11 @@ class TestLemmaSuite:
                                                                items, failures):
         got = []
         for G in catalog24:
-            lat, normals = all_subgroups(G), normal_subgroups(G)
+            subgroups, normals = all_subgroups(G), normal_subgroups(G)
             ctx = verify._LawContext(
-                G, F, np.random.default_rng(0), lat, normals,
-                factors=[], in_f=False, Z=G.trivial_subgroup(), central={},
-                supplements=verify._supplements(G, lat, normals),
+                G, F, np.random.default_rng(0), subgroups, normals,
+                factors=(), in_f=False, Z=G.trivial_subgroup(), central={},
+                supplements=verify._supplements(G, subgroups, normals),
             )
             law = list(verify._minimal_supplement_membership(ctx))
             assert law == list(references.minimal_supplement_membership(ctx)), G.label
@@ -501,13 +514,13 @@ class TestLemmaSuite:
         monkeypatch.setattr(Subgroup, "intersect", recording)
         law_rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
         for G in [elem_abelian(2, 4)] + catalog_generate(12).groups:
-            lat = all_subgroups(G)
+            subgroups = all_subgroups(G)
             meets.clear()
-            ctx = SimpleNamespace(lat=lat, rng=law_rng, F=NILPOTENT)
+            ctx = SimpleNamespace(subgroups=subgroups, rng=law_rng, F=NILPOTENT)
             checked = len(list(verify._hypercentre_meets_subgroups(ctx)))
             # per pair (A, B) the law meets B with A, then Z_F(B) with A
             visited = [(A, B) for B, A in [m for m in meets if m[0].parent is G][::2]]
-            assert visited == reference_pairs(lat.subgroups, ref_rng), G.label
+            assert visited == reference_pairs(subgroups, ref_rng), G.label
             assert checked == len(visited)
             assert law_rng.bit_generator.state == ref_rng.bit_generator.state
 
