@@ -67,22 +67,19 @@ def parse_selector(text: str, order_cap: int | None = DEFAULT_ORDER_CAP) -> Grou
         return construct.trivial()
     if sel.startswith("file:"):
         return load_group_file(sel[5:], order_cap=order_cap)
-    if sel.startswith("prod(") and sel.endswith(")"):
-        inner = sel[5:-1]
-        depth = 0
+    if sel.startswith("prod("):  # exactly two selectors, split at a comma outside parentheses
+        inner, depth, commas = sel[5:-1], 0, []
         for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                left, right = inner[:i], inner[i + 1 :]
-                return construct.direct_product(
-                    parse_selector(left, order_cap),
-                    parse_selector(right, order_cap),
-                    order_cap=order_cap,
-                )
-        raise ValueError(f"bad product selector {text!r}")
+            depth += {"(": 1, ")": -1}.get(ch, 0)
+            if depth < 0:
+                break
+            if ch == "," and depth == 0:
+                commas.append(i)
+        if not sel.endswith(")") or depth != 0 or len(commas) != 1:
+            raise ValueError(f"bad product selector {text!r}")
+        return construct.direct_product(parse_selector(inner[:commas[0]], order_cap),
+                                        parse_selector(inner[commas[0] + 1:], order_cap),
+                                        order_cap=order_cap)
     if ":" not in sel:
         raise ValueError(f"bad selector {text!r}")
     kind, _, arg = sel.partition(":")
@@ -91,7 +88,7 @@ def parse_selector(text: str, order_cap: int | None = DEFAULT_ORDER_CAP) -> Grou
         if "^" not in arg:
             raise ValueError("elab selector looks like elab:p^k")
         p, _, k = arg.partition("^")
-        return construct.elem_abelian(int(p), int(k), order_cap=order_cap)
+        return construct.elem_abelian(_int_arg(p), _int_arg(k), order_cap=order_cap)
     builders = {
         "cyclic": construct.cyclic,
         "dihedral": construct.dihedral,
@@ -101,7 +98,15 @@ def parse_selector(text: str, order_cap: int | None = DEFAULT_ORDER_CAP) -> Grou
     }
     if kind not in builders:
         raise ValueError(f"unknown family {kind!r}")
-    return builders[kind](int(arg), order_cap=order_cap)
+    return builders[kind](_int_arg(arg), order_cap=order_cap)
+
+
+def _int_arg(arg: str) -> int:
+    """A family argument as an int; ValueError naming it when it is not one."""
+    try:
+        return int(arg)
+    except ValueError:
+        raise ValueError(f"family argument {arg.strip()!r} is not an integer") from None
 
 
 def _resolve_group(args) -> Group:
@@ -182,14 +187,14 @@ def cmd_subnormal(args) -> int:
     sigma = _sigma_from_args(args)
     F = formation_by_selector(args.formation, sigma)
     if args.kind == "plain":
-        chain = is_subnormal(G, A)
+        chain = is_subnormal(A)
     elif args.kind == "sigma":
         if sigma is None:
             raise ValueError("--kind sigma requires --sigma")
-        chain = is_sigma_subnormal(G, A, sigma, args.lattice_budget)
+        chain = is_sigma_subnormal(A, sigma, args.lattice_budget)
     else:
         search = is_k_f_subnormal if args.kind == "kf" else is_f_subnormal
-        chain = search(G, A, F, args.lattice_budget)
+        chain = search(A, F, args.lattice_budget)
     payload = {
         "group": G.label,
         "subgroup_order": A.order,
@@ -311,13 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_ranges(args) -> None:
-    """Range checks on whichever of the numeric options the command has."""
-    if getattr(args, "max_order", 1) < 1 or args.order_cap < 1:
-        raise ValueError("max-order and order-cap must be positive")
+    """Range checks on whichever of the numeric options the command has; an
+    error names only the option out of range."""
+    for option in ("max_order", "order_cap", "budget", "lattice_budget"):
+        if getattr(args, option, 1) < 1:
+            raise ValueError(f"--{option.replace('_', '-')} must be positive")
     if getattr(args, "max_order", 1) > args.order_cap:
         raise ValueError("max-order cannot exceed order-cap")
-    if getattr(args, "budget", 1) < 1 or getattr(args, "lattice_budget", 1) < 1:
-        raise ValueError("budgets must be positive")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -29,6 +29,9 @@ from .groups import (
 )
 from .lattice import is_prime
 
+# The section product [H/K](G/C_G(H/K)) that decides F-centrality (so the
+# lemma laws) can exceed the group cap; it gets its own guard.
+SECTION_PRODUCT_CAP = 4096
 
 def from_cayley_table(table, label: str = "G", order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
     """Build and fully validate a group from an untrusted square table.
@@ -272,13 +275,9 @@ def semidirect_product(
                           label or f"{N.label}x|{H.label}")
 
 
-def semidirect_section(
-    G: Group,
-    H: Subgroup,
-    K: Subgroup,
-    order_cap: int | None = DEFAULT_ORDER_CAP,
-) -> Group:
-    """The section product [H/K](G/C_G(H/K)) for H and K normal in G, K <= H.
+def semidirect_section(H: Subgroup, K: Subgroup) -> Group:
+    """The section product [H/K](G/C_G(H/K)) for H and K normal in their
+    group G, K <= H, within ``SECTION_PRODUCT_CAP``.
 
     The coset gC acts by sending hK to (g h g^-1)K; reading conjugation on
     the other side yields the same group up to isomorphism.
@@ -290,12 +289,12 @@ def semidirect_section(
     the action on those representatives in one gather, valid by
     construction and so not checked again.
     """
-    C = centralizer_of_section(G, H, K)  # checks K <= H and H, K normal in G
-    check_order_cap((H.order // K.order) * (G.order // C.order), order_cap)
+    G, C = H.parent, centralizer_of_section(H, K)  # checks K <= H and H, K normal in G
+    check_order_cap((H.order // K.order) * (G.order // C.order), SECTION_PRODUCT_CAP)
     label = f"[{H.order}/{K.order}]({G.label}/{C.order})"
-    sec_reps, sec_index, sec_table = _cosets(G, K, H)
+    sec_reps, sec_index, sec_table = _cosets(K, H)
     if C.order == G.order:
         return _derived_group(sec_table, label)
-    quo_reps, _, quo_table = _cosets(G, C, G.full_subgroup())
+    quo_reps, _, quo_table = _cosets(C, G.full_subgroup())
     conj = G.table[G.table[quo_reps[:, None], sec_reps], G.inverse[quo_reps][:, None]]
     return _derived_group(_pair_table(sec_table, quo_table, sec_index[conj]), label)

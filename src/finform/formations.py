@@ -45,10 +45,6 @@ from .lattice import (
     normal_subgroups,
 )
 
-# ``is_f_central`` (so the lemma laws) builds the section product
-# [H/K](G/C_G(H/K)), which can exceed the group cap; it gets its own guard.
-SECTION_PRODUCT_CAP = 4096
-
 
 # -- sigma partitions -------------------------------------------------------
 
@@ -146,7 +142,7 @@ def is_supersoluble(G: Group) -> bool:
                     break
         else:
             return False
-        G = quotient(G, N)[0]
+        G = quotient(N)[0]
     return True
 
 
@@ -168,15 +164,15 @@ def is_sigma_nilpotent(G: Group, sigma: SigmaPartition) -> bool:
 # -- formations --------------------------------------------------------------
 
 
-ChiefRule = Callable[[Group, Subgroup, Subgroup], bool]
+ChiefRule = Callable[[Subgroup, Subgroup], bool]
 
 
 @dataclass(frozen=True, eq=False)
 class Formation:
     """A named group-class predicate with hereditary/saturated metadata.
 
-    ``chief_rule(G, H, K)`` decides from the local definition whether a chief
-    factor H/K of G is F-central. A formation has one exactly when it is
+    ``chief_rule(H, K)`` decides from the local definition whether a chief
+    factor H/K of their group is F-central. A formation has one exactly when it is
     saturated (Gaschütz–Lubeseder–Schmid); without it the section product
     decides. The flags are trusted when selecting which theorems apply, but
     the verifier's law sweeps exercise them on the whole catalog. ``sigma``
@@ -197,11 +193,11 @@ class Formation:
     def contains(self, G: Group) -> bool:
         return _memo(G, ("in-formation", self), lambda: bool(self.predicate(G)))
 
-    def chief_central(self, G: Group, H: Subgroup, K: Subgroup) -> bool:
-        """Whether the chief factor H/K of G is F-central."""
+    def chief_central(self, H: Subgroup, K: Subgroup) -> bool:
+        """Whether the chief factor H/K of their group is F-central."""
         if self.chief_rule is None:
-            return is_f_central(G, H, K, self)
-        return self.chief_rule(G, H, K)
+            return is_f_central(H, K, self)
+        return self.chief_rule(H, K)
 
     def __repr__(self) -> str:
         return f"Formation({self.name})"
@@ -212,23 +208,23 @@ class Formation:
 
 def _sigma_rule(sigma: SigmaPartition) -> ChiefRule:
     """All primes of m·|Q| lie in one class; this covers nonabelian factors."""
-    return lambda G, H, K: is_sigma_central(G, H, K, sigma)
+    return lambda H, K: is_sigma_central(H, K, sigma)
 
 
-def _soluble_rule(G: Group, H: Subgroup, K: Subgroup) -> bool:
+def _soluble_rule(H: Subgroup, K: Subgroup) -> bool:
     """m is a prime power and Q is soluble: |Q| has at most two primes
     (Burnside's p^a q^b theorem), or else G's last derived term lies in C,
     as (G/C)^(i) = G^(i)C/C."""
     if len(_prime_factors(H.order // K.order)) != 1:
         return False
-    C = centralizer_of_section(G, H, K)
+    G, C = H.parent, centralizer_of_section(H, K)
     return len(_prime_factors(G.order // C.order)) <= 2 or derived_series(G)[-1] <= C
 
 
 NILPOTENT = Formation("nilpotent", is_nilpotent,
                       chief_rule=_sigma_rule(SigmaPartition.singletons()))
 SUPERSOLUBLE = Formation("supersoluble", is_supersoluble,
-                         chief_rule=lambda G, H, K: is_prime(H.order // K.order))
+                         chief_rule=lambda H, K: is_prime(H.order // K.order))
 SOLUBLE = Formation("soluble", is_soluble, chief_rule=_soluble_rule)
 
 
@@ -283,9 +279,9 @@ def residual(G: Group, F: Formation) -> Subgroup:
     def compute():
         out = G.full_subgroup()
         for N in normal_subgroups(G):
-            if F.contains(quotient(G, N)[0]):
+            if F.contains(quotient(N)[0]):
                 out = out.intersect(N)
-        if not F.contains(quotient(G, out)[0]):
+        if not F.contains(quotient(out)[0]):
             raise FormationLawViolated(
                 f"{F.name}: quotient by the candidate residual is not in the class"
             )
@@ -297,35 +293,34 @@ def residual(G: Group, F: Formation) -> Subgroup:
 # -- central sections ----------------------------------------------------------
 
 
-def section_product(G: Group, H: Subgroup, K: Subgroup) -> Group:
-    """The section product [H/K](G/C_G(H/K)), memoised on G and capped.
+def section_product(H: Subgroup, K: Subgroup) -> Group:
+    """The section product [H/K](G/C_G(H/K)), memoised on H's group G.
 
     This single product decides centrality: testing at the full centralizer
     is equivalent to the existential definition over admissible kernels.
     """
-    return _memo(G, ("section_product", H, K),
-                 lambda: semidirect_section(G, H, K, order_cap=SECTION_PRODUCT_CAP))
+    return _memo(H.parent, ("section_product", H, K), lambda: semidirect_section(H, K))
 
 
-def is_f_central(G: Group, H: Subgroup, K: Subgroup, F: Formation) -> bool:
-    """Whether the normal section H/K is F-central in G."""
-    return F.contains(section_product(G, H, K))
+def is_f_central(H: Subgroup, K: Subgroup, F: Formation) -> bool:
+    """Whether the normal section H/K is F-central in their group."""
+    return F.contains(section_product(H, K))
 
 
-def is_sigma_central(G: Group, H: Subgroup, K: Subgroup, sigma: SigmaPartition) -> bool:
+def is_sigma_central(H: Subgroup, K: Subgroup, sigma: SigmaPartition) -> bool:
     """Whether the normal section H/K is sigma-central: the section product
     [H/K](G/C_G(H/K)) is sigma-primary, read off its order
     |H/K|·|G : C_G(H/K)| without building it."""
     return sigma.one_class(
-        H.order // K.order * (G.order // centralizer_of_section(G, H, K).order))
+        H.order // K.order * (H.parent.order // centralizer_of_section(H, K).order))
 
 
 # -- hypercentres ----------------------------------------------------------------
 
 
-def is_f_hypercentral(G: Group, N: Subgroup, F: Formation) -> bool:
-    """Whether the normal subgroup N is F-hypercentral in G: N = 1, or every
-    chief factor of G below N is F-central.
+def is_f_hypercentral(N: Subgroup, F: Formation) -> bool:
+    """Whether the normal subgroup N is F-hypercentral in its group G: N = 1,
+    or every chief factor of G below N is F-central.
 
     Reads the (top, bottom) factors ``zip(terms[1:], terms)`` of the
     memoised chief series through N that lie below N; that series runs on
@@ -334,8 +329,8 @@ def is_f_hypercentral(G: Group, N: Subgroup, F: Formation) -> bool:
     """
     if N.order == 1:
         return True
-    terms = chief_series_through(G, N)
-    return all(F.chief_central(G, top, bottom)
+    terms = chief_series_through(N)
+    return all(F.chief_central(top, bottom)
                for top, bottom in zip(terms[1:], terms) if top <= N)
 
 
@@ -350,10 +345,10 @@ def hypercentre(G: Group, F: Formation) -> Subgroup:
     """
     def compute():
         Z = G.trivial_subgroup()
-        while (M := next((C for C in normal_covers(G, Z) if F.chief_central(G, C, Z)),
+        while (M := next((C for C in normal_covers(Z) if F.chief_central(C, Z)),
                          None)) is not None:
             Z = M
-        if not is_f_hypercentral(G, Z, F):
+        if not is_f_hypercentral(Z, F):
             raise HypercentreNotHypercentral(
                 f"ascending hypercentre fails its own chief-factor test in {G.label}"
             )

@@ -162,8 +162,8 @@ class Group:
 
     # -- subgroup handles ----------------------------------------------
 
-    def subgroup(self, members: Iterable[int], validate: bool = True) -> "Subgroup":
-        return Subgroup(self, members, validate=validate)
+    def subgroup(self, members: Iterable[int]) -> "Subgroup":
+        return Subgroup(self, members)
 
     def trivial_subgroup(self) -> "Subgroup":
         return _interned(self, 1)
@@ -258,9 +258,9 @@ class Subgroup:
     memoises (``as_group()``, normality, ...) is computed once per member set.
     ``members`` is an int bitmask over element indices: ``<=`` is
     ``a & ~b == 0`` and ``order`` is its popcount. Construction checks the
-    identity, the index range and Lagrange; ``validate`` also checks closure
-    when a member set is first seen (this module's own constructions are
-    closed by construction and skip that check).
+    identity, the index range, Lagrange and closure (this module's own
+    constructions, ``_subgroup``, are closed by construction and skip the
+    closure check, so every interned member set is a subgroup).
 
     Only this module knows how the members are stored, and nothing outside
     it reads ``members``. Elsewhere, a subgroup is its own dict and memo key;
@@ -269,15 +269,15 @@ class Subgroup:
     the parent and ``as_group()`` coordinates with ``localize`` and ``lift``.
     """
 
-    def __new__(cls, parent: Group, members: Iterable[int], validate: bool = True):
+    def __new__(cls, parent: Group, members: Iterable[int]):
         mem = [_integer(m) for m in members]
         if not mem or min(mem) != 0:
             raise NotAGroup("subgroup must contain the identity (index 0)")
         if max(mem) >= parent.order:
             raise ValueError("subgroup member index out of range")
-        return _subgroup(parent, _marked(parent.order, mem), validate)
+        return _subgroup(parent, _marked(parent.order, mem), validate=True)
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         """Empty: ``__new__`` returns a built, interned object."""
 
     def mask(self) -> np.ndarray:
@@ -465,14 +465,14 @@ def join(a: Subgroup, b: Subgroup) -> Subgroup:
     return _closure(a.parent, a.mask() | b.mask())
 
 
-def centralizer(G: Group, S: Subgroup) -> Subgroup:
-    """C_G(S) = elements commuting with every member of S."""
-    _check_parent(G, S)
+def centralizer(S: Subgroup) -> Subgroup:
+    """C_G(S) = elements of S's group G commuting with every member of S."""
+    G = S.parent
     return _subgroup(G, (G.table[:, S.array] == G.table[S.array, :].T).all(axis=1))
 
 
 def center(G: Group) -> Subgroup:
-    return _memo(G, "center", lambda: centralizer(G, G.full_subgroup()))
+    return _memo(G, "center", lambda: centralizer(G.full_subgroup()))
 
 
 def normal_closure(G: Group, elems: Iterable[int]) -> Subgroup:
@@ -506,9 +506,9 @@ def core(ambient: Subgroup, inner: Subgroup) -> Subgroup:
     return _memo(inner, ("core", ambient), compute)
 
 
-def commutator_subgroup(G: Group, A: Subgroup, B: Subgroup) -> Subgroup:
+def commutator_subgroup(A: Subgroup, B: Subgroup) -> Subgroup:
     """[A, B] generated by commutators a^-1 b^-1 a b."""
-    _check_parent(G, A)
+    G = A.parent
     _check_parent(G, B)
     t, inv = G.table, G.inverse
     comms = t[t[inv[A.array][:, None], inv[B.array]], t[A.array[:, None], B.array]]
@@ -526,71 +526,73 @@ def _until_stable(first: Subgroup, step) -> tuple[Subgroup, ...]:
 def derived_series(G: Group) -> tuple[Subgroup, ...]:
     """Descending derived series until it stabilises."""
     return _memo(G, "derived_series", lambda: _until_stable(
-        G.full_subgroup(), lambda X: commutator_subgroup(G, X, X)))
+        G.full_subgroup(), lambda X: commutator_subgroup(X, X)))
 
 
 # -- quotients and section machinery -------------------------------------
 
 
-def _coset_least(G: Group, N: Subgroup) -> np.ndarray:
-    """The map x -> (least element of xN) over all of G, memoised on N.
+def _coset_least(N: Subgroup) -> np.ndarray:
+    """The map x -> (least element of xN) over all of N's group, memoised on N.
 
     ``_cosets`` and ``centralizer_of_section`` both read it, so N's cosets
     are read once for every quotient and section that N ends.
     """
     def compute():
-        least = G.table[:, N.array].min(axis=1)
+        least = N.parent.table[:, N.array].min(axis=1)
         least.flags.writeable = False
         return least
 
     return _memo(N, "coset_least", compute)
 
 
-def _cosets(G: Group, N: Subgroup, within: Subgroup) -> tuple[np.ndarray, ...]:
+def _cosets(N: Subgroup, within: Subgroup) -> tuple[np.ndarray, ...]:
     """The cosets of N in ``within``, for N normal in ``within``.
 
     The least elements are read from ``_coset_least``, the left cosets xN
-    over all of G: xN = Nx for every x in ``within``, where N is normal, and
-    the entries outside ``within`` are never read.
+    over all of N's group G: xN = Nx for every x in ``within``, where N is
+    normal, and the entries outside ``within`` are never read.
 
     Returns the least element of each coset, sorted (coset i is the one
     with the i-th least representative); the coset index of every element
     of ``within`` (an array over G's elements, -1 outside ``within``); and
     the table of the quotient ``within``/N on those indices.
     """
-    least = _coset_least(G, N)[within.array]
+    G = N.parent
+    least = _coset_least(N)[within.array]
     reps = np.unique(least)
     index = np.full(G.order, -1, dtype=np.int32)
     index[within.array] = np.searchsorted(reps, least)
     return reps, index, index[G.table[reps[:, None], reps]]
 
 
-def quotient(G: Group, N: Subgroup) -> tuple[Group, np.ndarray]:
-    """The quotient group G/N and its projection, the read-only array of
-    each element's coset number in G/N; N must be normal."""
+def quotient(N: Subgroup) -> tuple[Group, np.ndarray]:
+    """The quotient group G/N of N's group G and its projection, the
+    read-only array of each element's coset number in G/N; N must be normal."""
     def compute():
-        _require_normal(G, N)
-        _, index, qtable = _cosets(G, N, G.full_subgroup())
+        _require_normal(N)
+        G = N.parent
+        _, index, qtable = _cosets(N, G.full_subgroup())
         index.flags.writeable = False
         return _derived_group(qtable, f"{G.label}/n{N.order}"), index
 
-    return _memo(G, ("quotient", N), compute)
+    return _memo(N.parent, ("quotient", N), compute)
 
 
-def _require_normal(G: Group, N: Subgroup, name: str | None = None) -> None:
-    """The one normality guard: ValueError when N is a subgroup of another
-    Group object, else, when N is not normal in G, NotNormal witnessed by the
-    first (g, x), g in G and then x in N in increasing order, with g^-1 x g
-    outside N. ``name`` stands for N in the message."""
-    _check_parent(G, N)
+def _require_normal(N: Subgroup, name: str | None = None) -> None:
+    """The one normality guard: when N is not normal in its group G,
+    NotNormal witnessed by the first (g, x), g in G and then x in N in
+    increasing order, with g^-1 x g outside N. ``name`` stands for N in the
+    message."""
     if not N.is_normal():
+        G = N.parent
         outside = ~N.mask()[_conjugates(G, np.arange(G.order), N.array)]
         g, i = divmod(int(np.argmax(outside)), N.order)
         raise NotNormal(f"{name or N} is not normal in {G.label}", witness=(g, int(N.array[i])))
 
 
-def centralizer_of_section(G: Group, H: Subgroup, K: Subgroup) -> Subgroup:
-    """C_G(H/K) = elements whose conjugation fixes every coset hK.
+def centralizer_of_section(H: Subgroup, K: Subgroup) -> Subgroup:
+    """C_G(H/K) = elements of H's group G whose conjugation fixes every coset hK.
 
     H and K must be normal subgroups of G with K <= H (``_require_normal``
     and ValueError); the checks run once per section, with the memo. A
@@ -598,23 +600,24 @@ def centralizer_of_section(G: Group, H: Subgroup, K: Subgroup) -> Subgroup:
     read; otherwise the cosets hK are read from ``_coset_least``.
     """
     def compute():
-        _require_normal(G, H, "H")
+        _require_normal(H, "H")
         if not K <= H:
             raise ValueError("section requires K <= H")
-        _require_normal(G, K, "K")
+        _require_normal(K, "K")
+        G = H.parent
         if H == K:
             return G.full_subgroup()
-        repK = _coset_least(G, K)
+        repK = _coset_least(K)
         conj = _conjugates(G, np.arange(G.order, dtype=np.int32), H.array)  # g^-1 h g
         return _subgroup(G, (repK[conj] == repK[H.array][None, :]).all(axis=1))
 
-    return _memo(G, ("centralizer_of_section", H, K), compute)
+    return _memo(H.parent, ("centralizer_of_section", H, K), compute)
 
 
 def upper_central_series(G: Group) -> tuple[Subgroup, ...]:
     """Ascending series 1 <= Z(G) <= Z_2(G) <= ... until it stabilises."""
     def step(Z: Subgroup) -> Subgroup:
-        Q, proj = quotient(G, Z)
+        Q, proj = quotient(Z)
         return _subgroup(G, center(Q).mask()[proj])
 
     return _until_stable(G.trivial_subgroup(), step)

@@ -105,8 +105,9 @@ def normal_subgroups(G: Group) -> tuple[Subgroup, ...]:
     return _memo(G, "normals", lambda: _join_closure(G.trivial_subgroup(), _class_closures(G)))
 
 
-def normal_covers(G: Group, low: Subgroup) -> tuple[Subgroup, ...]:
-    """Normal subgroups M > low (low normal) with no normal subgroup strictly between.
+def normal_covers(low: Subgroup) -> tuple[Subgroup, ...]:
+    """Normal subgroups M > low of low's group (low normal) with no normal
+    subgroup strictly between.
 
     A normal M > low contains low*ncl(x) for any x in M outside low, so the
     covers are the least of those joins; in (order, members) order, a join
@@ -114,24 +115,24 @@ def normal_covers(G: Group, low: Subgroup) -> tuple[Subgroup, ...]:
     """
     def compute():
         covers: list[Subgroup] = []
-        above = {join(low, C) for C in _class_closures(G) if not C <= low}
+        above = {join(low, C) for C in _class_closures(low.parent) if not C <= low}
         for M in sorted(above, key=_sort_key):
             if not any(C < M for C in covers):
                 covers.append(M)
         return tuple(covers)
 
-    return _memo(G, ("normal_covers", low), compute)
+    return _memo(low.parent, ("normal_covers", low), compute)
 
 
 def minimal_normal_subgroups(G: Group) -> tuple[Subgroup, ...]:
     """Normal subgroups minimal among the nontrivial ones."""
     if G.order == 1:
         raise ValueError("the trivial group has no minimal normal subgroups")
-    return normal_covers(G, G.trivial_subgroup())
+    return normal_covers(G.trivial_subgroup())
 
 
-def chief_series_through(G: Group, N: Subgroup) -> tuple[Subgroup, ...]:
-    """A chief series of G with N as a term: its terms 1 = T_0 < ... < T_k = G,
+def chief_series_through(N: Subgroup) -> tuple[Subgroup, ...]:
+    """A chief series of N's group G with N as a term: its terms 1 = T_0 < ... < T_k = G,
     each a normal cover of the one before, so each T_{i+1}/T_i is a chief
     factor of G, and ``zip(terms[1:], terms)`` are the (top, bottom) pairs.
 
@@ -140,18 +141,19 @@ def chief_series_through(G: Group, N: Subgroup) -> tuple[Subgroup, ...]:
     deterministic.
     """
     def compute():
-        _require_normal(G, N)
+        _require_normal(N)
+        G = N.parent
         terms = [G.trivial_subgroup()]
         for target in (N, G.full_subgroup()):
             while terms[-1] != target:
-                terms.append(next(M for M in normal_covers(G, terms[-1]) if M <= target))
+                terms.append(next(M for M in normal_covers(terms[-1]) if M <= target))
         return tuple(terms)
 
-    return _memo(G, ("chief_series", N), compute)
+    return _memo(N.parent, ("chief_series", N), compute)
 
 
 def chief_series(G: Group) -> tuple[Subgroup, ...]:
-    return chief_series_through(G, G.trivial_subgroup())
+    return chief_series_through(G.trivial_subgroup())
 
 
 def frattini(G: Group, budget: int = DEFAULT_LATTICE_BUDGET) -> Subgroup:

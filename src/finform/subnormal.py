@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .formations import Formation, SigmaPartition, is_sigma_primary
-from .groups import Group, Subgroup, _check_parent, _memo, core, normal_closure_in, quotient
+from .groups import Group, Subgroup, _memo, core, normal_closure_in, quotient
 from .lattice import DEFAULT_LATTICE_BUDGET, all_subgroups, overgroups
 
 NORMAL_STEP = "normal-step"
@@ -71,19 +71,18 @@ class WitnessChain:
 def _core_quotient(low: Subgroup, high: Subgroup) -> Group:
     """The group high / core(high, low)."""
     def compute():
-        return quotient(high.as_group(), high.localize(core(high, low)))[0]
+        return quotient(high.localize(core(high, low)))[0]
 
     return _memo(low.parent, ("core_quotient", low, high), compute)
 
 
-def is_subnormal(G: Group, A: Subgroup) -> WitnessChain | None:
+def is_subnormal(A: Subgroup) -> WitnessChain | None:
     """Witness chain of normal steps, by iterated normal-closure descent.
 
-    A is subnormal iff the sequence H_0 = G, H_{k+1} = <A^{H_k}> stabilises
-    at A; the descent itself is the chain, read upward.
+    A is subnormal in its group G iff the sequence H_0 = G, H_{k+1} =
+    <A^{H_k}> stabilises at A; the descent itself is the chain, read upward.
     """
-    _check_parent(G, A)
-    chain = [G.full_subgroup()]
+    chain = [A.parent.full_subgroup()]
     while True:
         current = chain[-1]
         if current == A:
@@ -97,7 +96,6 @@ def is_subnormal(G: Group, A: Subgroup) -> WitnessChain | None:
 
 
 def _chain_search(
-    G: Group,
     A: Subgroup,
     quotient_ok: Callable[[Group], bool],
     normal_steps: bool,
@@ -111,9 +109,8 @@ def _chain_search(
     quotient is memoised per pair too, so every chain kind shares them. Ties
     are broken in lattice order, so witnesses are reproducible.
     """
-    _check_parent(G, A)
-    all_subgroups(G, budget=lattice_budget)  # the lattice overgroups reads
-    top = G.full_subgroup()
+    all_subgroups(A.parent, budget=lattice_budget)  # the lattice overgroups reads
+    top = A.parent.full_subgroup()
     chains = {A: ((A,), ())}  # the first (terms, step kinds) found to each subgroup reached
     queue = [A]
     while queue:
@@ -138,30 +135,27 @@ def _chain_search(
 
 
 def is_k_f_subnormal(
-    G: Group,
     A: Subgroup,
     F: Formation,
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> WitnessChain | None:
     """Kegel chain: each step normal or with core-quotient in F."""
-    return _chain_search(G, A, F.contains, True, lattice_budget)
+    return _chain_search(A, F.contains, True, lattice_budget)
 
 
 def is_f_subnormal(
-    G: Group,
     A: Subgroup,
     F: Formation,
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> WitnessChain | None:
     """Chain of core-quotient steps only."""
-    return _chain_search(G, A, F.contains, False, lattice_budget)
+    return _chain_search(A, F.contains, False, lattice_budget)
 
 
 def is_sigma_subnormal(
-    G: Group,
     A: Subgroup,
     sigma: SigmaPartition,
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> WitnessChain | None:
     """Chain of normal steps or sigma-primary core-quotient steps."""
-    return _chain_search(G, A, lambda Q: is_sigma_primary(Q, sigma), True, lattice_budget)
+    return _chain_search(A, lambda Q: is_sigma_primary(Q, sigma), True, lattice_budget)

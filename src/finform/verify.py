@@ -308,10 +308,10 @@ def _sweep(
     return rep
 
 
-def _escape(G: Group, D: Subgroup) -> dict | None:
-    """None when C_G(D) <= D (the residual D is large), else the members of D
-    and of the centralizer that escapes it."""
-    C = centralizer(G, D)
+def _escape(D: Subgroup) -> dict | None:
+    """None when C_G(D) <= D in D's group G (the residual D is large), else
+    the members of D and of the centralizer that escapes it."""
+    C = centralizer(D)
     if C <= D:
         return None
     return {"residual": _members(D), "centralizer": _members(C)}
@@ -333,7 +333,7 @@ def verify_theorem_b(catalog: Catalog, F: Formation) -> VerificationReport:
             _skip(rep, G, "hypothesis-failed", f"hypercentre has order {Z.order}")
             return
         rep.asserted += 1
-        escape = _escape(G, residual(G, F))
+        escape = _escape(residual(G, F))
         if escape:
             _fail(rep, G, **escape,
                   detail="centralizer of the residual escapes the residual")
@@ -354,15 +354,15 @@ def _theorem_a_sweep(
 ) -> VerificationReport:
     """Shared engine for the main theorem and its section-3 specialisations.
 
-    Instances are the (G, S) pairs with S chain-connected to G; for each, the
-    hypothesis scan demands a trivial Z_F for S and every overgroup, with F
-    the sweep's formation.
+    Instances are the (G, S) pairs with S chain-connected to G, where
+    ``chain_fn(S)`` finds a chain; for each, the hypothesis scan demands a
+    trivial Z_F for S and every overgroup, with F the sweep's formation.
     """
     rep = VerificationReport(claim, formation.name, sigma_key, catalog.description)
 
     def body(G):
         for S in all_subgroups(G, budget=lattice_budget):
-            chain = chain_fn(G, S)
+            chain = chain_fn(S)
             if chain is None:
                 continue
             rep.checked += 1
@@ -380,7 +380,7 @@ def _theorem_a_sweep(
                 continue
             rep.asserted += 1
             D = S.lift(residual(S.as_group(), formation))
-            escape = _escape(G, D)
+            escape = _escape(D)
             if escape:
                 _fail(rep, G, subgroup=_members(S), chain=list(chain.order_trail()),
                       **escape, detail="centralizer of the subgroup's residual escapes it")
@@ -400,7 +400,7 @@ def verify_theorem_a(
     return _theorem_a_sweep(
         catalog,
         F,
-        lambda G, S: is_k_f_subnormal(G, S, F, lattice_budget),
+        lambda S: is_k_f_subnormal(S, F, lattice_budget),
         claim="theorem-a",
         lattice_budget=lattice_budget,
     )
@@ -417,10 +417,10 @@ def verify_schenkman_classic(
 
     def body(G):
         for S in all_subgroups(G, budget=lattice_budget):
-            if is_subnormal(G, S) is None:
+            if is_subnormal(S) is None:
                 continue
             rep.checked += 1
-            if centralizer(G, S).order != 1:
+            if centralizer(S).order != 1:
                 _skip(
                     rep, G, "hypothesis-failed",
                     "centralizer of the subgroup is nontrivial",
@@ -429,7 +429,7 @@ def verify_schenkman_classic(
                 continue
             rep.asserted += 1
             D = S.lift(residual(S.as_group(), NILPOTENT))
-            escape = _escape(G, D)
+            escape = _escape(D)
             if escape:
                 _fail(rep, G, subgroup=_members(S), **escape,
                       detail="nilpotent residual is not large")
@@ -497,13 +497,13 @@ def verify_section3_corollaries(
                          lattice_budget=lattice_budget)
         for F, name, chain_fn in (
             (SUPERSOLUBLE, "supersoluble-kegel-chains",
-             lambda G, S: is_k_f_subnormal(G, S, SUPERSOLUBLE, lattice_budget)),
+             lambda S: is_k_f_subnormal(S, SUPERSOLUBLE, lattice_budget)),
             (SUPERSOLUBLE, "supersoluble-formation-chains",
-             lambda G, S: is_f_subnormal(G, S, SUPERSOLUBLE, lattice_budget)),
+             lambda S: is_f_subnormal(S, SUPERSOLUBLE, lattice_budget)),
             (nsigma, "sigma-chains",
-             lambda G, S: is_sigma_subnormal(G, S, sigma, lattice_budget)),
+             lambda S: is_sigma_subnormal(S, sigma, lattice_budget)),
             (nsigma, "sigma-kegel-chains",
-             lambda G, S: is_k_f_subnormal(G, S, nsigma, lattice_budget)),
+             lambda S: is_k_f_subnormal(S, nsigma, lattice_budget)),
         )
     ]
     agreement = VerificationReport(
@@ -514,8 +514,8 @@ def verify_section3_corollaries(
         for S in all_subgroups(G, budget=lattice_budget):
             agreement.checked += 1
             agreement.asserted += 1
-            via_sigma = is_sigma_subnormal(G, S, sigma, lattice_budget) is not None
-            via_kegel = is_k_f_subnormal(G, S, nsigma, lattice_budget) is not None
+            via_sigma = is_sigma_subnormal(S, sigma, lattice_budget) is not None
+            via_kegel = is_k_f_subnormal(S, nsigma, lattice_budget) is not None
             if via_sigma != via_kegel:
                 _fail(agreement, G, subgroup=_members(S), sigma_subnormal=via_sigma,
                       kegel_subnormal=via_kegel,
@@ -537,7 +537,7 @@ def _central_normal_pairs(G: Group, F: Formation) -> dict[tuple[Subgroup, Subgro
     subgroups with S <= R: one verdict per section, S outer and R inner in
     the order of ``normal_subgroups``."""
     normals = normal_subgroups(G)
-    return {(S, R): is_f_central(G, R, S, F) for S in normals for R in normals if S <= R}
+    return {(S, R): is_f_central(R, S, F) for S in normals for R in normals if S <= R}
 
 
 def _relabel(G: Group, perm: np.ndarray) -> Group:
@@ -582,9 +582,9 @@ class _LawContext:
 
 def _residual_quotient(c: _LawContext):
     """Every quotient of G/G^F is in F."""
-    Q, _ = quotient(c.G, residual(c.G, c.F))
+    Q, _ = quotient(residual(c.G, c.F))
     for N in normal_subgroups(Q):
-        ok = c.F.contains(quotient(Q, N)[0])
+        ok = c.F.contains(quotient(N)[0])
         yield None if ok else {"normal": _members(N)}
 
 
@@ -621,7 +621,7 @@ def _membership_by_central_factors(c: _LawContext):
 def _hypercentral_normal_with_member_quotient(c: _LawContext):
     """An F-hypercentral normal N with G/N in F forces G into F."""
     for N in c.normals:
-        if is_f_hypercentral(c.G, N, c.F) and c.F.contains(quotient(c.G, N)[0]):
+        if is_f_hypercentral(N, c.F) and c.F.contains(quotient(N)[0]):
             yield None if c.in_f else {"normal": _members(N)}
 
 
@@ -630,7 +630,7 @@ def _sigma_centrality_coherence(c: _LawContext):
     sigma-nilpotent class."""
     if c.F.sigma is not None:
         for top, bottom in c.factors:
-            ok = is_sigma_central(c.G, top, bottom, c.F.sigma) == c.central[bottom, top]
+            ok = is_sigma_central(top, bottom, c.F.sigma) == c.central[bottom, top]
             yield None if ok else {"factor": [top.order, bottom.order]}
 
 
@@ -653,7 +653,7 @@ def _central_sections_restrict_to_subgroups(c: _LawContext):
             ok = verdicts.get(key)
             if ok is None:
                 E, er, es = key
-                ok = verdicts[key] = is_f_central(E.as_group(), E.localize(er), E.localize(es), c.F)
+                ok = verdicts[key] = is_f_central(E.localize(er), E.localize(es), c.F)
             yield None if ok else {"section": [R.order, S.order], "subgroup": _members(key[0])}
 
 
@@ -671,8 +671,8 @@ def _section_product_isomorphism(c: _LawContext):
     """The section products of MN/N and M/(M meet N) are isomorphic."""
     pairs = ((M, N) for M in c.normals for N in c.normals if M != N)
     for M, N in itertools.islice(pairs, PAIR_SAMPLE):
-        lhs = section_product(c.G, join(M, N), N)
-        rhs = section_product(c.G, M, M.intersect(N))
+        lhs = section_product(join(M, N), N)
+        rhs = section_product(M, M.intersect(N))
         ok = is_isomorphic(lhs, rhs) is not None
         yield None if ok else {"pair": [M.order, N.order]}
 
@@ -681,8 +681,8 @@ def _hypercentre_of_quotient(c: _LawContext):
     """Z_F(G/N) = Z_F(G)/N for every normal N inside Z_F(G)."""
     for N in c.normals:
         if N <= c.Z:
-            Qn, proj = quotient(c.G, N)
-            image = Subgroup(Qn, np.unique(proj[c.Z.array]).tolist(), validate=False)
+            Qn, proj = quotient(N)
+            image = Qn.subgroup(proj[c.Z.array])
             ok = image == hypercentre(Qn, c.F)
             yield None if ok else {"normal": _members(N)}
 
@@ -722,7 +722,7 @@ def _minimal_supplement_membership(c: _LawContext):
     minimal when none of the minimal ones found so far lies in it.
     """
     for N in c.normals:
-        if c.F.contains(quotient(c.G, N)[0]):
+        if c.F.contains(quotient(N)[0]):
             minimal: list[Subgroup] = []
             for U in c.supplements[N]:
                 if not any(V <= U for V in minimal):
@@ -737,7 +737,7 @@ def _member_supplement_central_core(c: _LawContext):
     """For a supplement U in F of a normal N, U meet C_G(N) is normal in G
     and lies in Z_F(G)."""
     for N in c.normals:
-        C = centralizer(c.G, N)
+        C = centralizer(N)
         for U in c.supplements[N]:
             if c.F.contains(U.as_group()):
                 Zu = U.intersect(C)
@@ -753,7 +753,7 @@ def _equivalent_pairs_isomorphic(c: _LawContext):
     are isomorphic."""
     if c.G.order > 1:
         minimal_normal = minimal_normal_subgroups(c.G)[0]
-        P1 = section_product(c.G, minimal_normal, c.G.trivial_subgroup())
+        P1 = section_product(minimal_normal, c.G.trivial_subgroup())
         sec_order = minimal_normal.order
         twisted = _relabel(P1, _pair_permutation(sec_order, P1.order // sec_order, c.rng))
         yield None if is_isomorphic(P1, twisted) is not None else {}

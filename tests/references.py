@@ -66,7 +66,7 @@ def lower_central_series(G):
     """G >= [G,G] >= [[G,G],G] >= ... until the order stops changing."""
     whole = G.full_subgroup()
     series = [whole]
-    while (nxt := commutator_subgroup(G, series[-1], whole)).order != series[-1].order:
+    while (nxt := commutator_subgroup(series[-1], whole)).order != series[-1].order:
         series.append(nxt)
     return series
 
@@ -107,7 +107,7 @@ def is_supersoluble(G) -> bool:
         M = some_minimal_normal(Q)
         if not is_prime(M.order):
             return False
-        Q = quotient(Q, M)[0]
+        Q = quotient(M)[0]
     return True
 
 
@@ -135,8 +135,8 @@ def class_closures(G):
 def semidirect_section(G, H, K, L):
     """[H/K](G/L) for K <= H and L normal in G, L centralizing H/K."""
     Hgrp = H.as_group()
-    sec, sec_proj = quotient(Hgrp, H.localize(K))
-    quo, _ = quotient(G, L)
+    sec, sec_proj = quotient(H.localize(K))
+    quo, _ = quotient(L)
 
     # one parent-group representative per section element (first occurrence)
     first_local = np.full(sec.order, -1, dtype=np.int32)
@@ -172,7 +172,7 @@ def central_sections_restrict_to_subgroups(c):
         for S, R in c.central_pairs:
             for E in c.subgroups:
                 er, es = E.localize(E.intersect(R)), E.localize(E.intersect(S))
-                ok = is_f_central(E.as_group(), er, es, c.F)
+                ok = is_f_central(er, es, c.F)
                 yield None if ok else {
                     "section": [R.order, S.order], "subgroup": E.array.tolist()
                 }
@@ -183,14 +183,14 @@ def central_sections_refine(c):
     for S, R in c.central_pairs:
         for T in c.normals:
             if S <= T <= R:
-                ok = is_f_central(c.G, T, S, c.F) and is_f_central(c.G, R, T, c.F)
+                ok = is_f_central(T, S, c.F) and is_f_central(R, T, c.F)
                 yield None if ok else {"section": [R.order, S.order], "middle": T.order}
 
 
 def minimal_supplement_membership(c):
     """A minimal supplement of a normal N with G/N in F is in F."""
     for N in c.normals:
-        if c.F.contains(quotient(c.G, N)[0]):
+        if c.F.contains(quotient(N)[0]):
             supplements = c.supplements[N]
             for U in supplements:
                 if not any(V < U for V in supplements):

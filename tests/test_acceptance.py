@@ -161,7 +161,7 @@ def test_criterion_6_oracle_cross_checks():
     checks_ok &= r_u.order == 4 and len(order4) == 1 and r_u == order4[0]
     checks_ok &= hypercentre(s3, SUPERSOLUBLE).order == 6
     checks_ok &= hypercentre(s3, NILPOTENT).order == 1
-    checks_ok &= centralizer(s4, r_u) == r_u
+    checks_ok &= centralizer(r_u) == r_u
     checks_ok &= references.chief_factor_orders(s4) == (4, 3, 2)
     print("  oracle cross-checks: 6 frozen values recomputed and matched")
     _verdict(6, "brute-force oracle cross-checks", bool(checks_ok))
@@ -175,8 +175,8 @@ def test_criterion_7_equivalence_sweeps(catalog24, catalog48):
         for g in catalog24.groups:
             for s in all_subgroups(g):
                 pairs += 1
-                if (is_sigma_subnormal(g, s, sigma) is not None) != (
-                    is_k_f_subnormal(g, s, nsig) is not None
+                if (is_sigma_subnormal(s, sigma) is not None) != (
+                    is_k_f_subnormal(s, nsig) is not None
                 ):
                     mismatches += 1
     nilpotent_mismatch = sum(

@@ -444,34 +444,49 @@ class TestCommands:
         assert named and all(path.name in err for path in named)
 
     @pytest.mark.parametrize(
-        "argv, code",
+        "argv, code, message",
         [
-            (["group", "show", "cyclic:1000"], 3),
-            (["residual", "cyclic:600", "--formation", "nilpotent"], 3),
-            (["group", "show", "sym:5", "--lattice-budget", "10"], 2),
-            (["subnormal", "sym:4", "--gens", "1", "--lattice-budget", "10"], 2),
+            (["group", "show", "cyclic:1000"], 3, "order 1000 exceeds cap 512"),
+            (["residual", "cyclic:600", "--formation", "nilpotent"], 3,
+             "order 600 exceeds cap 512"),
+            (["group", "show", "sym:5", "--lattice-budget", "10"], 2,
+             "lattice enumeration limited to order 10, group has 120"),
+            (["subnormal", "sym:4", "--gens", "1", "--lattice-budget", "10"], 2,
+             "lattice enumeration limited to order 10, group has 24"),
             (["hypercentre", "cyclic:6", "--formation", "sigma-nilpotent",
-              "--sigma", "[[3.9,2]]"], 3),
-            (["group", "show", "sym:3", "--lattice-budget", "0"], 3),
-            (["subnormal", "sym:3", "--gens", "1", "--lattice-budget", "-5"], 3),
+              "--sigma", "[[3.9,2]]"], 3, "sigma entry 3.9 is not an integer"),
+            (["group", "show", "sym:3", "--lattice-budget", "0"], 3,
+             "--lattice-budget must be positive"),
+            (["subnormal", "sym:3", "--gens", "1", "--lattice-budget", "-5"], 3,
+             "--lattice-budget must be positive"),
             (["subnormal", "sym:3", "--gens", "1", "--kind", "plain",
-              "--formation", "bogus"], 3),
+              "--formation", "bogus"], 3, "unknown formation 'bogus'"),
             (["subnormal", "sym:3", "--gens", "1", "--kind", "sigma", "--sigma", "[[2,3]]",
-              "--formation", "bogus"], 3),
-            (["verify", "theorem-b", "--lattice-budget", "0"], 3),
-            (["group", "show", "sym:3", "--order-cap", "0"], 3),
-            (["group", "show", "cyclic:abc"], 3),
-            (["group", "show", "prod(sym:3,sym:3,sym:3)"], 3),
-            (["verify", "lemmas", "--max-order", "6", "--sigma", "[[],[2,3]]"], 3),
+              "--formation", "bogus"], 3, "unknown formation 'bogus'"),
+            (["verify", "theorem-b", "--lattice-budget", "0"], 3,
+             "--lattice-budget must be positive"),
+            (["verify", "theorem-b", "--budget", "0"], 3, "--budget must be positive"),
+            (["verify", "theorem-b", "--max-order", "0"], 3, "--max-order must be positive"),
+            (["verify", "theorem-b", "--max-order", "10", "--order-cap", "8"], 3,
+             "max-order cannot exceed order-cap"),
+            (["group", "show", "sym:3", "--order-cap", "0"], 3, "--order-cap must be positive"),
+            (["group", "show", "cyclic:abc"], 3, "family argument 'abc' is not an integer"),
+            (["group", "show", "elab:2^x"], 3, "family argument 'x' is not an integer"),
+            (["group", "show", "prod(sym:3,sym:3,sym:3)"], 3, "bad product selector"),
+            (["group", "show", "prod(cyclic:2,"], 3, "bad product selector"),
+            (["verify", "lemmas", "--max-order", "6", "--sigma", "[[],[2,3]]"], 3,
+             "sigma class is empty"),
         ],
     )
-    def test_caps_budgets_and_sigma_entries_exit_codes(self, argv, code, capsys):
+    def test_caps_budgets_and_sigma_entries_exit_codes(self, argv, code, message, capsys):
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert message in err
         # an error in the group selector itself names the selector
-        bad = {"cyclic:1000", "cyclic:600", "cyclic:abc", "prod(sym:3,sym:3,sym:3)"}
+        bad = {"cyclic:1000", "cyclic:600", "cyclic:abc", "elab:2^x",
+               "prod(sym:3,sym:3,sym:3)", "prod(cyclic:2,"}
         assert all(err.startswith(f"error: {sel}: ") for sel in bad.intersection(argv))
 
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import ast
 import gc
+import inspect
 import weakref
 from collections import Counter
 from itertools import product
@@ -42,7 +43,8 @@ from finform import (
     upper_central_series,
 )
 from finform import construct, files, groups
-from finform.formations import SECTION_PRODUCT_CAP, section_product
+from finform.construct import SECTION_PRODUCT_CAP
+from finform.formations import section_product
 from finform.groups import cyclic_subgroup, derived_series, join
 from finform.lattice import all_subgroups
 
@@ -106,6 +108,24 @@ class TestFromCayleyTable:
     def test_no_identity_rejected(self):
         with pytest.raises(NotAGroup):
             from_cayley_table([[1, 0], [1, 0]])
+
+    def test_associativity_failure_has_a_replayable_witness(self):
+        # a Latin square with identity 0 (a loop) that is not associative:
+        # (1*1)*2 = 2 but 1*(1*2) = 4
+        loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+        with pytest.raises(NotAGroup, match="associativity") as err:
+            Group(loop)
+        a, b, c = err.value.witness
+        assert (a, b, c) == (1, 1, 2)
+        assert (loop[loop[a][b]][c], loop[a][loop[b][c]]) == (2, 4)
+
+    def test_identity_failure_has_a_witness(self):
+        table = [[1, 0], [0, 1]]
+        with pytest.raises(NotAGroup, match="identity") as err:
+            Group(table)
+        (g,) = err.value.witness
+        assert table[0][g] != g or table[g][0] != g
 
     @pytest.mark.parametrize("build", [from_cayley_table, Group])
     @pytest.mark.parametrize("table", [[[0, 1], [1, 0.7]], [["0", "1"], ["1", "0"]],
@@ -263,13 +283,13 @@ class TestDirectProduct:
 class TestQuotient:
     def test_by_trivial(self):
         s3 = symmetric(3)
-        q, proj = quotient(s3, s3.trivial_subgroup())
+        q, proj = quotient(s3.trivial_subgroup())
         assert q.order == 6 and oracles.is_isomorphism(s3, q, proj)
 
     def test_s3_by_a3(self):
         s3 = symmetric(3)
         a3 = generated_subgroup(s3, [e for e in range(6) if s3.element_orders[e] == 3])
-        q, proj = quotient(s3, a3)
+        q, proj = quotient(a3)
         assert q.order == 2
         assert Subgroup(s3, np.flatnonzero(proj == 0)) == a3
         assert set(proj.tolist()) == {0, 1}
@@ -277,15 +297,15 @@ class TestQuotient:
 
     def test_projection_is_read_only(self):
         s4 = symmetric(4)
-        _, proj = quotient(s4, v4_in(s4))
+        _, proj = quotient(v4_in(s4))
         assert proj.dtype == np.int32 and not proj.flags.writeable
         with pytest.raises(ValueError):
             proj[0] = 1
-        assert quotient(s4, v4_in(s4))[1] is proj
+        assert quotient(v4_in(s4))[1] is proj
 
     def test_s4_by_v4_nonabelian(self):
         s4 = symmetric(4)
-        q, _ = quotient(s4, v4_in(s4))
+        q, _ = quotient(v4_in(s4))
         assert q.order == 6
         assert not q.is_abelian()
 
@@ -293,14 +313,14 @@ class TestQuotient:
         s3 = symmetric(3)
         t = next(e for e in range(6) if s3.element_orders[e] == 2)
         with pytest.raises(NotNormal):
-            quotient(s3, cyclic_subgroup(s3, t))
+            quotient(cyclic_subgroup(s3, t))
 
     def test_not_normal_witness_is_first_failing_pair(self):
         s3 = symmetric(3)
         t = next(e for e in range(6) if s3.element_orders[e] == 2)
         N = cyclic_subgroup(s3, t)
         with pytest.raises(NotNormal) as err:
-            quotient(s3, N)
+            quotient(N)
         g, x = err.value.witness
         assert x in N and s3.conj(x, g) not in N
         first = next(
@@ -313,10 +333,10 @@ class TestQuotient:
         s4 = symmetric(4)
         d8 = subgroup_of_order(s4, 8)
         for call in (
-            lambda: quotient(s4, d8),
-            lambda: centralizer_of_section(s4, d8, s4.trivial_subgroup()),
-            lambda: centralizer_of_section(s4, s4.full_subgroup(), d8),
-            lambda: chief_series_through(s4, d8),
+            lambda: quotient(d8),
+            lambda: centralizer_of_section(d8, s4.trivial_subgroup()),
+            lambda: centralizer_of_section(s4.full_subgroup(), d8),
+            lambda: chief_series_through(d8),
         ):
             with pytest.raises(NotNormal) as err:
                 call()
@@ -327,12 +347,12 @@ class TestQuotient:
 class TestCentralizersAndCores:
     def test_centralizer_of_trivial(self):
         s4 = symmetric(4)
-        assert centralizer(s4, s4.trivial_subgroup()).order == 24
+        assert centralizer(s4.trivial_subgroup()).order == 24
 
     def test_centralizer_of_a4_in_s4(self):
         s4 = symmetric(4)
         a4 = generated_subgroup(s4, [e for e in range(24) if s4.element_orders[e] == 3])
-        assert centralizer(s4, a4).order == 1
+        assert centralizer(a4).order == 1
 
     def test_normal_closure_of_transposition(self):
         s4 = symmetric(4)
@@ -393,16 +413,16 @@ class TestCentralizersAndCores:
         s4 = symmetric(4)
         v4 = v4_in(s4)
         a4 = generated_subgroup(s4, [e for e in range(24) if s4.element_orders[e] == 3])
-        assert centralizer_of_section(s4, v4, v4).order == 24  # trivial section
-        assert centralizer_of_section(s4, v4, s4.trivial_subgroup()) == v4
-        assert centralizer_of_section(s4, a4, v4) == a4
+        assert centralizer_of_section(v4, v4).order == 24  # trivial section
+        assert centralizer_of_section(v4, s4.trivial_subgroup()) == v4
+        assert centralizer_of_section(a4, v4) == a4
 
 
 class TestSemidirectSection:
     def test_s3_reconstruction(self):
         s3 = symmetric(3)
         a3 = generated_subgroup(s3, [e for e in range(6) if s3.element_orders[e] == 3])
-        p = semidirect_section(s3, a3, s3.trivial_subgroup())
+        p = semidirect_section(a3, s3.trivial_subgroup())
         assert p.order == 6
         assert is_isomorphic(p, s3) is not None
 
@@ -411,13 +431,13 @@ class TestSemidirectSection:
         s4 = symmetric(4)
         v4 = v4_in(s4)
         a4 = generated_subgroup(s4, [e for e in range(24) if s4.element_orders[e] == 3])
-        assert semidirect_section(s4, v4, v4).order == 1
-        assert is_isomorphic(semidirect_section(s4, a4, v4), symmetric(3)) is not None
+        assert semidirect_section(v4, v4).order == 1
+        assert is_isomorphic(semidirect_section(a4, v4), symmetric(3)) is not None
 
     def test_s4_reconstruction(self):
         s4 = symmetric(4)
         v4 = v4_in(s4)
-        p = semidirect_section(s4, v4, s4.trivial_subgroup())
+        p = semidirect_section(v4, s4.trivial_subgroup())
         assert p.order == 24
         assert is_isomorphic(p, s4) is not None
 
@@ -429,19 +449,36 @@ class TestSemidirectSection:
         s4 = symmetric(4)
         v4 = v4_in(s4)
         a4 = generated_subgroup(s4, [e for e in range(24) if s4.element_orders[e] == 3])
-        first = centralizer_of_section(s4, a4, v4)
+        first = centralizer_of_section(a4, v4)
 
         def no_conjugation(*args):
             raise AssertionError("conjugation matrix built again")
 
         monkeypatch.setattr(groups, "_conjugates", no_conjugation)
-        assert centralizer_of_section(s4, a4, v4) is first
+        assert centralizer_of_section(a4, v4) is first
+
+    def test_one_cap_for_both_entry_points(self):
+        # the section product has one guard, SECTION_PRODUCT_CAP, whichever
+        # routine builds it: S4's whole section (order 576) fits, S5's
+        # (order 14,400) does not
+        s4, s5 = symmetric(4), symmetric(5)
+        whole, one = s4.full_subgroup(), s4.trivial_subgroup()
+        assert semidirect_section(whole, one) is section_product(whole, one)
+        assert section_product(whole, one).order == 576
+        messages = set()
+        for build in (semidirect_section, section_product):
+            with pytest.raises(OrderCapExceeded) as err:
+                build(s5.full_subgroup(), s5.trivial_subgroup())
+            messages.add(str(err.value))
+        assert messages == {f"order 14400 exceeds cap {SECTION_PRODUCT_CAP}"}
+        with pytest.raises(TypeError):
+            semidirect_section(whole, one, order_cap=None)
 
     def test_rejects_non_normal(self):
         s4 = symmetric(4)
         d4 = subgroup_of_order(s4, 8)
         with pytest.raises(NotNormal):
-            semidirect_section(s4, d4, s4.trivial_subgroup())
+            semidirect_section(d4, s4.trivial_subgroup())
 
     def test_matches_reference_route_at_the_centralizer(self, catalog24):
         # covers both routes: sections G centralizes, H = K among them, are
@@ -451,10 +488,10 @@ class TestSemidirectSection:
             normals = normal_subgroups(g)
             for H, K in product(normals, normals):
                 if K <= H:
-                    C = centralizer_of_section(g, H, K)
+                    C = centralizer_of_section(H, K)
                     if H.order // K.order * (g.order // C.order) <= SECTION_PRODUCT_CAP:
                         want = references.semidirect_section(g, H, K, C)
-                        got = semidirect_section(g, H, K, order_cap=SECTION_PRODUCT_CAP)
+                        got = semidirect_section(H, K)
                         assert np.array_equal(got.table, want.table), (g.label, H, K)
                         cases["all"] += 1
                         cases["centralized"] += C.order == g.order
@@ -473,9 +510,9 @@ class TestSemidirectSection:
         for g in catalog12:
             normals = normal_subgroups(g)
             for H, K in product(normals, normals):
-                if K <= H and centralizer_of_section(g, H, K) == g.full_subgroup():
-                    got = semidirect_section(g, H, K)
-                    assert got is quotient(H.as_group(), H.localize(K))[0], (g.label, H, K)
+                if K <= H and centralizer_of_section(H, K) == g.full_subgroup():
+                    got = semidirect_section(H, K)
+                    assert got is quotient(H.localize(K))[0], (g.label, H, K)
                     cases += 1
         assert cases == 284
 
@@ -491,7 +528,7 @@ class TestSemidirectSection:
         monkeypatch.setattr(construct, "semidirect_product", refuse)
         for g in (symmetric(4), direct_product(dihedral(4), cyclic(3))):
             normals = normal_subgroups(g)
-            built = [section_product(g, H, K) for H, K in product(normals, normals) if K <= H]
+            built = [section_product(H, K) for H, K in product(normals, normals) if K <= H]
             assert len(built) >= 10 and max(p.order for p in built) > g.order
 
 
@@ -537,6 +574,18 @@ class TestSubgroupBasics:
         with pytest.raises(NotAGroup):
             Subgroup(s3, [0] + elements_of_order_2[:2])
 
+    def test_public_constructors_always_check_closure(self):
+        # no keyword interns an unchecked member set, which a later checked
+        # construction would hand back without raising
+        s3 = symmetric(3)
+        with pytest.raises(TypeError):
+            Subgroup(s3, [0, 1, 2], validate=False)
+        with pytest.raises(TypeError):
+            s3.subgroup([0, 1, 2], validate=False)
+        for build in (Subgroup, Group.subgroup):
+            with pytest.raises(NotAGroup, match="not closed"):
+                build(s3, [0, 1, 2])
+
     def test_localize_then_lift_is_identity(self):
         s4 = symmetric(4)
         subgroups = all_subgroups(s4)
@@ -578,20 +627,20 @@ class TestSubgroupBasics:
 
         monkeypatch.setattr(groups, "_conjugates", no_conjugation)
         for N in normals:
-            assert centralizer_of_section(s4, N, N) is s4.full_subgroup()
+            assert centralizer_of_section(N, N) is s4.full_subgroup()
         monkeypatch.undo()  # the NotNormal witness is read off the conjugates
         with pytest.raises(NotNormal, match="H is not normal"):
-            centralizer_of_section(s4, c2, c2)
+            centralizer_of_section(c2, c2)
 
     def test_centralizer_of_section_validates_the_section(self):
         s4 = symmetric(4)
         v4 = v4_in(s4)
         d8 = subgroup_of_order(s4, 8)
-        assert centralizer_of_section(s4, v4, s4.trivial_subgroup()) == v4
+        assert centralizer_of_section(v4, s4.trivial_subgroup()) == v4
         with pytest.raises(ValueError, match="K <= H"):
-            centralizer_of_section(s4, v4, d8)  # V4 does not contain D8
+            centralizer_of_section(v4, d8)  # V4 does not contain D8
         with pytest.raises(NotNormal, match="K is not normal"):
-            centralizer_of_section(s4, s4.full_subgroup(), d8)
+            centralizer_of_section(s4.full_subgroup(), d8)
 
 
 class TestInternedSubgroups:
@@ -691,8 +740,7 @@ def test_closure_matches_oracle(catalog24):
     # seeded random generator sets of one to three elements
     rng = np.random.default_rng(2005)
     s4 = symmetric(4)
-    section = semidirect_section(s4, s4.full_subgroup(), s4.trivial_subgroup(),
-                                 order_cap=None)
+    section = semidirect_section(s4.full_subgroup(), s4.trivial_subgroup())
     assert section.order >= 300
     panel = catalog24.groups + [alternating(5), section]
     for g in panel:
@@ -714,7 +762,7 @@ def test_cosets_match_inline_least_reference(catalog24):
     local = [(s4, N, W) for N, W in product(subs, repeat=2)
              if N <= W and groups.core(W, N) is N and not N.is_normal()]
     for g, N, W in pairs + local:
-        got, want = groups._cosets(g, N, W), references.cosets(g, N, W)
+        got, want = groups._cosets(N, W), references.cosets(g, N, W)
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), (g.label, N, W)
     assert (len(pairs), len(local)) == (2208, 54)
 
@@ -757,11 +805,11 @@ def test_memoised_results_are_per_group_objects():
         "class_of": lambda X: X.class_of(),
         "center": center,
         "derived_series": derived_series,
-        "quotient": lambda X: quotient(X, v4(X)),
+        "quotient": lambda X: quotient(v4(X)),
         "Subgroup.mask": lambda X: v4(X).mask(),
         "all_subgroups": all_subgroups,
         "normal_subgroups": normal_subgroups,
-        "chief_series_through": lambda X: chief_series_through(X, v4(X)),
+        "chief_series_through": lambda X: chief_series_through(v4(X)),
         "frattini": frattini,
         "fingerprint": fingerprint,
         "word_script": _word_script,
@@ -772,9 +820,9 @@ def test_memoised_results_are_per_group_objects():
     # groups derived from a group are shared per table, so an equal copy of
     # the parent reaches the same objects
     derived = {
-        "quotient group": lambda X: quotient(X, v4(X))[0],
+        "quotient group": lambda X: quotient(v4(X))[0],
         "Subgroup.as_group": lambda X: v4(X).as_group(),
-        "section_product": lambda X: section_product(X, v4(X), X.trivial_subgroup()),
+        "section_product": lambda X: section_product(v4(X), X.trivial_subgroup()),
     }
     G = symmetric(4)
     H = from_cayley_table(G.table)
@@ -830,7 +878,7 @@ class TestDerivedGroups:
         H = from_cayley_table(G.table)
         assert H is not G
         assert self.v4(H).as_group() is self.v4(G).as_group()
-        assert quotient(H, self.v4(H))[0] is quotient(G, self.v4(G))[0]
+        assert quotient(self.v4(H))[0] is quotient(self.v4(G))[0]
 
     def test_key_collision_builds_separate_groups(self, registry, monkeypatch):
         from finform import groups
@@ -850,8 +898,8 @@ class TestDerivedGroups:
         H = from_cayley_table(G.table)
         for X in (G, H):
             self.v4(X).as_group()
-            quotient(X, self.v4(X))
-            section_product(X, self.v4(X), X.trivial_subgroup())
+            quotient(self.v4(X))
+            section_product(self.v4(X), X.trivial_subgroup())
         assert len(registry) >= 3
         del G, H, X
         gc.collect()
@@ -905,7 +953,7 @@ class TestDerivedGroups:
 
     def test_catalog_group_is_its_own_quotient_and_whole_subgroup(self, registry):
         for G in catalog_generate(24):
-            assert quotient(G, G.trivial_subgroup())[0] is G, G.label
+            assert quotient(G.trivial_subgroup())[0] is G, G.label
             assert G.full_subgroup().as_group() is G, G.label
 
 
@@ -925,3 +973,23 @@ def test_only_groups_module_reads_member_storage():
         and node.attr in ("members", "members_tuple", "local_members")
     ]
     assert not offences, "\n".join(offences)
+
+
+def test_no_exported_routine_takes_both_a_group_and_a_subgroup():
+    # a subgroup names its group (``S.parent``), so a routine on subgroups
+    # reads the group from them and takes no second, possibly different, one
+    import finform
+
+    routines = []
+    for name, obj in vars(finform).items():
+        if inspect.isfunction(obj):
+            routines.append((name, obj))
+        elif inspect.isclass(obj) and obj.__module__.startswith("finform."):
+            routines += [(f"{name}.{attr}", fn) for attr, fn in vars(obj).items()
+                         if inspect.isfunction(fn) and not attr.startswith("_")]
+    offenders = [
+        name for name, fn in routines
+        if {Group, Subgroup} <= {p.annotation for p in
+                                 inspect.signature(fn, eval_str=True).parameters.values()}
+    ]
+    assert len(routines) > 50 and not offenders, offenders

@@ -53,7 +53,7 @@ def test_group_axioms_on_random_closures(g, data):
 def test_quotient_projection_kernel(g, data):
     x = data.draw(st.integers(0, g.order - 1))
     n = normal_closure(g, [x])
-    q, proj = quotient(g, n)
+    q, proj = quotient(n)
     assert np.array_equal(np.flatnonzero(proj == 0), n.array)
     assert set(proj.tolist()) == set(range(q.order))
     assert oracles.is_homomorphism(g, q, proj)
@@ -77,12 +77,12 @@ def test_witness_chains_revalidate(g, data):
     x = data.draw(st.integers(0, g.order - 1))
     y = data.draw(st.integers(0, g.order - 1))
     a = generated_subgroup(g, [x, y])
-    plain = is_subnormal(g, a)
+    plain = is_subnormal(a)
     if plain is not None:
         assert plain.validate()
         # plain subnormality must imply a Kegel chain for any formation
         for f in (NILPOTENT, SUPERSOLUBLE):
-            chain = is_k_f_subnormal(g, a, f)
+            chain = is_k_f_subnormal(a, f)
             assert chain is not None
             assert chain.validate(lambda Q, f=f: f.contains(Q))
 

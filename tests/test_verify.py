@@ -162,12 +162,12 @@ def _v4_internal_error(run, error, v4_failures=1):
 
 def _raising_on_order_4(monkeypatch, *names, error=HypercentreNotHypercentral):
     """Make each named engine call of ``verify`` raise ``error`` when its
-    group has order 4."""
+    group, or the group of its subgroup, has order 4."""
     for name in names:
-        def call(G, *args, real=getattr(verify, name)):
-            if G.order == 4:
+        def call(X, *args, real=getattr(verify, name)):
+            if getattr(X, "parent", X).order == 4:
                 raise error("planted on V4")
-            return real(G, *args)
+            return real(X, *args)
 
         monkeypatch.setattr(verify, name, call)
 
@@ -190,7 +190,7 @@ class TestTheoremB:
 
     def test_hypercentre_self_check_is_a_replayable_failure(self):
         planted = Formation("planted", lambda G: True,
-                            chief_rule=lambda G, H, K: H.order == G.order
+                            chief_rule=lambda H, K: H.order == H.parent.order
                             or (K.order == 1 and 2 in H))
         c2, v4 = cyclic(2), elem_abelian(2, 2)
         rep = verify_theorem_b(verify.Catalog([c2, v4], 4, "C2, V4"), planted)
@@ -218,7 +218,7 @@ class TestTheoremB:
         # re-check raises FormationLawViolated on V4 only (its three order-2
         # quotients meet in 1, and V4/1 has order 4)
         broken = Formation("order-at-most-2", lambda G: G.order <= 2,
-                           chief_rule=lambda G, H, K: False)
+                           chief_rule=lambda H, K: False)
         checked, asserted, failures = v4_counts
         [(rep, alone)] = _v4_internal_error(lambda cat: [sweep(cat, broken)],
                                             "FormationLawViolated", failures)
@@ -538,9 +538,9 @@ class TestLemmaSuite:
         sections = []
         real = verify.section_product
 
-        def recording(G, H, K):
+        def recording(H, K):
             sections.append((H, K))
-            return real(G, H, K)
+            return real(H, K)
 
         monkeypatch.setattr(verify, "section_product", recording)
         G = elem_abelian(2, 4)
