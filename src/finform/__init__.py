@@ -85,6 +85,7 @@ from .formations import (
 )
 from .subnormal import (
     WitnessChain,
+    chain_subnormals,
     is_f_subnormal,
     is_k_f_subnormal,
     is_sigma_subnormal,

@@ -5,6 +5,12 @@ plain subnormal (normal steps only), Kegel-style chains for a formation
 (each step normal or with core-quotient in the formation), formation-only
 chains (core-quotient steps only), and sigma chains (normal steps or
 sigma-primary core-quotients).
+
+Two routes decide the last three kinds. ``chain_subnormals`` decides every
+subgroup of G at once, in one top-down pass over the lattice memoised per
+(group, chain kind); the sweeps read it. The ``is_*_subnormal`` deciders
+search breadth-first from one subgroup and return a shortest witness chain;
+they serve the CLI and a failure record's witness.
 """
 
 from __future__ import annotations
@@ -132,6 +138,40 @@ def _chain_search(
                 nxt_queue.append(Y)
         queue = nxt_queue
     return WitnessChain(*chains[A]) if A is top else None
+
+
+def chain_subnormals(
+    G: Group,
+    steps: Formation | SigmaPartition,
+    normal_steps: bool = True,
+    lattice_budget: int = DEFAULT_LATTICE_BUDGET,
+) -> frozenset[Subgroup]:
+    """The subgroups of G with a chain to G, decided in one top-down pass.
+
+    A core-quotient step passes when the quotient lies in the formation
+    ``steps``, or is sigma-primary for a partition ``steps``; normal steps
+    count where ``normal_steps`` allows them. The step test and its memos
+    are those of ``_chain_search``. A chain's second term gives the
+    recursion: S has a chain iff S = G or some Y > S with a chain steps
+    down to S. Descending lattice order decides every such Y before S.
+    Memoised on G per chain kind; the budget is checked on every call.
+    """
+    subgroups = all_subgroups(G, budget=lattice_budget)
+    if isinstance(steps, SigmaPartition):
+        kind, quotient_ok = steps.key, lambda Q: is_sigma_primary(Q, steps)
+    else:
+        kind, quotient_ok = steps, steps.contains
+
+    def compute():
+        chained = {subgroups[-1]}
+        for S in reversed(subgroups[:-1]):
+            if any(Y in chained and (normal_steps and core(Y, S) is S
+                                     or quotient_ok(_core_quotient(S, Y)))
+                   for Y in overgroups(S)[1:]):
+                chained.add(S)
+        return frozenset(chained)
+
+    return _memo(G, ("chain_subnormals", kind, normal_steps), compute)
 
 
 def is_k_f_subnormal(

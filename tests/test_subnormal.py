@@ -1,16 +1,22 @@
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from finform import (
     NILPOTENT,
+    SOLUBLE,
     SUPERSOLUBLE,
+    Formation,
+    LatticeBudgetExceeded,
     SigmaPartition,
     Subgroup,
     all_subgroups,
     builtin_formations,
+    catalog_generate,
     centralizer,
     centralizer_of_section,
+    chain_subnormals,
     chief_series_through,
     from_cayley_table,
     generated_subgroup,
@@ -220,15 +226,20 @@ def _definition_step(quotient_ok, normal_steps=True):
 
 
 def _four_deciders():
+    """(BFS decider, step rule as defined, verdict set) for four chain kinds."""
     sig = SigmaPartition.parse("[[2,3]]")
     return [
-        (lambda S: is_k_f_subnormal(S, NILPOTENT), _definition_step(NILPOTENT.contains)),
+        (lambda S: is_k_f_subnormal(S, NILPOTENT), _definition_step(NILPOTENT.contains),
+         lambda G: chain_subnormals(G, NILPOTENT)),
         (lambda S: is_k_f_subnormal(S, SUPERSOLUBLE),
-         _definition_step(SUPERSOLUBLE.contains)),
+         _definition_step(SUPERSOLUBLE.contains),
+         lambda G: chain_subnormals(G, SUPERSOLUBLE)),
         (lambda S: is_f_subnormal(S, SUPERSOLUBLE),
-         _definition_step(SUPERSOLUBLE.contains, normal_steps=False)),
+         _definition_step(SUPERSOLUBLE.contains, normal_steps=False),
+         lambda G: chain_subnormals(G, SUPERSOLUBLE, False)),
         (lambda S: is_sigma_subnormal(S, sig),
-         _definition_step(lambda Q: is_sigma_primary(Q, sig))),
+         _definition_step(lambda Q: is_sigma_primary(Q, sig)),
+         lambda G: chain_subnormals(G, sig)),
     ]
 
 
@@ -237,7 +248,7 @@ def test_chain_search_matches_index_reference(catalog24):
     found = 0
     for g in catalog24.groups:
         for S in all_subgroups(g):
-            for decide, step in kinds:
+            for decide, step, _ in kinds:
                 chain, ref = decide(S), _reference_chain_search(g, S, step)
                 assert (chain is None) == (ref is None)
                 if chain is not None:
@@ -250,8 +261,9 @@ def test_chain_search_matches_index_reference(catalog24):
 
 def test_each_normality_fact_is_tested_once_across_chain_kinds(monkeypatch):
     # normality of a pair does not depend on the chain kind, and a normal
-    # step and an f-step read the same core, so the four deciders compute
-    # one core, one conjugation matrix, per (group, ambient, inner) triple
+    # step and an f-step read the same core, so the four verdict sets and
+    # the four deciders together compute one core, one conjugation matrix,
+    # per (group, ambient, inner) triple
     tested = Counter()
     conjugates = groups._conjugates
 
@@ -261,10 +273,48 @@ def test_each_normality_fact_is_tested_once_across_chain_kinds(monkeypatch):
 
     monkeypatch.setattr(groups, "_conjugates", record)
     s4 = symmetric(4)
-    for decide, _ in _four_deciders():
+    for decide, _, verdicts in _four_deciders():
+        verdicts(s4)
         for S in all_subgroups(s4):
             decide(S)
     assert tested and max(tested.values()) == 1
+
+
+SHIPPED = tuple(str(Path(__file__).resolve().parents[1] / "groups" / name)
+                for name in ("frobenius20.grp", "frobenius21.grp"))
+
+
+def test_verdict_sets_match_the_chain_search():
+    # the top-down pass decides each subgroup from the verdicts above it;
+    # the breadth-first search from each subgroup is the oracle. Every group
+    # here is soluble, so for a formation holding every C_p a normal step
+    # refines into f-steps; the 2-groups, which miss C_3, tell the Kegel and
+    # F-chain kinds apart (1 < S3 has a Kegel chain through C3, no F-chain)
+    sig = SigmaPartition.parse("[[2,3]]")
+    two_groups = Formation("2-groups", lambda G: G.order & (G.order - 1) == 0)
+    kinds = [(sig, True, lambda S: is_sigma_subnormal(S, sig))]
+    for F in (NILPOTENT, SUPERSOLUBLE, SOLUBLE, sigma_nilpotent_formation(sig),
+              two_groups):
+        kinds += [(F, True, lambda S, F=F: is_k_f_subnormal(S, F)),
+                  (F, False, lambda S, F=F: is_f_subnormal(S, F))]
+    outcomes = Counter()
+    for g in catalog_generate(48, files=SHIPPED).groups:
+        for steps, normal_steps, decide in kinds:
+            verdicts = chain_subnormals(g, steps, normal_steps)
+            assert verdicts == {S for S in all_subgroups(g) if decide(S) is not None}, (
+                g.label, steps, normal_steps)
+            outcomes[steps, normal_steps] += len(verdicts) < len(all_subgroups(g))
+    # G / core(S) is soluble, a one-step chain, so only the soluble kinds
+    # admit every subgroup
+    assert [kind for kind, n in outcomes.items() if not n] == [(SOLUBLE, True),
+                                                                (SOLUBLE, False)]
+
+
+def test_verdict_set_checks_the_lattice_budget_on_a_warm_memo():
+    s4 = symmetric(4)
+    assert s4.full_subgroup() in chain_subnormals(s4, NILPOTENT)
+    with pytest.raises(LatticeBudgetExceeded):
+        chain_subnormals(s4, NILPOTENT, True, lattice_budget=10)
 
 
 def test_routines_reject_subgroups_of_another_group():
