@@ -6,11 +6,11 @@ plain subnormal (normal steps only), Kegel-style chains for a formation
 chains (core-quotient steps only), and sigma chains (normal steps or
 sigma-primary core-quotients).
 
-Two routes decide the last three kinds. ``chain_subnormals`` decides every
-subgroup of G at once, in one top-down pass over the lattice memoised per
-(group, chain kind); the sweeps read it. The ``is_*_subnormal`` deciders
-search breadth-first from one subgroup and return a shortest witness chain;
-they serve the CLI and a failure record's witness.
+The last three kinds are decided for a whole group at once: one top-down
+pass over its lattice, memoised per (group, chain kind), finds every
+subgroup with a chain and the next term of its shortest witness.
+``chain_subnormals`` returns those subgroups; the ``is_*_subnormal``
+deciders read one subgroup's witness chain off the pass.
 """
 
 from __future__ import annotations
@@ -101,60 +101,25 @@ def is_subnormal(A: Subgroup) -> WitnessChain | None:
     return WitnessChain(tuple(chain), (NORMAL_STEP,) * (len(chain) - 1))
 
 
-def _chain_search(
-    A: Subgroup,
-    quotient_ok: Callable[[Group], bool],
-    normal_steps: bool,
-    lattice_budget: int = DEFAULT_LATTICE_BUDGET,
-) -> WitnessChain | None:
-    """Breadth-first shortest witness chain, from each term to its overgroups.
-
-    A step X < Y is normal when ``normal_steps`` allows it and X is its own
-    core in Y, else an f-step when ``quotient_ok`` accepts Y / core_Y(X), else
-    no step. Both halves read the one core memoised per pair, and the core
-    quotient is memoised per pair too, so every chain kind shares them. Ties
-    are broken in lattice order, so witnesses are reproducible.
-    """
-    all_subgroups(A.parent, budget=lattice_budget)  # the lattice overgroups reads
-    top = A.parent.full_subgroup()
-    chains = {A: ((A,), ())}  # the first (terms, step kinds) found to each subgroup reached
-    queue = [A]
-    while queue:
-        nxt_queue = []
-        for X in queue:
-            for Y in overgroups(X):  # X first, G last
-                if Y in chains:  # X itself is in chains
-                    continue
-                if normal_steps and core(Y, X) is X:
-                    kind = NORMAL_STEP
-                elif quotient_ok(_core_quotient(X, Y)):
-                    kind = F_STEP
-                else:
-                    continue
-                terms, kinds = chains[X]
-                chains[Y] = (terms + (Y,), kinds + (kind,))
-                if Y is top:
-                    return WitnessChain(*chains[Y])
-                nxt_queue.append(Y)
-        queue = nxt_queue
-    return WitnessChain(*chains[A]) if A is top else None
-
-
-def chain_subnormals(
+def _chain_steps(
     G: Group,
     steps: Formation | SigmaPartition,
-    normal_steps: bool = True,
-    lattice_budget: int = DEFAULT_LATTICE_BUDGET,
-) -> frozenset[Subgroup]:
-    """The subgroups of G with a chain to G, decided in one top-down pass.
+    normal_steps: bool,
+    lattice_budget: int,
+) -> dict[Subgroup, tuple[Subgroup, str] | None]:
+    """Each subgroup of G with a chain to G, mapped to the next term and the
+    step kind of its witness (G itself to None), in one top-down pass.
 
-    A core-quotient step passes when the quotient lies in the formation
-    ``steps``, or is sigma-primary for a partition ``steps``; normal steps
-    count where ``normal_steps`` allows them. The step test and its memos
-    are those of ``_chain_search``. A chain's second term gives the
-    recursion: S has a chain iff S = G or some Y > S with a chain steps
-    down to S. Descending lattice order decides every such Y before S.
-    Memoised on G per chain kind; the budget is checked on every call.
+    A step X < Y is normal when ``normal_steps`` allows it and X is its own
+    core in Y, else an f-step when Y / core_Y(X) lies in the formation
+    ``steps``, or is sigma-primary for a partition ``steps``, else no step.
+    A chain's second term gives the recursion: S has a chain iff S = G or
+    some Y > S with a chain steps down to S, and descending lattice order
+    decides every such Y before S. S steps to the first such Y with the
+    shortest chain, in lattice order, so its witness is the shortest chain
+    that a breadth-first search from S, breaking ties in lattice order,
+    finds first. Memoised on G per chain kind; the budget is checked on
+    every call.
     """
     subgroups = all_subgroups(G, budget=lattice_budget)
     if isinstance(steps, SigmaPartition):
@@ -163,15 +128,52 @@ def chain_subnormals(
         kind, quotient_ok = steps, steps.contains
 
     def compute():
-        chained = {subgroups[-1]}
+        top = subgroups[-1]
+        next_step, length = {top: None}, {top: 0}
         for S in reversed(subgroups[:-1]):
-            if any(Y in chained and (normal_steps and core(Y, S) is S
-                                     or quotient_ok(_core_quotient(S, Y)))
-                   for Y in overgroups(S)[1:]):
-                chained.add(S)
-        return frozenset(chained)
+            # a stable sort keeps lattice order among chains of one length
+            above = [Y for Y in overgroups(S)[1:] if Y in length]
+            for Y in sorted(above, key=length.__getitem__):
+                if normal_steps and core(Y, S) is S:
+                    next_step[S] = (Y, NORMAL_STEP)
+                elif quotient_ok(_core_quotient(S, Y)):
+                    next_step[S] = (Y, F_STEP)
+                else:
+                    continue
+                length[S] = length[Y] + 1
+                break
+        return next_step
 
-    return _memo(G, ("chain_subnormals", kind, normal_steps), compute)
+    return _memo(G, ("chain_steps", kind, normal_steps), compute)
+
+
+def chain_subnormals(
+    G: Group,
+    steps: Formation | SigmaPartition,
+    normal_steps: bool = True,
+    lattice_budget: int = DEFAULT_LATTICE_BUDGET,
+) -> frozenset[Subgroup]:
+    """The subgroups of G with a chain to G: each step normal (where
+    ``normal_steps`` allows it) or with core-quotient in the formation
+    ``steps``, or sigma-primary for a partition ``steps``."""
+    return frozenset(_chain_steps(G, steps, normal_steps, lattice_budget))
+
+
+def _witness(
+    A: Subgroup,
+    steps: Formation | SigmaPartition,
+    normal_steps: bool,
+    lattice_budget: int,
+) -> WitnessChain | None:
+    """A's witness chain, read off the pass over its group, or None."""
+    next_step = _chain_steps(A.parent, steps, normal_steps, lattice_budget)
+    if A not in next_step:
+        return None
+    terms, kinds = [A], []
+    while (step := next_step[terms[-1]]) is not None:
+        terms.append(step[0])
+        kinds.append(step[1])
+    return WitnessChain(tuple(terms), tuple(kinds))
 
 
 def is_k_f_subnormal(
@@ -180,7 +182,7 @@ def is_k_f_subnormal(
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> WitnessChain | None:
     """Kegel chain: each step normal or with core-quotient in F."""
-    return _chain_search(A, F.contains, True, lattice_budget)
+    return _witness(A, F, True, lattice_budget)
 
 
 def is_f_subnormal(
@@ -189,7 +191,7 @@ def is_f_subnormal(
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> WitnessChain | None:
     """Chain of core-quotient steps only."""
-    return _chain_search(A, F.contains, False, lattice_budget)
+    return _witness(A, F, False, lattice_budget)
 
 
 def is_sigma_subnormal(
@@ -198,4 +200,4 @@ def is_sigma_subnormal(
     lattice_budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> WitnessChain | None:
     """Chain of normal steps or sigma-primary core-quotient steps."""
-    return _chain_search(A, lambda Q: is_sigma_primary(Q, sigma), True, lattice_budget)
+    return _witness(A, sigma, True, lattice_budget)

@@ -61,7 +61,6 @@ from .lattice import (
 )
 from .morphisms import DEFAULT_SEARCH_BUDGET, automorphism_count, is_isomorphic
 from .subnormal import (
-    chain_subnormals,
     is_f_subnormal,
     is_k_f_subnormal,
     is_sigma_subnormal,
@@ -348,8 +347,6 @@ def verify_theorem_b(catalog: Catalog, F: Formation) -> VerificationReport:
 def _theorem_a_sweep(
     catalog: Catalog,
     formation: Formation,
-    steps: Formation | SigmaPartition,
-    normal_steps: bool,
     chain_fn,
     claim: str,
     sigma_key: str | None = None,
@@ -357,18 +354,16 @@ def _theorem_a_sweep(
 ) -> VerificationReport:
     """Shared engine for the main theorem and its section-3 specialisations.
 
-    Instances are the (G, S) pairs with S chain-connected to G, that is S in
-    ``chain_subnormals(G, steps, normal_steps)``; for each, the hypothesis
-    scan demands a trivial Z_F for S and every overgroup, with F the sweep's
-    formation. ``chain_fn(S, steps, lattice_budget)``, the breadth-first
-    decider of the same chain kind, only supplies the witness of a failure
-    record.
+    Instances are the (G, S) pairs with S chain-connected to G, where
+    ``chain_fn(S)`` finds a chain; for each, the hypothesis scan demands a
+    trivial Z_F for S and every overgroup, with F the sweep's formation.
     """
     rep = VerificationReport(claim, formation.name, sigma_key, catalog.description)
 
     def body(G):
         for S in all_subgroups(G, budget=lattice_budget):
-            if S not in chain_subnormals(G, steps, normal_steps, lattice_budget):
+            chain = chain_fn(S)
+            if chain is None:
                 continue
             rep.checked += 1
             bad = None
@@ -387,7 +382,6 @@ def _theorem_a_sweep(
             D = S.lift(residual(S.as_group(), formation))
             escape = _escape(D)
             if escape:
-                chain = chain_fn(S, steps, lattice_budget)
                 _fail(rep, G, subgroup=_members(S), chain=list(chain.order_trail()),
                       **escape, detail="centralizer of the subgroup's residual escapes it")
 
@@ -403,8 +397,13 @@ def verify_theorem_a(
     large residuals in the whole group."""
     if not (F.hereditary and F.saturated):
         raise ValueError("theorem-a requires a hereditary saturated formation")
-    return _theorem_a_sweep(catalog, F, F, True, is_k_f_subnormal, claim="theorem-a",
-                            lattice_budget=lattice_budget)
+    return _theorem_a_sweep(
+        catalog,
+        F,
+        lambda S: is_k_f_subnormal(S, F, lattice_budget),
+        claim="theorem-a",
+        lattice_budget=lattice_budget,
+    )
 
 
 def verify_schenkman_classic(
@@ -493,17 +492,18 @@ def verify_section3_corollaries(
     hypercentre for supersoluble, the sigma-central one for sigma-nilpotent."""
     nsigma = sigma_nilpotent_formation(sigma)
     reports = [
-        _theorem_a_sweep(catalog, F, steps, normal_steps, chain_fn,
-                         claim="section3-" + name,
+        _theorem_a_sweep(catalog, F, chain_fn, claim="section3-" + name,
                          sigma_key=sigma.key if F is nsigma else None,
                          lattice_budget=lattice_budget)
-        for F, name, steps, normal_steps, chain_fn in (
-            (SUPERSOLUBLE, "supersoluble-kegel-chains", SUPERSOLUBLE, True,
-             is_k_f_subnormal),
-            (SUPERSOLUBLE, "supersoluble-formation-chains", SUPERSOLUBLE, False,
-             is_f_subnormal),
-            (nsigma, "sigma-chains", sigma, True, is_sigma_subnormal),
-            (nsigma, "sigma-kegel-chains", nsigma, True, is_k_f_subnormal),
+        for F, name, chain_fn in (
+            (SUPERSOLUBLE, "supersoluble-kegel-chains",
+             lambda S: is_k_f_subnormal(S, SUPERSOLUBLE, lattice_budget)),
+            (SUPERSOLUBLE, "supersoluble-formation-chains",
+             lambda S: is_f_subnormal(S, SUPERSOLUBLE, lattice_budget)),
+            (nsigma, "sigma-chains",
+             lambda S: is_sigma_subnormal(S, sigma, lattice_budget)),
+            (nsigma, "sigma-kegel-chains",
+             lambda S: is_k_f_subnormal(S, nsigma, lattice_budget)),
         )
     ]
     agreement = VerificationReport(
@@ -514,8 +514,8 @@ def verify_section3_corollaries(
         for S in all_subgroups(G, budget=lattice_budget):
             agreement.checked += 1
             agreement.asserted += 1
-            via_sigma = S in chain_subnormals(G, sigma, True, lattice_budget)
-            via_kegel = S in chain_subnormals(G, nsigma, True, lattice_budget)
+            via_sigma = is_sigma_subnormal(S, sigma, lattice_budget) is not None
+            via_kegel = is_k_f_subnormal(S, nsigma, lattice_budget) is not None
             if via_sigma != via_kegel:
                 _fail(agreement, G, subgroup=_members(S), sigma_subnormal=via_sigma,
                       kegel_subnormal=via_kegel,

@@ -35,6 +35,10 @@ isomorphism search as it was before one word script per group served it:
 the generators are found by subgroup closure and found again by the
 breadth-first script, and every search node replays every earlier step and
 checks each written image against the one already there.
+``chain_search`` is the chain decider as it was before one top-down pass
+per group and chain kind decided every subgroup: a breadth-first search
+from one subgroup up to its group, for a step rule ``definition_step``
+builds from a class test.
 """
 
 import numpy as np
@@ -55,10 +59,13 @@ from finform.construct import compose
 from finform.groups import (
     DEFAULT_ORDER_CAP,
     commutator_subgroup,
+    core,
     derived_series,
     generated_subgroup,
 )
 from finform.morphisms import fingerprint
+from finform.lattice import overgroups
+from finform.subnormal import F_STEP, NORMAL_STEP, WitnessChain, _core_quotient
 from finform.verify import _family_seeds
 
 
@@ -399,3 +406,40 @@ def search_embeddings(G, H, budget, find_all):
     start[0] = 0
     dfs(0, start)
     return found
+
+
+def definition_step(quotient_ok, normal_steps=True):
+    """The step rule as defined: low < high is a normal step when low is its
+    own core in high, else an f-step when high / core passes the test."""
+    def step(low, high):
+        if normal_steps and core(high, low) == low:
+            return NORMAL_STEP
+        if quotient_ok(_core_quotient(low, high)):
+            return F_STEP
+        return None
+
+    return step
+
+
+def chain_search(A, step):
+    """Breadth-first shortest chain from A to its group, from each term to
+    its overgroups in lattice order, so ties go to the earliest overgroup."""
+    top = A.parent.full_subgroup()
+    chains = {A: ((A,), ())}  # the first (terms, step kinds) found to each subgroup reached
+    queue = [A]
+    while queue:
+        nxt_queue = []
+        for X in queue:
+            for Y in overgroups(X):  # X first, G last
+                if Y in chains:
+                    continue
+                kind = step(X, Y)
+                if kind is None:
+                    continue
+                terms, kinds = chains[X]
+                chains[Y] = (terms + (Y,), kinds + (kind,))
+                if Y is top:
+                    return WitnessChain(*chains[Y])
+                nxt_queue.append(Y)
+        queue = nxt_queue
+    return WitnessChain(*chains[A]) if A is top else None

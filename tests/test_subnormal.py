@@ -29,10 +29,12 @@ from finform import (
     sigma_nilpotent_formation,
     symmetric,
 )
-from finform import groups
-from finform.groups import core, cyclic_subgroup, join
+from finform import groups, subnormal
+from finform.groups import cyclic_subgroup, join
 from finform.formations import is_sigma_primary
 from finform.subnormal import F_STEP, NORMAL_STEP, WitnessChain, _core_quotient
+
+import references
 
 
 def d4_in_s4(s4):
@@ -212,33 +214,20 @@ def _reference_chain_search(G, A, step):
     return None
 
 
-def _definition_step(quotient_ok, normal_steps=True):
-    """The step rule as defined: low < high is a normal step when low is its
-    own core in high, else an f-step when high / core passes the test."""
-    def step(low, high):
-        if normal_steps and core(high, low) == low:
-            return NORMAL_STEP
-        if quotient_ok(_core_quotient(low, high)):
-            return F_STEP
-        return None
-
-    return step
-
-
 def _four_deciders():
-    """(BFS decider, step rule as defined, verdict set) for four chain kinds."""
+    """(decider, step rule as defined, verdict set) for four chain kinds."""
     sig = SigmaPartition.parse("[[2,3]]")
     return [
-        (lambda S: is_k_f_subnormal(S, NILPOTENT), _definition_step(NILPOTENT.contains),
+        (lambda S: is_k_f_subnormal(S, NILPOTENT), references.definition_step(NILPOTENT.contains),
          lambda G: chain_subnormals(G, NILPOTENT)),
         (lambda S: is_k_f_subnormal(S, SUPERSOLUBLE),
-         _definition_step(SUPERSOLUBLE.contains),
+         references.definition_step(SUPERSOLUBLE.contains),
          lambda G: chain_subnormals(G, SUPERSOLUBLE)),
         (lambda S: is_f_subnormal(S, SUPERSOLUBLE),
-         _definition_step(SUPERSOLUBLE.contains, normal_steps=False),
+         references.definition_step(SUPERSOLUBLE.contains, normal_steps=False),
          lambda G: chain_subnormals(G, SUPERSOLUBLE, False)),
         (lambda S: is_sigma_subnormal(S, sig),
-         _definition_step(lambda Q: is_sigma_primary(Q, sig)),
+         references.definition_step(lambda Q: is_sigma_primary(Q, sig)),
          lambda G: chain_subnormals(G, sig)),
     ]
 
@@ -284,30 +273,56 @@ SHIPPED = tuple(str(Path(__file__).resolve().parents[1] / "groups" / name)
                 for name in ("frobenius20.grp", "frobenius21.grp"))
 
 
-def test_verdict_sets_match_the_chain_search():
-    # the top-down pass decides each subgroup from the verdicts above it;
-    # the breadth-first search from each subgroup is the oracle. Every group
-    # here is soluble, so for a formation holding every C_p a normal step
-    # refines into f-steps; the 2-groups, which miss C_3, tell the Kegel and
-    # F-chain kinds apart (1 < S3 has a Kegel chain through C3, no F-chain)
+def test_pass_matches_the_breadth_first_search():
+    # the top-down pass decides each subgroup from the verdicts above it and
+    # stores the next term of its witness; a breadth-first search from each
+    # subgroup is the oracle for both. Every group here is soluble, so for a
+    # formation holding every C_p a normal step refines into f-steps; the
+    # 2-groups, which miss C_3, tell the Kegel and F-chain kinds apart
+    # (1 < S3 has a Kegel chain through C3, no F-chain)
     sig = SigmaPartition.parse("[[2,3]]")
     two_groups = Formation("2-groups", lambda G: G.order & (G.order - 1) == 0)
-    kinds = [(sig, True, lambda S: is_sigma_subnormal(S, sig))]
+    kinds = [(sig, True, lambda S: is_sigma_subnormal(S, sig),
+              references.definition_step(lambda Q: is_sigma_primary(Q, sig)))]
     for F in (NILPOTENT, SUPERSOLUBLE, SOLUBLE, sigma_nilpotent_formation(sig),
               two_groups):
-        kinds += [(F, True, lambda S, F=F: is_k_f_subnormal(S, F)),
-                  (F, False, lambda S, F=F: is_f_subnormal(S, F))]
+        kinds += [(F, True, lambda S, F=F: is_k_f_subnormal(S, F),
+                   references.definition_step(F.contains)),
+                  (F, False, lambda S, F=F: is_f_subnormal(S, F),
+                   references.definition_step(F.contains, normal_steps=False))]
     outcomes = Counter()
     for g in catalog_generate(48, files=SHIPPED).groups:
-        for steps, normal_steps, decide in kinds:
-            verdicts = chain_subnormals(g, steps, normal_steps)
-            assert verdicts == {S for S in all_subgroups(g) if decide(S) is not None}, (
-                g.label, steps, normal_steps)
-            outcomes[steps, normal_steps] += len(verdicts) < len(all_subgroups(g))
+        for steps, normal_steps, decide, step in kinds:
+            found = set()
+            for S in all_subgroups(g):
+                chain = references.chain_search(S, step)
+                assert decide(S) == chain, (g.label, steps, normal_steps, S.order)
+                if chain is not None:
+                    found.add(S)
+            assert chain_subnormals(g, steps, normal_steps) == found
+            outcomes[steps, normal_steps] += len(found) < len(all_subgroups(g))
     # G / core(S) is soluble, a one-step chain, so only the soluble kinds
     # admit every subgroup
     assert [kind for kind, n in outcomes.items() if not n] == [(SOLUBLE, True),
                                                                 (SOLUBLE, False)]
+
+
+def test_witnesses_are_read_off_the_pass(monkeypatch):
+    # once a group's pass has run, a decider tests no step: it follows the
+    # next terms the pass stored
+    s4 = symmetric(4)
+    kinds = _four_deciders()
+    for _, _, verdicts in kinds:
+        verdicts(s4)
+
+    def step_test(*args):
+        raise AssertionError("a step test after the pass")
+
+    monkeypatch.setattr(subnormal, "core", step_test)
+    monkeypatch.setattr(subnormal, "_core_quotient", step_test)
+    chains = [[decide(S) for S in all_subgroups(s4)] for decide, _, _ in kinds]
+    for (_, _, verdicts), found in zip(kinds, chains):
+        assert {c.terms[0] for c in found if c is not None} == verdicts(s4)
 
 
 def test_verdict_set_checks_the_lattice_budget_on_a_warm_memo():
@@ -315,6 +330,8 @@ def test_verdict_set_checks_the_lattice_budget_on_a_warm_memo():
     assert s4.full_subgroup() in chain_subnormals(s4, NILPOTENT)
     with pytest.raises(LatticeBudgetExceeded):
         chain_subnormals(s4, NILPOTENT, True, lattice_budget=10)
+    with pytest.raises(LatticeBudgetExceeded):
+        is_k_f_subnormal(s4.full_subgroup(), NILPOTENT, lattice_budget=10)
 
 
 def test_routines_reject_subgroups_of_another_group():

@@ -24,7 +24,6 @@ from finform import (
     elem_abelian,
     from_cayley_table,
     is_isomorphic,
-    is_k_f_subnormal,
     normal_subgroups,
     sigma_nilpotent_formation,
     symmetric,
@@ -283,19 +282,19 @@ class TestTheoremA:
             "nontrivial hypercentre" in s["detail"] for s in d4_skips
         )
 
-    def test_failure_records_carry_the_breadth_first_witness(self):
-        # the planted formation of the internal-error test: on V4 the
-        # subgroups 1 and three C2 escape, and each record's chain is the
-        # breadth-first decider's witness for its subgroup
+    def test_failure_records_carry_the_shortest_witness(self):
+        # a planted formation: on V4 the subgroups 1 and three C2 escape, and
+        # each record's chain is the breadth-first reference's witness
         broken = Formation("order-at-most-2", lambda G: G.order <= 2,
                            chief_rule=lambda H, K: False)
         v4 = elem_abelian(2, 2)
         rep = verify_theorem_a(verify.Catalog([v4], 4, "V4"), broken)
         escapes = [f for f in rep.failures if "chain" in f]
         assert len(escapes) == 4
+        step = references.definition_step(broken.contains)
         for f in escapes:
             S = Subgroup(v4, f["subgroup"])
-            assert f["chain"] == list(is_k_f_subnormal(S, broken).order_trail())
+            assert f["chain"] == list(references.chain_search(S, step).order_trail())
 
     def test_a4_in_s4_asserted(self, catalog24):
         rep = verify_theorem_a(catalog24, NILPOTENT)
@@ -355,28 +354,15 @@ class TestSection3:
         assert agreement.checked == agreement.asserted > 0
 
     def test_internal_error_is_a_replayable_failure_and_the_sweep_goes_on(self, monkeypatch):
-        _raising_on_order_4(monkeypatch, "chain_subnormals")
+        _raising_on_order_4(monkeypatch, "is_k_f_subnormal", "is_f_subnormal",
+                            "is_sigma_subnormal")
         sig = SigmaPartition.singletons()
         pairs = _v4_internal_error(lambda cat: verify_section3_corollaries(cat, sig),
                                    "HypercentreNotHypercentral")
-        # only the agreement sweep counts V4's first subgroup before its
-        # verdict lookup
+        # only the agreement sweep counts V4's first subgroup before its chain search
         assert [(r.checked - a.checked, r.asserted - a.asserted) for r, a in pairs] == (
             [(0, 0)] * 4 + [(1, 1)]
         )
-
-    def test_chain_sweeps_search_for_a_chain_only_to_witness_a_failure(self, catalog12,
-                                                                      monkeypatch):
-        # the sweeps read the verdict sets; a breadth-first search from
-        # every subgroup would redo the upper lattice each time
-        def search(*args):
-            raise AssertionError("a passing sweep ran a chain search")
-
-        for name in ("is_k_f_subnormal", "is_f_subnormal", "is_sigma_subnormal"):
-            monkeypatch.setattr(verify, name, search)
-        reports = verify_section3_corollaries(catalog12, SigmaPartition.parse("[[2,3]]"))
-        reports.append(verify_theorem_a(catalog12, NILPOTENT))
-        assert all(rep.passed and rep.checked > 0 for rep in reports)
 
 
 def _section_law_context(G, F):
