@@ -27,7 +27,6 @@ from .groups import (
     centralizer_of_section,
     core,
     generated_subgroup,
-    hypercentre_classical,
     join,
     normal_closure,
     quotient,
@@ -45,10 +44,8 @@ from .construct import (
     semidirect_product,
     semidirect_section,
     symmetric,
-    trivial,
 )
 from .morphisms import (
-    automorphism_count,
     automorphism_group,
     automorphisms,
     is_isomorphic,
@@ -77,7 +74,6 @@ from .formations import (
     is_nilpotent,
     is_sigma_central,
     is_sigma_nilpotent,
-    is_sigma_primary,
     is_soluble,
     is_supersoluble,
     residual,

@@ -64,7 +64,7 @@ def parse_selector(text: str, order_cap: int | None = DEFAULT_ORDER_CAP) -> Grou
     """Build a group from the selector mini-grammar."""
     sel = text.strip()
     if sel == "trivial":
-        return construct.trivial()
+        return construct.cyclic(1)
     if sel.startswith("file:"):
         return load_group_file(sel[5:], order_cap=order_cap)
     if sel.startswith("prod("):  # exactly two selectors, split at a comma outside parentheses

@@ -142,10 +142,6 @@ def from_permutation_gens(
 # -- named families --------------------------------------------------------
 
 
-def trivial() -> Group:
-    return Group(np.zeros((1, 1), dtype=np.int32), label="C1", validate=False)
-
-
 def cyclic(n: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> Group:
     n = _integer(n)
     if n < 1:

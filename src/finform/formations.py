@@ -96,7 +96,8 @@ class SigmaPartition:
         return SigmaPartition(())
 
     def one_class(self, n: int) -> bool:
-        """Whether all primes of n lie in a single class."""
+        """Whether all primes of n lie in a single class: a group of order n
+        is then sigma-primary."""
         return len({self.prime_class(p) for p in _prime_factors(n)}) <= 1
 
     def prime_class(self, p: int) -> frozenset[int]:
@@ -144,11 +145,6 @@ def is_supersoluble(G: Group) -> bool:
             return False
         G = quotient(N)[0]
     return True
-
-
-def is_sigma_primary(G: Group, sigma: SigmaPartition) -> bool:
-    """All primes of |G| lie in a single class (vacuously true when trivial)."""
-    return sigma.one_class(G.order)
 
 
 def is_sigma_nilpotent(G: Group, sigma: SigmaPartition) -> bool:

@@ -4,10 +4,11 @@ A group of order n lives on the indices 0..n-1 with 0 always the identity.
 All bulk operations (closures, conjugation, centralizers, coset maps) are
 vectorised over the table, which keeps everything exhaustive and still fast
 at desk scale. A subgroup is an int bitmask over the indices, interned per
-parent group, and every generated subgroup comes from one boolean-mask
-closure, ``_closure``, except a cyclic one: ``cyclic_subgroup`` lists the
-powers of its generator, about 3 times faster than the closure. N is
-normal in Y exactly when ``core(Y, N) is N``. A weak registry holds every
+parent group and named by its members as ``Subgroup(G, members)``. Every
+generated subgroup comes from one boolean-mask closure, ``_closure``,
+except a cyclic one: ``cyclic_subgroup`` lists the powers of its
+generator, about 3 times faster than the closure. N is normal in Y
+exactly when ``core(Y, N) is N``. A weak registry holds every
 live group under its Cayley table, first built first; quotients, subgroups
 as groups and semidirect products are read from it (``_derived_group``), so
 G/1 is G and a table's memos are computed once. A map between groups is an
@@ -162,9 +163,6 @@ class Group:
 
     # -- subgroup handles ----------------------------------------------
 
-    def subgroup(self, members: Iterable[int]) -> "Subgroup":
-        return Subgroup(self, members)
-
     def trivial_subgroup(self) -> "Subgroup":
         return _interned(self, 1)
 
@@ -291,9 +289,6 @@ class Subgroup:
         except ValueError:
             return False
         return g >= 0 and (self.members >> g) & 1 == 1
-
-    def __len__(self) -> int:
-        return self.order
 
     def __le__(self, other: "Subgroup") -> bool:
         return self.parent is other.parent and self.members & ~other.members == 0
@@ -615,14 +610,10 @@ def centralizer_of_section(H: Subgroup, K: Subgroup) -> Subgroup:
 
 
 def upper_central_series(G: Group) -> tuple[Subgroup, ...]:
-    """Ascending series 1 <= Z(G) <= Z_2(G) <= ... until it stabilises."""
+    """Ascending series 1 <= Z(G) <= Z_2(G) <= ... until it stabilises; the
+    last term is the classical hypercentre."""
     def step(Z: Subgroup) -> Subgroup:
         Q, proj = quotient(Z)
         return _subgroup(G, center(Q).mask()[proj])
 
     return _until_stable(G.trivial_subgroup(), step)
-
-
-def hypercentre_classical(G: Group) -> Subgroup:
-    """Limit of the upper central series."""
-    return upper_central_series(G)[-1]

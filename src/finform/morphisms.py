@@ -182,10 +182,6 @@ def automorphisms(G: Group, budget: int = DEFAULT_SEARCH_BUDGET) -> tuple[np.nda
     return _memo(G, ("automorphisms", budget), compute)
 
 
-def automorphism_count(G: Group, budget: int = DEFAULT_SEARCH_BUDGET) -> int:
-    return len(automorphisms(G, budget))
-
-
 def automorphism_group(
     G: Group,
     budget: int = DEFAULT_SEARCH_BUDGET,

@@ -16,9 +16,8 @@ deciders read one subgroup's witness chain off the pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .formations import Formation, SigmaPartition, is_sigma_primary
+from .formations import Formation, SigmaPartition
 from .groups import Group, Subgroup, _memo, core, normal_closure_in, quotient
 from .lattice import DEFAULT_LATTICE_BUDGET, all_subgroups, overgroups
 
@@ -50,28 +49,6 @@ class WitnessChain:
         for kind, term in zip(self.step_kinds, self.terms[1:]):
             bits.append(f"--{kind}--> {term.order}")
         return " ".join(bits)
-
-    def validate(self, f_quotient_ok: Callable[[Group], bool] | None = None) -> bool:
-        """Re-check every step against its tag.
-
-        ``f_quotient_ok`` decides membership of a core-quotient for f-steps;
-        it must be supplied when any step is tagged as one.
-        """
-        for i, kind in enumerate(self.step_kinds):
-            low, high = self.terms[i], self.terms[i + 1]
-            if not low < high:
-                return False
-            if kind == NORMAL_STEP:
-                if core(high, low) is not low:
-                    return False
-            elif kind == F_STEP:
-                if f_quotient_ok is None:
-                    raise ValueError("validating an f-step needs a quotient test")
-                if not f_quotient_ok(_core_quotient(low, high)):
-                    return False
-            else:
-                return False
-        return True
 
 
 def _core_quotient(low: Subgroup, high: Subgroup) -> Group:
@@ -123,7 +100,7 @@ def _chain_steps(
     """
     subgroups = all_subgroups(G, budget=lattice_budget)
     if isinstance(steps, SigmaPartition):
-        kind, quotient_ok = steps.key, lambda Q: is_sigma_primary(Q, steps)
+        kind, quotient_ok = steps.key, lambda Q: steps.one_class(Q.order)
     else:
         kind, quotient_ok = steps, steps.contains
 

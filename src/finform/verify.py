@@ -44,9 +44,9 @@ from .groups import (
     Group,
     Subgroup,
     centralizer,
-    hypercentre_classical,
     join,
     quotient,
+    upper_central_series,
 )
 from .lattice import (
     DEFAULT_LATTICE_BUDGET,
@@ -59,7 +59,7 @@ from .lattice import (
     normal_subgroups,
     overgroups,
 )
-from .morphisms import DEFAULT_SEARCH_BUDGET, automorphism_count, is_isomorphic
+from .morphisms import DEFAULT_SEARCH_BUDGET, automorphisms, is_isomorphic
 from .subnormal import (
     is_f_subnormal,
     is_k_f_subnormal,
@@ -346,29 +346,31 @@ def verify_theorem_b(catalog: Catalog, F: Formation) -> VerificationReport:
 
 def _theorem_a_sweep(
     catalog: Catalog,
-    formation: Formation,
-    chain_fn,
     claim: str,
-    sigma_key: str | None = None,
-    lattice_budget: int = DEFAULT_LATTICE_BUDGET,
+    F: Formation,
+    decide: Callable,
+    steps: Formation | SigmaPartition,
+    sigma_key: str | None,
+    lattice_budget: int,
 ) -> VerificationReport:
     """Shared engine for the main theorem and its section-3 specialisations.
 
-    Instances are the (G, S) pairs with S chain-connected to G, where
-    ``chain_fn(S)`` finds a chain; for each, the hypothesis scan demands a
-    trivial Z_F for S and every overgroup, with F the sweep's formation.
+    Instances are the (G, S) pairs with S chain-connected to G, where the
+    chain decider ``decide(S, steps, lattice_budget)`` finds a chain, its
+    steps drawn from a formation or a sigma partition ``steps``; for each,
+    the hypothesis scan demands a trivial Z_F for S and every overgroup.
     """
-    rep = VerificationReport(claim, formation.name, sigma_key, catalog.description)
+    rep = VerificationReport(claim, F.name, sigma_key, catalog.description)
 
     def body(G):
         for S in all_subgroups(G, budget=lattice_budget):
-            chain = chain_fn(S)
+            chain = decide(S, steps, lattice_budget)
             if chain is None:
                 continue
             rep.checked += 1
             bad = None
             for E in overgroups(S):
-                if hypercentre(E.as_group(), formation).order != 1:
+                if hypercentre(E.as_group(), F).order != 1:
                     bad = E
                     break
             if bad is not None:
@@ -379,7 +381,7 @@ def _theorem_a_sweep(
                 )
                 continue
             rep.asserted += 1
-            D = S.lift(residual(S.as_group(), formation))
+            D = S.lift(residual(S.as_group(), F))
             escape = _escape(D)
             if escape:
                 _fail(rep, G, subgroup=_members(S), chain=list(chain.order_trail()),
@@ -397,13 +399,8 @@ def verify_theorem_a(
     large residuals in the whole group."""
     if not (F.hereditary and F.saturated):
         raise ValueError("theorem-a requires a hereditary saturated formation")
-    return _theorem_a_sweep(
-        catalog,
-        F,
-        lambda S: is_k_f_subnormal(S, F, lattice_budget),
-        claim="theorem-a",
-        lattice_budget=lattice_budget,
-    )
+    return _theorem_a_sweep(catalog, "theorem-a", F, is_k_f_subnormal, F, None,
+                            lattice_budget)
 
 
 def verify_schenkman_classic(
@@ -436,7 +433,7 @@ def verify_schenkman_classic(
             for E in overgroups(S):
                 Egrp = E.as_group()
                 zn = hypercentre(Egrp, NILPOTENT)
-                zc = hypercentre_classical(Egrp)
+                zc = upper_central_series(Egrp)[-1]
                 if zn.order != 1 or zc.order != 1 or zn != zc:
                     _fail(rep, G, subgroup=_members(S), overgroup=_members(E),
                           detail="bridging claim failed: expected "
@@ -465,7 +462,7 @@ def verify_holomorph_bound(
             _skip(rep, G, "hypothesis-failed",
                   "residual meets the hypercentre nontrivially")
             return
-        aut_n = automorphism_count(U.as_group(), budget=aut_budget)
+        aut_n = len(automorphisms(U.as_group(), budget=aut_budget))
         rep.asserted += 1
         lhs = G.order // Z.order
         rhs = U.order * aut_n
@@ -491,20 +488,18 @@ def verify_section3_corollaries(
     Each hypothesis scan reads its formation's Z_F: the cyclic-chief
     hypercentre for supersoluble, the sigma-central one for sigma-nilpotent."""
     nsigma = sigma_nilpotent_formation(sigma)
+    # (name, F, decider, steps), built here so that the deciders are read
+    # from this module's bindings when the sweep runs
+    kinds = (
+        ("supersoluble-kegel-chains", SUPERSOLUBLE, is_k_f_subnormal, SUPERSOLUBLE),
+        ("supersoluble-formation-chains", SUPERSOLUBLE, is_f_subnormal, SUPERSOLUBLE),
+        ("sigma-chains", nsigma, is_sigma_subnormal, sigma),
+        ("sigma-kegel-chains", nsigma, is_k_f_subnormal, nsigma),
+    )
     reports = [
-        _theorem_a_sweep(catalog, F, chain_fn, claim="section3-" + name,
-                         sigma_key=sigma.key if F is nsigma else None,
-                         lattice_budget=lattice_budget)
-        for F, name, chain_fn in (
-            (SUPERSOLUBLE, "supersoluble-kegel-chains",
-             lambda S: is_k_f_subnormal(S, SUPERSOLUBLE, lattice_budget)),
-            (SUPERSOLUBLE, "supersoluble-formation-chains",
-             lambda S: is_f_subnormal(S, SUPERSOLUBLE, lattice_budget)),
-            (nsigma, "sigma-chains",
-             lambda S: is_sigma_subnormal(S, sigma, lattice_budget)),
-            (nsigma, "sigma-kegel-chains",
-             lambda S: is_k_f_subnormal(S, nsigma, lattice_budget)),
-        )
+        _theorem_a_sweep(catalog, "section3-" + name, F, decide, steps,
+                         sigma.key if F is nsigma else None, lattice_budget)
+        for name, F, decide, steps in kinds
     ]
     agreement = VerificationReport(
         "section3-sigma-chain-agreement", nsigma.name, sigma.key, catalog.description
@@ -682,7 +677,7 @@ def _hypercentre_of_quotient(c: _LawContext):
     for N in c.normals:
         if N <= c.Z:
             Qn, proj = quotient(N)
-            image = Qn.subgroup(proj[c.Z.array])
+            image = Subgroup(Qn, proj[c.Z.array])
             ok = image == hypercentre(Qn, c.F)
             yield None if ok else {"normal": _members(N)}
 

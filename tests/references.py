@@ -38,7 +38,8 @@ checks each written image against the one already there.
 ``chain_search`` is the chain decider as it was before one top-down pass
 per group and chain kind decided every subgroup: a breadth-first search
 from one subgroup up to its group, for a step rule ``definition_step``
-builds from a class test.
+builds from a class test. ``chain_holds`` re-checks a witness chain
+against such a rule.
 """
 
 import numpy as np
@@ -419,6 +420,14 @@ def definition_step(quotient_ok, normal_steps=True):
         return None
 
     return step
+
+
+def chain_holds(chain, step):
+    """Whether each step of ``chain`` rises strictly and is tagged with the
+    kind the rule ``step`` gives it; a chain of normal steps only is checked
+    with ``definition_step(lambda Q: False)``."""
+    pairs = zip(chain.terms, chain.terms[1:], chain.step_kinds)
+    return all(low < high and step(low, high) == kind for low, high, kind in pairs)
 
 
 def chain_search(A, step):

@@ -13,6 +13,7 @@ from finform import (
     SOLUBLE,
     SUPERSOLUBLE,
     SigmaPartition,
+    Subgroup,
     all_subgroups,
     centralizer,
     hypercentre,
@@ -153,8 +154,8 @@ def test_criterion_6_oracle_cross_checks():
     s3 = symmetric(3)
     s4 = symmetric(4)
     r_n = residual(s3, NILPOTENT)
-    checks_ok &= r_n.order == 3 and r_n == s3.subgroup(
-        g for g in range(6) if int(s3.element_orders[g]) in (1, 3)
+    checks_ok &= r_n.order == 3 and r_n == Subgroup(
+        s3, [g for g in range(6) if int(s3.element_orders[g]) in (1, 3)]
     )
     r_u = residual(s4, SUPERSOLUBLE)
     order4 = [n for n in normal_subgroups(s4) if n.order == 4]

@@ -424,6 +424,9 @@ class TestCommands:
             ["verify", "theorem-b", "--max-order", "4", "--input", "{bad_header}"],
             ["group", "show", "file:{big_entry}"],
             ["verify", "theorem-b", "--max-order", "4", "--input", "{big_entry}"],
+            ["group", "show", "file:{empty}"],
+            ["verify", "theorem-b", "--max-order", "4", "--input", "{empty}"],
+            ["group", "show", "file:{bad_size}"],
         ],
     )
     def test_missing_input_file_is_input_error(self, argv, tmp_path, capsys):
@@ -433,15 +436,22 @@ class TestCommands:
             "frobenius20": GROUPS / "frobenius20.grp",
             "bad_header": tmp_path / "hdr.grp",
             "big_entry": tmp_path / "big.grp",
+            "empty": tmp_path / "empty.grp",
+            "bad_size": tmp_path / "size.grp",
         }
         files["not_latin"].write_text("table 3\n0 1 2\n1 2 0\n2 2 1\n")
         files["bad_header"].write_text("tabel 2\n0 1\n1 0\n")
         files["big_entry"].write_text("table 2\n0 1\n1 99999999999999999999\n")
+        files["empty"].write_text("")
+        files["bad_size"].write_text("table x\n")
+        messages = {"empty": "empty group file", "bad_size": "line 1: bad size 'x'"}
         assert main([a.format(**files) for a in argv]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        named = [path for key, path in files.items() if f"{{{key}}}" in " ".join(argv)]
-        assert named and all(path.name in err for path in named)
+        named = [key for key in files if f"{{{key}}}" in " ".join(argv)]
+        assert named and all(files[key].name in err for key in named)
+        assert all(f"{files[key]}: {messages[key]}" in err
+                   for key in named if key in messages)
 
     @pytest.mark.parametrize(
         "argv, code, message",
@@ -476,6 +486,11 @@ class TestCommands:
             (["group", "show", "prod(cyclic:2,"], 3, "bad product selector"),
             (["verify", "lemmas", "--max-order", "6", "--sigma", "[[],[2,3]]"], 3,
              "sigma class is empty"),
+            (["group", "show", "sym3"], 3, "sym3: bad selector 'sym3'"),
+            (["group", "show", "elab:2"], 3, "elab selector looks like elab:p^k"),
+            (["subnormal", "sym:3", "--gens", "1,x"], 3, "bad generator list '1,x'"),
+            (["hypercentre", "cyclic:6", "--formation", "sigma-nilpotent",
+              "--sigma", "[[2,3]"], 3, "bad sigma partition '[[2,3]'"),
         ],
     )
     def test_caps_budgets_and_sigma_entries_exit_codes(self, argv, code, message, capsys):
@@ -486,7 +501,7 @@ class TestCommands:
         assert message in err
         # an error in the group selector itself names the selector
         bad = {"cyclic:1000", "cyclic:600", "cyclic:abc", "elab:2^x",
-               "prod(sym:3,sym:3,sym:3)", "prod(cyclic:2,"}
+               "prod(sym:3,sym:3,sym:3)", "prod(cyclic:2,", "sym3", "elab:2"}
         assert all(err.startswith(f"error: {sel}: ") for sel in bad.intersection(argv))
 
     @pytest.mark.parametrize(

@@ -30,7 +30,6 @@ from finform import (
     is_nilpotent,
     is_sigma_central,
     is_sigma_nilpotent,
-    is_sigma_primary,
     is_soluble,
     is_supersoluble,
     minimal_normal_subgroups,
@@ -40,7 +39,6 @@ from finform import (
     residual,
     sigma_nilpotent_formation,
     symmetric,
-    trivial,
 )
 from finform import construct, formations, lattice
 from finform.formations import is_prime, section_product
@@ -61,7 +59,7 @@ def v4_of(s4):
 
 class TestMembership:
     def test_trivial_in_everything(self):
-        t = trivial()
+        t = cyclic(1)
         assert is_nilpotent(t) and is_supersoluble(t) and is_soluble(t)
 
     def test_s3_flags(self):
@@ -89,13 +87,13 @@ class TestMembership:
 class TestSigma:
     def test_trivial_group(self):
         sig = SigmaPartition.parse("[[2,3]]")
-        assert is_sigma_primary(trivial(), sig)
-        assert is_sigma_nilpotent(trivial(), sig)
+        assert sig.one_class(1)
+        assert is_sigma_nilpotent(cyclic(1), sig)
 
     def test_s4_is_23_primary(self):
         sig = SigmaPartition.parse("[[2,3]]")
         s4 = symmetric(4)
-        assert is_sigma_primary(s4, sig)
+        assert sig.one_class(s4.order)
         assert is_sigma_nilpotent(s4, sig)
 
     def test_singletons_matches_nilpotency(self):
@@ -106,7 +104,7 @@ class TestSigma:
     def test_d10_splits_classes(self):
         sig = SigmaPartition.parse("[[2,3]]")
         d10 = dihedral(5)
-        assert not is_sigma_primary(d10, sig)
+        assert not sig.one_class(d10.order)
         assert not is_sigma_nilpotent(d10, sig)
 
     def test_partition_validation(self):
@@ -234,7 +232,7 @@ class TestCentralSections:
                 normals = normal_subgroups(g)
                 yield from ((g, H, K) for H in normals for K in normals if K <= H)
 
-        want = [is_sigma_primary(section_product(H, K), sig)
+        want = [sig.one_class(section_product(H, K).order)
                 for g, H, K in pairs(catalog_generate(24))]
 
         def refuse(*args, **kwargs):
@@ -504,5 +502,5 @@ class TestBuiltinLaws:
     def test_sigma_primary_implies_sigma_nilpotent(self, catalog12):
         for sig in (SigmaPartition.parse("[[2,3]]"), SigmaPartition.parse("[[2,5],[3]]")):
             for g in catalog12.groups:
-                if is_sigma_primary(g, sig):
+                if sig.one_class(g.order):
                     assert is_sigma_nilpotent(g, sig)

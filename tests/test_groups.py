@@ -39,7 +39,6 @@ from finform import (
     semidirect_product,
     semidirect_section,
     symmetric,
-    trivial,
     upper_central_series,
 )
 from finform import construct, files, groups
@@ -258,7 +257,7 @@ class TestFamilies:
 class TestDirectProduct:
     def test_with_trivial(self):
         s3 = symmetric(3)
-        assert is_isomorphic(direct_product(s3, trivial()), s3) is not None
+        assert is_isomorphic(direct_product(s3, cyclic(1)), s3) is not None
 
     def test_klein(self):
         g = direct_product(cyclic(2), cyclic(2))
@@ -580,11 +579,8 @@ class TestSubgroupBasics:
         s3 = symmetric(3)
         with pytest.raises(TypeError):
             Subgroup(s3, [0, 1, 2], validate=False)
-        with pytest.raises(TypeError):
-            s3.subgroup([0, 1, 2], validate=False)
-        for build in (Subgroup, Group.subgroup):
-            with pytest.raises(NotAGroup, match="not closed"):
-                build(s3, [0, 1, 2])
+        with pytest.raises(NotAGroup, match="not closed"):
+            Subgroup(s3, [0, 1, 2])
 
     def test_localize_then_lift_is_identity(self):
         s4 = symmetric(4)
@@ -993,3 +989,40 @@ def test_no_exported_routine_takes_both_a_group_and_a_subgroup():
                                  inspect.signature(fn, eval_str=True).parameters.values()}
     ]
     assert len(routines) > 50 and not offenders, offenders
+
+
+# Exported names that nothing in the package uses, each kept for a reason.
+UNUSED_EXPORTS = {
+    "automorphism_group": "public API; the census catalog of ROADMAP item 10b builds with it",
+    "semidirect_product": "public API; the census catalog of ROADMAP item 10b builds with it",
+    "chain_subnormals": "public API; the sharpness sweep of ROADMAP item 5 reads its sets",
+    "dump_group_table": "the group-file writer, the inverse of load_group_file",
+}
+
+
+def test_every_export_is_used_in_the_package_or_allowed():
+    # each job is done one way only: an exported name that no module of the
+    # package reads, outside its own definition, is a second route to a job
+    # (or dead code), unless UNUSED_EXPORTS says why it stays
+    import finform
+
+    root = Path(__file__).resolve().parents[1] / "src" / "finform"
+    used = set()
+
+    def walk(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.update({node.id} - defining)
+        elif isinstance(node, ast.Attribute):
+            used.update({node.attr} - defining)
+        for child in ast.iter_child_nodes(node):
+            walk(child, defining)
+
+    for path in root.glob("*.py"):
+        if path.name != "__init__.py":
+            walk(ast.parse(path.read_text()), frozenset())
+    exported = {name for name, obj in vars(finform).items()
+                if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert len(exported) > 50
+    assert exported - used == set(UNUSED_EXPORTS), exported - used

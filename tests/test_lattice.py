@@ -21,7 +21,6 @@ from finform import (
     normal_subgroups,
     overgroups,
     symmetric,
-    trivial,
 )
 from finform import formations, lattice
 from finform.groups import centralizer_of_section, cyclic_subgroup, join
@@ -33,7 +32,7 @@ import references
 
 class TestAllSubgroups:
     def test_trivial(self):
-        assert len(all_subgroups(trivial())) == 1
+        assert len(all_subgroups(cyclic(1))) == 1
 
     def test_s3(self):
         lat = all_subgroups(symmetric(3))
@@ -91,7 +90,7 @@ class TestNormalSubgroups:
         a5_like = alternating(4)  # not simple; has V4
         assert [n.order for n in minimal_normal_subgroups(a5_like)] == [4]
         with pytest.raises(ValueError):
-            minimal_normal_subgroups(trivial())
+            minimal_normal_subgroups(cyclic(1))
 
 
 def test_both_lattices_match_oracles():
@@ -251,7 +250,7 @@ class TestChiefSeries:
 
 class TestFrattini:
     def test_trivial(self):
-        assert frattini(trivial()).order == 1
+        assert frattini(cyclic(1)).order == 1
 
     def test_s4(self):
         assert frattini(symmetric(4)).order == 1

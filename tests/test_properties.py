@@ -19,6 +19,7 @@ from finform import (
 from finform.verify import _relabel
 
 import oracles
+import references
 
 MAX_EXAMPLES = 20
 
@@ -79,12 +80,12 @@ def test_witness_chains_revalidate(g, data):
     a = generated_subgroup(g, [x, y])
     plain = is_subnormal(a)
     if plain is not None:
-        assert plain.validate()
+        assert references.chain_holds(plain, references.definition_step(lambda Q: False))
         # plain subnormality must imply a Kegel chain for any formation
         for f in (NILPOTENT, SUPERSOLUBLE):
             chain = is_k_f_subnormal(a, f)
             assert chain is not None
-            assert chain.validate(lambda Q, f=f: f.contains(Q))
+            assert references.chain_holds(chain, references.definition_step(f.contains))
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)

@@ -31,7 +31,6 @@ from finform import (
 )
 from finform import groups, subnormal
 from finform.groups import cyclic_subgroup, join
-from finform.formations import is_sigma_primary
 from finform.subnormal import F_STEP, NORMAL_STEP, WitnessChain, _core_quotient
 
 import references
@@ -100,7 +99,7 @@ class TestKegelChains:
             for S in all_subgroups(s4):
                 chain = is_k_f_subnormal(S, F)
                 if chain is not None:
-                    assert chain.validate(lambda Q: F.contains(Q))
+                    assert references.chain_holds(chain, references.definition_step(F.contains))
 
     def test_bad_chain_fails_validation(self):
         s3 = symmetric(3)
@@ -108,7 +107,7 @@ class TestKegelChains:
         fake = WitnessChain(
             (cyclic_subgroup(s3, t), s3.full_subgroup()), (NORMAL_STEP,)
         )
-        assert not fake.validate()
+        assert not references.chain_holds(fake, references.definition_step(lambda Q: False))
 
 
 class TestFormationChains:
@@ -227,7 +226,7 @@ def _four_deciders():
          references.definition_step(SUPERSOLUBLE.contains, normal_steps=False),
          lambda G: chain_subnormals(G, SUPERSOLUBLE, False)),
         (lambda S: is_sigma_subnormal(S, sig),
-         references.definition_step(lambda Q: is_sigma_primary(Q, sig)),
+         references.definition_step(lambda Q: sig.one_class(Q.order)),
          lambda G: chain_subnormals(G, sig)),
     ]
 
@@ -283,7 +282,7 @@ def test_pass_matches_the_breadth_first_search():
     sig = SigmaPartition.parse("[[2,3]]")
     two_groups = Formation("2-groups", lambda G: G.order & (G.order - 1) == 0)
     kinds = [(sig, True, lambda S: is_sigma_subnormal(S, sig),
-              references.definition_step(lambda Q: is_sigma_primary(Q, sig)))]
+              references.definition_step(lambda Q: sig.one_class(Q.order)))]
     for F in (NILPOTENT, SUPERSOLUBLE, SOLUBLE, sigma_nilpotent_formation(sig),
               two_groups):
         kinds += [(F, True, lambda S, F=F: is_k_f_subnormal(S, F),

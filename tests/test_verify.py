@@ -23,6 +23,7 @@ from finform import (
     dihedral,
     elem_abelian,
     from_cayley_table,
+    from_permutation_gens,
     is_isomorphic,
     normal_subgroups,
     sigma_nilpotent_formation,
@@ -322,6 +323,63 @@ class TestSchenkman:
         assert (rep.checked, rep.asserted) == (alone.checked, alone.asserted)
 
 
+def _run_with_planted_failure(plant, catalog, run):
+    """The reports of ``run(catalog)`` with the failure that ``plant(mp)``
+    plants through a monkeypatch, checked to keep the counts and skips of the
+    clean run: a failure recorded on one group leaves the sweep to go on
+    with the next."""
+    clean = run(catalog)
+    with pytest.MonkeyPatch.context() as mp:
+        plant(mp)
+        reports = run(catalog)
+    for rep, ref in zip(reports, clean, strict=True):
+        assert (rep.checked, rep.asserted, rep.skipped) == (
+            ref.checked, ref.asserted, ref.skipped)
+    return reports
+
+
+def _members_of_order(G, n):
+    """The members of G's one subgroup of order n."""
+    [S] = [S for S in all_subgroups(G) if S.order == n]
+    return S.array.tolist()
+
+
+class TestSchenkmanFailures:
+    @staticmethod
+    def run(plant):
+        """Schenkman's report on S3, C3, S4 with ``plant`` on, and that S4.
+        S3 and S4 have subnormal subgroups with trivial centralizer (S3; A4
+        and S4), C3 between them has none."""
+        s3, s4 = symmetric(3), symmetric(4)
+        catalog = verify.Catalog([s3, cyclic(3), s4], 24, "S3, C3, S4")
+        [rep] = _run_with_planted_failure(
+            plant, catalog, lambda cat: [verify_schenkman_classic(cat)])
+        for f in rep.failures:
+            assert f["cayley"] == {"S3": s3, "S4": s4}[f["group"]].table.tolist()
+        return rep, s4
+
+    def test_escaping_residual_is_a_replayable_failure(self):
+        rep, s4 = self.run(
+            lambda mp: mp.setattr(verify, "residual", lambda G, F: G.trivial_subgroup()))
+        s3_all, s4_all, a4 = list(range(6)), list(range(24)), _members_of_order(s4, 12)
+        assert [(f["group"], f["subgroup"], f["residual"], f["centralizer"])
+                for f in rep.failures] == [
+            ("S3", s3_all, [0], s3_all), ("S4", a4, [0], s4_all), ("S4", s4_all, [0], s4_all),
+        ]
+        assert {f["detail"] for f in rep.failures} == {"nilpotent residual is not large"}
+
+    def test_bridging_failure_names_each_overgroup(self):
+        rep, s4 = self.run(
+            lambda mp: mp.setattr(verify, "upper_central_series",
+                                  lambda G: (G.trivial_subgroup(), G.full_subgroup())))
+        s3_all, s4_all, a4 = list(range(6)), list(range(24)), _members_of_order(s4, 12)
+        assert [(f["group"], f["subgroup"], f["overgroup"]) for f in rep.failures] == [
+            ("S3", s3_all, s3_all), ("S4", a4, a4), ("S4", a4, s4_all), ("S4", s4_all, s4_all),
+        ]
+        assert {f["detail"] for f in rep.failures} == {
+            "bridging claim failed: expected trivial nilpotent and classical hypercentres"}
+
+
 class TestHolomorphBound:
     def test_passes_with_tight_s3(self, catalog12):
         rep = verify_holomorph_bound(catalog12, NILPOTENT)
@@ -340,6 +398,36 @@ class TestHolomorphBound:
         ]
         assert rep.passed and rep.budget_exhausted
         assert (len(rep.extras["tight_instances"]), rep.extras["max_slack"]) == (19, 0)
+
+
+def _gl23_subgroup(*matrices):
+    """The matrix group generated over F_3, acting on the eight nonzero
+    vectors of F_3^2."""
+    vectors = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+
+    def image(m):
+        return [vectors.index(((m[0][0] * a + m[0][1] * b) % 3,
+                               (m[1][0] * a + m[1][1] * b) % 3)) for a, b in vectors]
+
+    return from_permutation_gens(8, [image(m) for m in matrices])
+
+
+@pytest.mark.parametrize("extra, order", [((), 24), (([[2, 0], [0, 1]],), 48)])
+def test_holomorph_hypothesis_fails_where_the_residual_meets_the_hypercentre(extra,
+                                                                             order):
+    # SL(2,3) and GL(2,3): the residual for the nilpotent and the
+    # supersoluble class contains the central -1, so the bound is not
+    # asserted; both groups are soluble, so for the soluble class it is
+    G = _gl23_subgroup([[1, 1], [0, 1]], [[0, 2], [1, 0]], *extra)
+    assert G.order == order
+    catalog = verify.Catalog([G], order, G.label)
+    for F in (NILPOTENT, SUPERSOLUBLE):
+        rep = verify_holomorph_bound(catalog, F)
+        assert (rep.checked, rep.asserted, rep.failures) == (1, 0, [])
+        assert rep.skipped == [{"group": G.label, "reason": "hypothesis-failed",
+                                "detail": "residual meets the hypercentre nontrivially"}]
+    rep = verify_holomorph_bound(catalog, SOLUBLE)
+    assert (rep.checked, rep.asserted, rep.skipped, rep.failures) == (1, 1, [], [])
 
 
 class TestSection3:
@@ -363,6 +451,28 @@ class TestSection3:
         assert [(r.checked - a.checked, r.asserted - a.asserted) for r, a in pairs] == (
             [(0, 0)] * 4 + [(1, 1)]
         )
+
+
+def test_sigma_kegel_disagreement_is_a_replayable_failure():
+    sig = SigmaPartition.parse("[[2,3]]")
+    s3, s4 = symmetric(3), symmetric(4)
+    catalog = verify.Catalog([s3, s4], 24, "S3, S4")
+    real = verify.is_sigma_subnormal
+
+    def plant(mp):
+        mp.setattr(verify, "is_sigma_subnormal", lambda S, *args: (
+            None if S is s3.full_subgroup() else real(S, *args)))
+
+    agreement = _run_with_planted_failure(
+        plant, catalog, lambda cat: verify_section3_corollaries(cat, sig)[-1:])[0]
+    assert agreement.checked == len(all_subgroups(s3)) + len(all_subgroups(s4))
+    [record] = agreement.failures
+    assert record == {
+        "group": "S3", "order": 6, "subgroup": list(range(6)),
+        "sigma_subnormal": False, "kegel_subnormal": True,
+        "detail": "sigma-chain and Kegel-chain verdicts differ",
+        "cayley": s3.table.tolist(),
+    }
 
 
 def _section_law_context(G, F):
@@ -629,6 +739,18 @@ class TestReports:
         assert data["reports"][0]["claim"] == "theorem-b"
         assert data["reports"][0]["checked"] == rep.checked
         assert data["reports"][0]["elapsed_ms"] is None
+
+    def test_text_lists_ten_failures_and_counts_the_rest(self):
+        rep = VerificationReport("x", "nilpotent", None, "cov")
+        rep.failures = [{"detail": f"boom {i}"} for i in range(12)]
+        lines = rep.to_text().splitlines()
+        assert lines[2:] == [
+            *(f"    FAILURE: {{'detail': 'boom {i}'}}" for i in range(10)),
+            "    ... and 2 more failures",
+            "  FAIL",
+        ]
+        rep.elapsed_ms = 7
+        assert rep.to_text().splitlines()[-1] == "  FAIL (7 ms)"
 
     def test_text_and_structured_agree(self, catalog12):
         rep = verify_theorem_b(catalog12, SUPERSOLUBLE)
