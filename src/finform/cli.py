@@ -36,9 +36,6 @@ from .formations import (
     builtin_formations,
     formation_by_selector,
     hypercentre,
-    is_nilpotent,
-    is_soluble,
-    is_supersoluble,
     residual,
 )
 from .groups import DEFAULT_ORDER_CAP, Group, center, generated_subgroup
@@ -133,9 +130,7 @@ def cmd_group_show(args) -> int:
         "order": G.order,
         "center_order": center(G).order,
         "abelian": G.is_abelian(),
-        "nilpotent": is_nilpotent(G),
-        "supersoluble": is_supersoluble(G),
-        "soluble": is_soluble(G),
+        **{F.name: F.contains(G) for F in builtin_formations()},
         "element_orders": {
             str(int(k)): int((G.element_orders == k).sum())
             for k in np.unique(G.element_orders)
@@ -336,6 +331,3 @@ def main(argv: list[str] | None = None) -> int:
             return 3
         return 2 if isinstance(e, (LatticeBudgetExceeded, SearchBudgetExceeded)) else 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -91,10 +91,6 @@ class SigmaPartition:
             raise ValueError(f"bad sigma partition {text!r}: expected a list of lists")
         return SigmaPartition.from_lists(data)
 
-    @staticmethod
-    def singletons() -> "SigmaPartition":
-        return SigmaPartition(())
-
     def one_class(self, n: int) -> bool:
         """Whether all primes of n lie in a single class: a group of order n
         is then sigma-primary."""
@@ -116,7 +112,7 @@ class SigmaPartition:
 
 def is_nilpotent(G: Group) -> bool:
     """Every Sylow subgroup is normal: the singleton case of sigma-nilpotence."""
-    return is_sigma_nilpotent(G, SigmaPartition.singletons())
+    return is_sigma_nilpotent(G, SigmaPartition())
 
 
 def is_soluble(G: Group) -> bool:
@@ -218,7 +214,7 @@ def _soluble_rule(H: Subgroup, K: Subgroup) -> bool:
 
 
 NILPOTENT = Formation("nilpotent", is_nilpotent,
-                      chief_rule=_sigma_rule(SigmaPartition.singletons()))
+                      chief_rule=_sigma_rule(SigmaPartition()))
 SUPERSOLUBLE = Formation("supersoluble", is_supersoluble,
                          chief_rule=lambda H, K: is_prime(H.order // K.order))
 SOLUBLE = Formation("soluble", is_soluble, chief_rule=_soluble_rule)
@@ -243,22 +239,17 @@ def builtin_formations(sigma: SigmaPartition | None = None) -> list[Formation]:
 
 
 def formation_by_selector(selector: str, sigma: SigmaPartition | None = None) -> Formation:
-    """Resolve a CLI selector string to a formation."""
+    """Resolve a CLI selector string to a formation: a built-in by name."""
     sel = selector.strip().lower()
-    if sel == "nilpotent":
-        return NILPOTENT
-    if sel == "supersoluble":
-        return SUPERSOLUBLE
-    if sel == "soluble":
-        return SOLUBLE
+    by_name = {F.name: F for F in builtin_formations()}
+    if sel in by_name:
+        return by_name[sel]
     if sel == "sigma-nilpotent":
         if sigma is None:
             raise UnknownFormation("sigma-nilpotent requires a sigma partition")
         return sigma_nilpotent_formation(sigma)
     raise UnknownFormation(
-        f"unknown formation {selector!r}; choose nilpotent, supersoluble, "
-        "soluble, or sigma-nilpotent"
-    )
+        f"unknown formation {selector!r}; choose {', '.join(by_name)}, or sigma-nilpotent")
 
 
 # -- residuals ----------------------------------------------------------------

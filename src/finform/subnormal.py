@@ -51,14 +51,6 @@ class WitnessChain:
         return " ".join(bits)
 
 
-def _core_quotient(low: Subgroup, high: Subgroup) -> Group:
-    """The group high / core(high, low)."""
-    def compute():
-        return quotient(high.localize(core(high, low)))[0]
-
-    return _memo(low.parent, ("core_quotient", low, high), compute)
-
-
 def is_subnormal(A: Subgroup) -> WitnessChain | None:
     """Witness chain of normal steps, by iterated normal-closure descent.
 
@@ -89,7 +81,8 @@ def _chain_steps(
 
     A step X < Y is normal when ``normal_steps`` allows it and X is its own
     core in Y, else an f-step when Y / core_Y(X) lies in the formation
-    ``steps``, or is sigma-primary for a partition ``steps``, else no step.
+    ``steps``, or, for a partition ``steps``, is sigma-primary, which is read
+    off the index |Y : core_Y(X)| without building the quotient; else no step.
     A chain's second term gives the recursion: S has a chain iff S = G or
     some Y > S with a chain steps down to S, and descending lattice order
     decides every such Y before S. S steps to the first such Y with the
@@ -100,9 +93,9 @@ def _chain_steps(
     """
     subgroups = all_subgroups(G, budget=lattice_budget)
     if isinstance(steps, SigmaPartition):
-        kind, quotient_ok = steps.key, lambda Q: steps.one_class(Q.order)
+        kind, f_step = steps.key, lambda S, Y: steps.one_class(Y.order // core(Y, S).order)
     else:
-        kind, quotient_ok = steps, steps.contains
+        kind, f_step = steps, lambda S, Y: steps.contains(quotient(Y.localize(core(Y, S)))[0])
 
     def compute():
         top = subgroups[-1]
@@ -113,7 +106,7 @@ def _chain_steps(
             for Y in sorted(above, key=length.__getitem__):
                 if normal_steps and core(Y, S) is S:
                     next_step[S] = (Y, NORMAL_STEP)
-                elif quotient_ok(_core_quotient(S, Y)):
+                elif f_step(S, Y):
                     next_step[S] = (Y, F_STEP)
                 else:
                     continue

@@ -845,7 +845,7 @@ def _holomorph_bound(catalog, formations, sigma, lattice_budget, aut_budget):
 
 def _section3(catalog, formations, sigma, lattice_budget, aut_budget):
     return verify_section3_corollaries(
-        catalog, sigma if sigma is not None else SigmaPartition.singletons(),
+        catalog, sigma if sigma is not None else SigmaPartition(),
         lattice_budget,
     )
 

@@ -63,10 +63,11 @@ from finform.groups import (
     core,
     derived_series,
     generated_subgroup,
+    quotient,
 )
 from finform.morphisms import fingerprint
 from finform.lattice import overgroups
-from finform.subnormal import F_STEP, NORMAL_STEP, WitnessChain, _core_quotient
+from finform.subnormal import F_STEP, NORMAL_STEP, WitnessChain
 from finform.verify import _family_seeds
 
 
@@ -411,11 +412,12 @@ def search_embeddings(G, H, budget, find_all):
 
 def definition_step(quotient_ok, normal_steps=True):
     """The step rule as defined: low < high is a normal step when low is its
-    own core in high, else an f-step when high / core passes the test."""
+    own core in high, else an f-step when high / core_high(low) passes the
+    test."""
     def step(low, high):
         if normal_steps and core(high, low) == low:
             return NORMAL_STEP
-        if quotient_ok(_core_quotient(low, high)):
+        if quotient_ok(quotient(high.localize(core(high, low)))[0]):
             return F_STEP
         return None
 

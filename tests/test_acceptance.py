@@ -39,7 +39,7 @@ import references
 
 SIGMA_23 = SigmaPartition.parse("[[2,3]]")
 SIGMA_25_3 = SigmaPartition.parse("[[2,5],[3]]")
-SINGLETONS = SigmaPartition.singletons()
+SINGLETONS = SigmaPartition()
 
 
 def _verdict(number: int, name: str, ok: bool) -> None:

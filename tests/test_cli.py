@@ -172,6 +172,24 @@ class TestCommands:
         assert "order: 1" in out
         assert "nilpotent: True" in out
 
+    @pytest.mark.parametrize("selector, nilpotent, supersoluble, soluble", [
+        ("sym:3", False, True, True),
+        ("sym:4", False, False, True),
+    ])
+    def test_group_show_builtin_formation_flags(self, selector, nilpotent, supersoluble,
+                                                soluble, capsys):
+        assert main(["group", "show", selector, "--format", "structured"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        flags = (data["nilpotent"], data["supersoluble"], data["soluble"])
+        assert flags == (nilpotent, supersoluble, soluble)
+
+    def test_module_entry_point(self):
+        env = dict(os.environ, PYTHONPATH=str(GROUPS.parent / "src"), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-m", "finform", "group", "show", "cyclic:2"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert "order: 2" in proc.stdout
+
     def test_group_show_structured_round_trip(self, capsys):
         assert main(["group", "show", "sym:3", "--cayley", "--format", "structured"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -484,6 +502,12 @@ class TestCommands:
             (["group", "show", "elab:2^x"], 3, "family argument 'x' is not an integer"),
             (["group", "show", "prod(sym:3,sym:3,sym:3)"], 3, "bad product selector"),
             (["group", "show", "prod(cyclic:2,"], 3, "bad product selector"),
+            (["group", "show", "prod(cyclic:2))(cyclic:3"], 3, "bad product selector"),
+            (["group", "show", "cyclic:0"], 3, "cyclic:0: cyclic group order must be >= 1"),
+            (["group", "show", "quaternion:12"], 3,
+             "quaternion:12: quaternion order must be a power of two >= 8"),
+            (["group", "show", "elab:2^0"], 3,
+             "elab:2^0: need a prime p >= 2 and exponent k >= 1"),
             (["verify", "lemmas", "--max-order", "6", "--sigma", "[[],[2,3]]"], 3,
              "sigma class is empty"),
             (["group", "show", "sym3"], 3, "sym3: bad selector 'sym3'"),
@@ -501,7 +525,8 @@ class TestCommands:
         assert message in err
         # an error in the group selector itself names the selector
         bad = {"cyclic:1000", "cyclic:600", "cyclic:abc", "elab:2^x",
-               "prod(sym:3,sym:3,sym:3)", "prod(cyclic:2,", "sym3", "elab:2"}
+               "prod(sym:3,sym:3,sym:3)", "prod(cyclic:2,", "prod(cyclic:2))(cyclic:3",
+               "cyclic:0", "quaternion:12", "elab:2^0", "sym3", "elab:2"}
         assert all(err.startswith(f"error: {sel}: ") for sel in bad.intersection(argv))
 
     @pytest.mark.parametrize(

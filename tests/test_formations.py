@@ -97,7 +97,7 @@ class TestSigma:
         assert is_sigma_nilpotent(s4, sig)
 
     def test_singletons_matches_nilpotency(self):
-        sing = SigmaPartition.singletons()
+        sing = SigmaPartition()
         assert not is_sigma_nilpotent(symmetric(3), sing)
         assert is_sigma_nilpotent(cyclic(12), sing)
 
@@ -130,6 +130,11 @@ class TestSigma:
             formation_by_selector("sigma-nilpotent")
         with pytest.raises(UnknownFormation):
             formation_by_selector("frobnicating")
+
+    def test_selector_names_each_builtin(self):
+        for F in builtin_formations():
+            assert formation_by_selector(f"  {F.name.upper()} ") is F
+        assert repr(NILPOTENT) == "Formation(nilpotent)"
 
 
 class TestResidual:
@@ -429,7 +434,7 @@ class TestBuiltinLaws:
         assert all(f.hereditary and f.saturated for f in forms)
 
     def test_nilpotent_equals_singleton_sigma(self, catalog24):
-        sing = SigmaPartition.singletons()
+        sing = SigmaPartition()
         for g in catalog24.groups:
             assert is_nilpotent(g) == is_sigma_nilpotent(g, sing)
             assert is_nilpotent(g) == references.is_nilpotent(g), g.label

@@ -148,6 +148,13 @@ class TestFromCayleyTable:
         with pytest.raises(NotAGroup, match="table is not square"):
             from_cayley_table([[0, 1], [1]])
 
+    def test_tables_that_are_not_square_or_are_empty_rejected(self):
+        for table in ([[0, 1]], [0]):
+            with pytest.raises(NotAGroup, match="^table is not square$"):
+                from_cayley_table(table)
+        with pytest.raises(NotAGroup, match="^empty table$"):
+            from_cayley_table(np.zeros((0, 0), dtype=np.int64))
+
 
 class TestPermutationClosure:
     def test_three_cycle(self):
@@ -228,6 +235,18 @@ class TestFamilies:
     ])
     def test_sizes_that_are_not_integers_rejected(self, build, args):
         with pytest.raises(ValueError, match="is not an integer"):
+            build(*args)
+
+    @pytest.mark.parametrize("build, args, message", [
+        (cyclic, (0,), "cyclic group order must be >= 1"),
+        (dihedral, (0,), "dihedral parameter must be >= 1"),
+        (quaternion, (12,), "quaternion order must be a power of two >= 8"),
+        (symmetric, (0,), "symmetric degree must be >= 1"),
+        (alternating, (0,), "alternating degree must be >= 1"),
+        (elem_abelian, (2, 0), "need a prime p >= 2 and exponent k >= 1"),
+    ])
+    def test_sizes_out_of_range_rejected(self, build, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             build(*args)
 
     def test_sizes_may_be_numpy_integers(self):
@@ -402,6 +421,15 @@ class TestCentralizersAndCores:
         s4 = symmetric(4)
         d4 = subgroup_of_order(s4, 8)
         assert core(s4.full_subgroup(), d4) == v4_in(s4)
+
+    def test_core_needs_inner_inside_ambient(self):
+        s4 = symmetric(4)
+        with pytest.raises(ValueError, match="core requires inner <= ambient"):
+            core(subgroup_of_order(s4, 8), s4.full_subgroup())
+
+    def test_negative_power_is_the_inverse(self):
+        s3 = symmetric(3)
+        assert all(s3.power(x, -1) == s3.inv(x) for x in range(6))
 
     def test_core_trivial(self):
         s3 = symmetric(3)

@@ -18,6 +18,7 @@ from finform import (
     centralizer_of_section,
     chain_subnormals,
     chief_series_through,
+    dihedral,
     from_cayley_table,
     generated_subgroup,
     is_f_subnormal,
@@ -30,8 +31,8 @@ from finform import (
     symmetric,
 )
 from finform import groups, subnormal
-from finform.groups import cyclic_subgroup, join
-from finform.subnormal import F_STEP, NORMAL_STEP, WitnessChain, _core_quotient
+from finform.groups import core, cyclic_subgroup, join
+from finform.subnormal import F_STEP, NORMAL_STEP, WitnessChain
 
 import references
 
@@ -79,14 +80,21 @@ class TestPlainSubnormal:
 class TestKegelChains:
     def test_whole_group(self):
         s4 = symmetric(4)
-        assert len(is_k_f_subnormal(s4.full_subgroup(), NILPOTENT)) == 0
+        chain = is_k_f_subnormal(s4.full_subgroup(), NILPOTENT)
+        assert len(chain) == 0 and chain.describe() == "24"
+
+    def test_chain_needs_one_step_kind_per_step(self):
+        s4 = symmetric(4)
+        with pytest.raises(ValueError, match="one step kind per consecutive pair"):
+            WitnessChain((s4.full_subgroup(),), ("x",))
 
     def test_sylow2_single_f_step(self):
         s4 = symmetric(4)
         chain = is_k_f_subnormal(d4_in_s4(s4), SUPERSOLUBLE)
         assert chain.order_trail() == (8, 24)
         assert chain.step_kinds == (F_STEP,)
-        assert _core_quotient(chain.terms[0], chain.terms[1]).order == 6
+        low, high = chain.terms
+        assert high.order // core(high, low).order == 6
 
     def test_transposition_negative_for_nilpotent(self):
         s3 = symmetric(3)
@@ -134,7 +142,7 @@ class TestSigmaChains:
             assert is_sigma_subnormal(S, sig) is not None
 
     def test_singletons_match_nilpotent_kegel(self):
-        sing = SigmaPartition.singletons()
+        sing = SigmaPartition()
         s3 = symmetric(3)
         t = next(e for e in range(6) if s3.element_orders[e] == 2)
         assert is_sigma_subnormal(cyclic_subgroup(s3, t), sing) is None
@@ -152,7 +160,7 @@ class TestImplicationSweeps:
                     assert is_k_f_subnormal(S, F) is not None
 
     def test_sigma_iff_kegel_sigma(self, catalog12):
-        for sig in (SigmaPartition.parse("[[2,3]]"), SigmaPartition.singletons()):
+        for sig in (SigmaPartition.parse("[[2,3]]"), SigmaPartition()):
             nsig = sigma_nilpotent_formation(sig)
             for g in catalog12.groups:
                 for S in all_subgroups(g):
@@ -318,10 +326,27 @@ def test_witnesses_are_read_off_the_pass(monkeypatch):
         raise AssertionError("a step test after the pass")
 
     monkeypatch.setattr(subnormal, "core", step_test)
-    monkeypatch.setattr(subnormal, "_core_quotient", step_test)
+    monkeypatch.setattr(subnormal, "quotient", step_test)
     chains = [[decide(S) for S in all_subgroups(s4)] for decide, _, _ in kinds]
     for (_, _, verdicts), found in zip(kinds, chains):
         assert {c.terms[0] for c in found if c is not None} == verdicts(s4)
+
+
+def test_sigma_step_reads_the_index(monkeypatch):
+    # sigma-primary is a property of the order, so a sigma step reads
+    # |Y : core_Y(X)| and builds no quotient group
+    def no_quotient(*args):
+        raise AssertionError("a quotient built for a sigma step")
+
+    monkeypatch.setattr(subnormal, "quotient", no_quotient)
+    for sig in (SigmaPartition.parse("[[2,3]]"), SigmaPartition()):
+        step = references.definition_step(lambda Q: sig.one_class(Q.order))
+        for g in (symmetric(4), dihedral(9)):
+            verdicts = chain_subnormals(g, sig)
+            for S in all_subgroups(g):
+                chain = references.chain_search(S, step)
+                assert is_sigma_subnormal(S, sig) == chain, (g.label, sig.key, S.order)
+                assert (S in verdicts) == (chain is not None)
 
 
 def test_verdict_set_checks_the_lattice_budget_on_a_warm_memo():

@@ -44,6 +44,10 @@ SHIPPED = tuple(str(GROUPS / name) for name in ("frobenius20.grp", "frobenius21.
 
 
 class TestCatalog:
+    def test_max_order_over_the_cap(self):
+        with pytest.raises(OrderCapExceeded, match="^max_order 600 exceeds order cap 512$"):
+            catalog_generate(600)
+
     def test_max_order_one(self):
         cat = catalog_generate(1)
         assert len(cat) == 1 and cat.groups[0].order == 1
@@ -444,7 +448,7 @@ class TestSection3:
     def test_internal_error_is_a_replayable_failure_and_the_sweep_goes_on(self, monkeypatch):
         _raising_on_order_4(monkeypatch, "is_k_f_subnormal", "is_f_subnormal",
                             "is_sigma_subnormal")
-        sig = SigmaPartition.singletons()
+        sig = SigmaPartition()
         pairs = _v4_internal_error(lambda cat: verify_section3_corollaries(cat, sig),
                                    "HypercentreNotHypercentral")
         # only the agreement sweep counts V4's first subgroup before its chain search
@@ -553,6 +557,15 @@ class TestLemmaSuite:
                 assert got == list(reference(ctx)), (G.label, law.__name__)
                 failures += sum(d is not None for d in got)
         assert (failures > 0) == (F.name == "order-not-2")
+
+    def test_restrict_law_applies_only_to_hereditary_formations(self):
+        # the same class flagged not hereditary: its central pairs stay, the
+        # law checks none of them
+        G = symmetric(4)
+        unflagged = Formation("order-not-2", lambda G: G.order != 2, hereditary=False)
+        ctx = _section_law_context(G, unflagged)
+        assert ctx.central_pairs
+        assert list(verify._central_sections_restrict_to_subgroups(ctx)) == []
 
     def test_restrict_law_decides_each_distinct_section_once(self, monkeypatch):
         G = symmetric(4)
