@@ -284,20 +284,26 @@ def _fail(rep: VerificationReport, G: Group, **fields) -> None:
 
 def _sweep(
     catalog: Catalog,
-    rep: VerificationReport,
-    body: Callable[[Group], None],
+    claim: str,
+    F: Formation,
+    body: Callable[[VerificationReport, Group], None],
+    **extras,
 ) -> VerificationReport:
-    """Run ``body`` on each catalog group, recording on ``rep``, and time it.
+    """The report of ``claim`` for F, built by running ``body`` on each
+    catalog group, and timed; the only place a report is made.
 
-    ``body(G)`` records G's instances on ``rep``. A budget or cap hit on G is
-    a skip, and any other engine error a replayable ``internal-error``
-    failure. What the body recorded before either stays, and the sweep goes
-    on with the next group.
+    The report names F and, for a sigma-nilpotent F, its partition, and
+    starts with ``extras``. ``body(rep, G)`` records G's instances on
+    ``rep``. A budget or cap hit on G is a skip, and any other engine error
+    a replayable ``internal-error`` failure. What the body recorded before
+    either stays, and the sweep goes on with the next group.
     """
+    rep = VerificationReport(claim, F.name, F.sigma.key if F.sigma else None,
+                             catalog.description, extras=extras)
     t0 = time.monotonic()
     for G in catalog:
         try:
-            body(G)
+            body(rep, G)
         except (LatticeBudgetExceeded, SearchBudgetExceeded) as e:
             _skip(rep, G, "budget-exceeded", str(e))
         except OrderCapExceeded as e:
@@ -324,9 +330,8 @@ def verify_theorem_b(catalog: Catalog, F: Formation) -> VerificationReport:
     """Groups without nontrivial hypercentral normals have a large residual."""
     if not F.saturated:
         raise ValueError("theorem-b requires a saturated formation")
-    rep = VerificationReport("theorem-b", F.name, None, catalog.description)
 
-    def body(G):
+    def body(rep, G):
         rep.checked += 1
         Z = hypercentre(G, F)
         if Z.order != 1:
@@ -338,7 +343,7 @@ def verify_theorem_b(catalog: Catalog, F: Formation) -> VerificationReport:
             _fail(rep, G, **escape,
                   detail="centralizer of the residual escapes the residual")
 
-    return _sweep(catalog, rep, body)
+    return _sweep(catalog, "theorem-b", F, body)
 
 
 # -- Theorem A family --------------------------------------------------------
@@ -350,7 +355,6 @@ def _theorem_a_sweep(
     F: Formation,
     decide: Callable,
     steps: Formation | SigmaPartition,
-    sigma_key: str | None,
     lattice_budget: int,
 ) -> VerificationReport:
     """Shared engine for the main theorem and its section-3 specialisations.
@@ -360,9 +364,8 @@ def _theorem_a_sweep(
     steps drawn from a formation or a sigma partition ``steps``; for each,
     the hypothesis scan demands a trivial Z_F for S and every overgroup.
     """
-    rep = VerificationReport(claim, F.name, sigma_key, catalog.description)
 
-    def body(G):
+    def body(rep, G):
         for S in all_subgroups(G, budget=lattice_budget):
             chain = decide(S, steps, lattice_budget)
             if chain is None:
@@ -387,7 +390,7 @@ def _theorem_a_sweep(
                 _fail(rep, G, subgroup=_members(S), chain=list(chain.order_trail()),
                       **escape, detail="centralizer of the subgroup's residual escapes it")
 
-    return _sweep(catalog, rep, body)
+    return _sweep(catalog, claim, F, body)
 
 
 def verify_theorem_a(
@@ -399,8 +402,7 @@ def verify_theorem_a(
     large residuals in the whole group."""
     if not (F.hereditary and F.saturated):
         raise ValueError("theorem-a requires a hereditary saturated formation")
-    return _theorem_a_sweep(catalog, "theorem-a", F, is_k_f_subnormal, F, None,
-                            lattice_budget)
+    return _theorem_a_sweep(catalog, "theorem-a", F, is_k_f_subnormal, F, lattice_budget)
 
 
 def verify_schenkman_classic(
@@ -410,9 +412,8 @@ def verify_schenkman_classic(
     residuals; also cross-checks that a trivial centralizer forces trivial
     nilpotent hypercentres (equal to the classical hypercentre) on every
     overgroup."""
-    rep = VerificationReport("schenkman", NILPOTENT.name, None, catalog.description)
 
-    def body(G):
+    def body(rep, G):
         for S in all_subgroups(G, budget=lattice_budget):
             if is_subnormal(S) is None:
                 continue
@@ -439,7 +440,7 @@ def verify_schenkman_classic(
                           detail="bridging claim failed: expected "
                           "trivial nilpotent and classical hypercentres")
 
-    return _sweep(catalog, rep, body)
+    return _sweep(catalog, "schenkman", NILPOTENT, body)
 
 
 def verify_holomorph_bound(
@@ -451,10 +452,8 @@ def verify_holomorph_bound(
     the residual misses the hypercentre."""
     if not F.saturated:
         raise ValueError("holomorph-bound requires a saturated formation")
-    rep = VerificationReport("holomorph-bound", F.name, None, catalog.description,
-                             extras={"tight_instances": [], "max_slack": 0})
 
-    def body(G):
+    def body(rep, G):
         rep.checked += 1
         U = residual(G, F)
         Z = hypercentre(G, F)
@@ -474,7 +473,7 @@ def verify_holomorph_bound(
             if lhs == rhs:
                 rep.extras["tight_instances"].append([G.label, lhs])
 
-    return _sweep(catalog, rep, body)
+    return _sweep(catalog, "holomorph-bound", F, body, tight_instances=[], max_slack=0)
 
 
 def verify_section3_corollaries(
@@ -497,26 +496,22 @@ def verify_section3_corollaries(
         ("sigma-kegel-chains", nsigma, is_k_f_subnormal, nsigma),
     )
     reports = [
-        _theorem_a_sweep(catalog, "section3-" + name, F, decide, steps,
-                         sigma.key if F is nsigma else None, lattice_budget)
+        _theorem_a_sweep(catalog, "section3-" + name, F, decide, steps, lattice_budget)
         for name, F, decide, steps in kinds
     ]
-    agreement = VerificationReport(
-        "section3-sigma-chain-agreement", nsigma.name, sigma.key, catalog.description
-    )
 
-    def body(G):
+    def body(rep, G):
         for S in all_subgroups(G, budget=lattice_budget):
-            agreement.checked += 1
-            agreement.asserted += 1
+            rep.checked += 1
+            rep.asserted += 1
             via_sigma = is_sigma_subnormal(S, sigma, lattice_budget) is not None
             via_kegel = is_k_f_subnormal(S, nsigma, lattice_budget) is not None
             if via_sigma != via_kegel:
-                _fail(agreement, G, subgroup=_members(S), sigma_subnormal=via_sigma,
+                _fail(rep, G, subgroup=_members(S), sigma_subnormal=via_sigma,
                       kegel_subnormal=via_kegel,
                       detail="sigma-chain and Kegel-chain verdicts differ")
 
-    reports.append(_sweep(catalog, agreement, body))
+    reports.append(_sweep(catalog, "section3-sigma-chain-agreement", nsigma, body))
     return reports
 
 
@@ -787,14 +782,11 @@ def verify_lemma_suite(
     its laws have run, so a group that ``_sweep`` records as a skip (its
     section products exceed the cap) or an ``internal-error`` failure adds
     none of them. The sigma-centrality law applies only when F is a
-    sigma-nilpotent class, and the report names its sigma.
+    sigma-nilpotent class.
     """
-    rep = VerificationReport(
-        "lemmas", F.name, F.sigma.key if F.sigma else None, catalog.description
-    )
     rng = np.random.default_rng(20240601)
 
-    def body(G):
+    def body(rep, G):
         subgroups = all_subgroups(G, budget=lattice_budget)
         normals = normal_subgroups(G)
         terms = chief_series(G)
@@ -817,7 +809,7 @@ def verify_lemma_suite(
         for detail in failed:
             _fail(rep, G, **detail)
 
-    return _sweep(catalog, rep, body)
+    return _sweep(catalog, "lemmas", F, body)
 
 
 # -- orchestration -------------------------------------------------------------

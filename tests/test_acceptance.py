@@ -218,7 +218,7 @@ def test_criterion_8_determinism():
     second = one_run()
     # Pinned digest: the reports must also stay byte-identical across commits.
     digest = hashlib.sha256(first.encode()).hexdigest()
-    pinned = digest == "39e05312f99960ddb74e87f38214c2a5a74fb2a3919e55d312ce80da538ba91e"
+    pinned = digest == "97f1d6c4285fdde0cd4b8a2900eef3ff31ee21c80cce21da76f5c41787df5022"
     ok = first == second and pinned and len(first) > 100
     print(f"  determinism: two verify-all runs, byte-identical: {first == second}; "
           f"digest pinned: {pinned}")

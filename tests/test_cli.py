@@ -342,6 +342,12 @@ class TestCommands:
             == 3
         )
 
+    def test_verify_report_names_its_sigma(self, capsys):
+        args = ["verify", "theorem-b", "--formation", "sigma-nilpotent", "--sigma", "[[2,3]]",
+                "--max-order", "8", "--format", "structured"]
+        assert main(args) == 0
+        assert '"sigma":"[[2,3]]"' in capsys.readouterr().out
+
     @pytest.mark.parametrize("formation", ["bogus", "Sigma-Nilpotent"])
     def test_verify_resolves_formation_before_the_catalog(self, formation, monkeypatch,
                                                           capsys):
@@ -405,13 +411,14 @@ class TestCommands:
 
     def test_verify_all_report_at_order_24_is_pinned(self, capsys):
         # the one pinned report that covers theorem-a, section3 and
-        # schenkman: a chain search or hypercentre that alters a verdict
-        # moves this digest
+        # schenkman: a chain search or hypercentre that alters a verdict,
+        # or a report that names its formation or sigma otherwise, moves
+        # this digest
         args = ["verify", "all", "--max-order", "24", "--sigma", "[[2,3]]",
                 "--format", "structured"]
         assert main(args) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "035202db8cc6a108d535b925669d56bade6681a5e884f9687859d7635981f456"
+        assert digest == "e14751d745a7c938339e82cdc1a01571f7012b58dce53e4ec36c48c983341834"
 
     def test_verify_with_input_file(self, tmp_path, capsys):
         path = tmp_path / "extra.grp"

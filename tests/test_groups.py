@@ -1054,3 +1054,25 @@ def test_every_export_is_used_in_the_package_or_allowed():
                 if not name.startswith("_") and not inspect.ismodule(obj)}
     assert len(exported) > 50
     assert exported - used == set(UNUSED_EXPORTS), exported - used
+
+
+def test_reports_are_built_only_by_the_sweep_driver():
+    # a report names its formation and sigma one way: verify._sweep reads
+    # both off F, so no other code of the package may build a report
+    root = Path(__file__).resolve().parents[1] / "src" / "finform"
+    builders = []
+
+    def walk(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "VerificationReport":
+                builders.append(where)
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    for path in sorted(root.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem)
+    assert builders == ["verify._sweep"]

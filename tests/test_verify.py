@@ -708,6 +708,29 @@ class TestLemmaSuite:
         assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    def test_member_supplement_failure_is_a_replayable_failure(self):
+        # with every centralizer read as the whole group, U meet C_G(N) is U:
+        # in S3 each nontrivial nilpotent supplement of A3 or of S3 fails, as
+        # Z_F(S3) = 1, while C6 is in F and Z_F(C6) is C6 itself
+        s3, c6 = symmetric(3), cyclic(6)
+        [rep] = _run_with_planted_failure(
+            lambda mp: mp.setattr(verify, "centralizer", lambda N: N.parent.full_subgroup()),
+            verify.Catalog([s3, c6], 6, "x"),
+            lambda cat: [verify_lemma_suite(cat, NILPOTENT)])
+        a3, s3_all = [0, 2, 5], list(range(6))
+        assert [(f["group"], f["law"], f["normal"], f["supplement"])
+                for f in rep.failures] == [
+            ("S3", "member-supplement-central-core", a3, [0, 1]),
+            ("S3", "member-supplement-central-core", a3, [0, 3]),
+            ("S3", "member-supplement-central-core", a3, [0, 4]),
+            ("S3", "member-supplement-central-core", s3_all, [0, 1]),
+            ("S3", "member-supplement-central-core", s3_all, [0, 3]),
+            ("S3", "member-supplement-central-core", s3_all, [0, 4]),
+            ("S3", "member-supplement-central-core", s3_all, a3),
+        ]
+        assert all(f["cayley"] == s3.table.tolist() for f in rep.failures)
+        assert rep.checked == 195
+
     def test_unsaturated_class_fails_named_laws(self):
         # the abelian groups form a formation that is not saturated: D8 and
         # Q8 are not abelian although their derived subgroup is Frattini-small
@@ -724,6 +747,20 @@ class TestLemmaSuite:
             (group, law) for group in ("D8", "Q8") for law in laws
         }
         assert all("cayley" in f for f in rep.failures)
+
+
+@pytest.mark.parametrize("F, sigma", [
+    (NILPOTENT, None),
+    (SUPERSOLUBLE, None),
+    (SOLUBLE, None),
+    (sigma_nilpotent_formation(SigmaPartition.parse("[[2,3]]")), "[[2,3]]"),
+], ids=lambda x: getattr(x, "name", None))
+@pytest.mark.parametrize("run", [
+    verify_theorem_b, verify_theorem_a, verify_holomorph_bound, verify_lemma_suite,
+], ids=lambda run: run.__name__)
+def test_report_names_the_formation_and_its_sigma(F, sigma, run):
+    rep = run(catalog_generate(8), F)
+    assert (rep.formation, rep.sigma) == (F.name, sigma)
 
 
 class TestReports:
