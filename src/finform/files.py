@@ -15,7 +15,7 @@ import re
 from pathlib import Path
 
 from .errors import GroupFileError, NotAGroup, OrderCapExceeded
-from .groups import DEFAULT_ORDER_CAP, Group
+from .groups import DEFAULT_ORDER_CAP, Group, check_order_cap
 from .construct import from_cayley_table, from_permutation_gens
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -72,6 +72,7 @@ def parse_group_text(
         gens = [tuple(local[m.get(p, p)] for p in points) for m in maps]
         return from_permutation_gens(len(points), gens, label=label, order_cap=order_cap)
 
+    check_order_cap(size, order_cap)  # before reading n^2 entries
     rows = []
     for line_no, ln in lines[1:]:
         try:

@@ -1,8 +1,10 @@
 """Brute-force reference implementations, independent of the package.
 
 Groups here are (elements, mul) pairs: a sorted tuple of hashable element
-labels and a binary callable. The map checks at the end read two Cayley
-tables instead, since a map is an image array over the source's indices.
+labels and a binary callable. The map checks and the table checks at the
+end read Cayley tables instead (``table[a][b]`` is a*b on the indices
+0..n-1), since a map is an image array over the source's indices and an
+untrusted table need not be a group.
 Everything is computed from first principles with sets, dicts and loops;
 nothing imports finform. Only meant for tiny groups.
 """
@@ -279,3 +281,34 @@ def is_homomorphism(G, H, image):
 def is_isomorphism(G, H, image):
     """Whether ``image`` is a multiplicative bijection from G onto H."""
     return is_homomorphism(G, H, image) and sorted(int(x) for x in image) == list(range(len(H.table)))
+
+
+# A Latin square with identity 0 (a loop) that is not associative:
+# (1*1)*2 = 2 but 1*(1*2) = 4.
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+         (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+def first_associativity_failure(table):
+    """The first (a, b, c) in row-major order with (a*b)*c != a*(b*c), or
+    None when the table is associative."""
+    n = len(table)
+    for a in range(n):
+        row_a = table[a]
+        for b in range(n):
+            row_ab, row_b = table[row_a[b]], table[b]
+            for c in range(n):
+                if row_ab[c] != row_a[row_b[c]]:
+                    return a, b, c
+    return None
+
+
+def magma_closure(gens, table):
+    """The least set holding 0 and ``gens`` that is closed under the table's
+    product on both sides, found without assuming associativity."""
+    out = {0, *gens}
+    while True:
+        more = {table[x][y] for x in out for y in out} - out
+        if not more:
+            return out
+        out |= more

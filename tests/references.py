@@ -35,6 +35,11 @@ isomorphism search as it was before one word script per group served it:
 the generators are found by subgroup closure and found again by the
 breadth-first script, and every search node replays every earlier step and
 checks each written image against the one already there.
+``first_associativity_failure`` is the engine's associativity check as
+it was before Light's test: one n x n gather per row, O(n^3) in all.
+``pair_product_table`` builds N x H from two bare tables by the pair-table
+formula with the identity action, as ``direct_product`` does, so a factor
+need not be a group.
 ``chain_search`` is the chain decider as it was before one top-down pass
 per group and chain kind decided every subgroup: a breadth-first search
 from one subgroup up to its group, for a step rule ``definition_step``
@@ -56,7 +61,7 @@ from finform import (
 )
 from finform.formations import is_f_central, is_prime
 from finform.lattice import _prime_factors
-from finform.construct import compose
+from finform.construct import _pair_table, compose
 from finform.groups import (
     DEFAULT_ORDER_CAP,
     commutator_subgroup,
@@ -227,6 +232,27 @@ def two_part_table(n, flip_square):
                         i, j = (i1 - i2 + flip_square) % n, 0
                     table[2 * i1 + j1, 2 * i2 + j2] = 2 * i + j
     return table
+
+
+def first_associativity_failure(table):
+    """The first (a, b, c) in row-major order with (a*b)*c != a*(b*c), or
+    None: row a compares the n x n matrices (a*b)*c and a*(b*c)."""
+    table = np.asarray(table)
+    n = len(table)
+    for a in range(n):
+        lhs = table[table[a], :]
+        rhs = table[a, table]
+        if not np.array_equal(lhs, rhs):
+            b, c = divmod(int(np.argmax(lhs != rhs)), n)
+            return a, b, c
+    return None
+
+
+def pair_product_table(N, H):
+    """N x H on pairs (n, h) encoded as n*|H| + h, from two bare tables."""
+    N, H = np.asarray(N, dtype=np.int32), np.asarray(H, dtype=np.int32)
+    identity = np.broadcast_to(np.arange(len(N), dtype=np.int32), (len(H), len(N)))
+    return _pair_table(N, H, identity)
 
 
 def direct_product_table(G, H):

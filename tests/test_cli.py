@@ -15,6 +15,8 @@ from finform import (
     Group,
     GroupFileError,
     OrderCapExceeded,
+    dihedral,
+    elem_abelian,
     from_cayley_table,
     from_permutation_gens,
     is_isomorphic,
@@ -24,6 +26,10 @@ from finform import (
 from finform import verify
 from finform.cli import main, parse_selector
 from finform.files import dump_group_table, load_group_file, parse_cycles
+from finform.groups import DEFAULT_ORDER_CAP
+
+import oracles
+import references
 
 GROUPS = Path(__file__).resolve().parent.parent / "groups"
 FROB20 = str(GROUPS / "frobenius20.grp")
@@ -123,6 +129,23 @@ class TestGroupFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "orbit of length 20000" in err and path.name in err
+
+    @pytest.mark.parametrize("G", [dihedral(256), elem_abelian(2, 9)], ids=lambda G: G.label)
+    def test_table_file_at_the_order_cap_reloads(self, G, tmp_path):
+        assert G.order == DEFAULT_ORDER_CAP
+        path = tmp_path / "cap.grp"
+        path.write_text(dump_group_table(G))
+        assert np.array_equal(load_group_file(path).table, G.table)
+
+    def test_non_associative_table_of_order_500_names_its_witness(self, tmp_path, capsys):
+        # the 5-element loop x D100: the first failing triple sits in row 100
+        table = references.pair_product_table(oracles.LOOP5, dihedral(50).table).tolist()
+        a, b, c = oracles.first_associativity_failure(table)
+        path = tmp_path / "loop-x-d100.grp"
+        path.write_text("table 500\n" + "".join(" ".join(map(str, row)) + "\n" for row in table))
+        assert main(["group", "show", f"file:{path}"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: associativity fails: ({a}*{b})*{c} != {a}*({b}*{c})\n")
 
     def test_error_carries_line(self):
         from finform import GroupFileError
@@ -535,6 +558,27 @@ class TestCommands:
                "prod(sym:3,sym:3,sym:3)", "prod(cyclic:2,", "prod(cyclic:2))(cyclic:3",
                "cyclic:0", "quaternion:12", "elab:2^0", "sym3", "elab:2"}
         assert all(err.startswith(f"error: {sel}: ") for sel in bad.intersection(argv))
+
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            ("table 600\n", ["group", "show", "file:{path}"], "order 600 exceeds cap 512"),
+            ("table 600\nx\n", ["group", "show", "file:{path}"], "order 600 exceeds cap 512"),
+            ("table 600\n", ["verify", "theorem-b", "--max-order", "4", "--input", "{path}"],
+             "order 600 exceeds cap 512"),
+            ("table 200\n", ["group", "show", "file:{path}", "--order-cap", "100"],
+             "order 200 exceeds cap 100"),
+            ("table 600\n", ["group", "show", "file:{path}", "--order-cap", "600"],
+             "line 1: expected 600 table rows, got 0"),
+        ],
+        ids=["header-only", "rows-unread", "verify-input", "cap-100", "cap-600"],
+    )
+    def test_table_header_over_the_order_cap_exits_before_the_rows(
+            self, text, argv, message, tmp_path, capsys):
+        path = tmp_path / "big.grp"
+        path.write_text(text)
+        assert main([arg.format(path=path) for arg in argv]) == 3
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize(
         "argv",

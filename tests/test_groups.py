@@ -156,6 +156,84 @@ class TestFromCayleyTable:
             from_cayley_table(np.zeros((0, 0), dtype=np.int64))
 
 
+def _random_loop(n, seed):
+    """A seeded random Latin square of order n with identity 0, filled
+    cell by cell with backtracking."""
+    rng = np.random.default_rng(seed)
+    table = [list(range(n))] + [[r] + [None] * (n - 1) for r in range(1, n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        r, c = cells[k]
+        used = set(table[r][:c]) | {table[i][c] for i in range(r)}
+        for x in rng.permutation([x for x in range(n) if x not in used]).tolist():
+            table[r][c] = x
+            if fill(k + 1):
+                return True
+        table[r][c] = None
+        return False
+
+    assert fill(0)
+    return np.array(table)
+
+
+# Non-associative loops: the 5-element loop, its direct products with C2, S3
+# and D8 by the pair-table formula, and seeded random Latin squares with
+# identity 0. In the loop of seed 6002, 1 generates everything only when
+# products are taken on both sides.
+LOOP_PANEL = {
+    "loop5": np.array(oracles.LOOP5),
+    **{f"loop5x{H.label}": references.pair_product_table(oracles.LOOP5, H.table)
+       for H in (cyclic(2), symmetric(3), dihedral(4))},
+    **{f"latin{n}-{seed}": _random_loop(n, seed)
+       for seed, n in enumerate((5, 5, 6, 6, 7, 7, 8, 9, 10, 12))},
+    "latin6-6002": _random_loop(6, 6002),
+}
+
+
+@pytest.mark.parametrize("name", LOOP_PANEL)
+def test_associativity_verdict_and_witness_match_the_oracle(name):
+    table = LOOP_PANEL[name]
+    witness = oracles.first_associativity_failure(table.tolist())
+    assert witness is not None
+    assert references.first_associativity_failure(table) == witness
+    a, b, c = witness
+    for build in (Group, from_cayley_table):
+        with pytest.raises(NotAGroup) as err:
+            build(table)
+        assert err.value.witness == witness
+        assert str(err.value) == f"associativity fails: ({a}*{b})*{c} != {a}*({b}*{c})"
+
+
+def test_relabelled_catalog_tables_are_accepted():
+    # each table relabelled by a seeded bijection of the elements fixing 0
+    rng = np.random.default_rng(60)
+    for G in catalog_generate(60).groups:
+        perm = np.concatenate(([0], 1 + rng.permutation(G.order - 1)))
+        inv = np.argsort(perm)
+        table = perm[G.table[np.ix_(inv, inv)]]
+        assert references.first_associativity_failure(table) is None
+        assert np.array_equal(Group(table).table, table)
+        assert np.array_equal(from_cayley_table(table).table, table)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [*LOOP_PANEL.values(), symmetric(4).table, elem_abelian(2, 4).table, quaternion(16).table],
+    ids=[*LOOP_PANEL, "S4", "elab(2,4)", "Q16"],
+)
+def test_light_generators_are_greedy_and_close_on_both_sides(table):
+    # each generator is the least element outside the two-sided closure of
+    # the ones before it, and together they reach every element
+    rows = table.tolist()
+    gens = groups._magma_generators(np.ascontiguousarray(table, dtype=np.int32))
+    for i, g in enumerate(gens):
+        assert g == min(set(range(len(rows))) - oracles.magma_closure(gens[:i], rows))
+    assert oracles.magma_closure(gens, rows) == set(range(len(rows)))
+
+
 class TestPermutationClosure:
     def test_three_cycle(self):
         g = from_permutation_gens(3, [(1, 2, 0)])
