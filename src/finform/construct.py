@@ -20,6 +20,7 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
     Subgroup,
+    _associativity_failure,
     _cosets,
     _derived_group,
     _integer,
@@ -42,7 +43,8 @@ def from_cayley_table(table, label: str = "G", order_cap: int | None = DEFAULT_O
     decided by Light's test over a generating set (Clifford & Preston,
     *The Algebraic Theory of Semigroups* I, 1961, §1.2) in O(n^2 * |gens|);
     a non-associative table raises NotAGroup whose witness is the first
-    failing (a, b, c) of the relabelled table in row-major order.
+    failing (a, b, c) of the caller's table in row-major order, so it
+    replays on the table as given.
     """
     arr = _table_array(table).astype(np.int64)
     n = len(arr)
@@ -54,11 +56,17 @@ def from_cayley_table(table, label: str = "G", order_cap: int | None = DEFAULT_O
     if ident.size != 1:
         raise NotAGroup(f"table has {ident.size} two-sided identities, expected 1")
     e = int(ident[0])
-    if e != 0:
-        perm = idx.copy()
-        perm[[0, e]] = perm[[e, 0]]
-        arr = perm[arr[np.ix_(perm, perm)]]
-    return Group(arr, label=label, validate=True)
+    if e == 0:
+        return Group(arr, label=label, validate=True)
+    perm = idx.copy()
+    perm[[0, e]] = perm[[e, 0]]
+    try:
+        return Group(perm[arr[np.ix_(perm, perm)]], label=label, validate=True)
+    except NotAGroup as err:
+        if err.witness is None:  # not a Latin square
+            raise
+        # the relabelled table fails associativity exactly when the caller's does
+        raise _associativity_failure(arr) from None
 
 
 # -- permutation closures -------------------------------------------------

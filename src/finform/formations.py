@@ -321,6 +321,21 @@ def is_f_hypercentral(N: Subgroup, F: Formation) -> bool:
                for top, bottom in zip(terms[1:], terms) if top <= N)
 
 
+def hypercentre_is_trivial(G: Group, F: Formation) -> bool:
+    """Whether Z_F(G) = 1, memoised on G: no minimal normal subgroup N of G
+    has N/1 F-central (True for the trivial group).
+
+    This is the first step of the ``hypercentre`` walk, which climbs past 1
+    exactly when some normal cover of 1 is an F-central chief factor; it
+    builds no chief series and runs no self-check.
+    """
+    def compute():
+        one = G.trivial_subgroup()
+        return not any(F.chief_central(N, one) for N in normal_covers(one))
+
+    return _memo(G, ("hypercentre-trivial", F), compute)
+
+
 def hypercentre(G: Group, F: Formation) -> Subgroup:
     """Z_F(G), the largest normal subgroup that is F-hypercentral.
 

@@ -119,17 +119,7 @@ class Group:
                 break
         else:
             return
-        # Name the first failing (a, b, c) in row-major order.
-        for a in range(n):
-            lhs = table[table[a], :]
-            rhs = table[a, table]
-            if not np.array_equal(lhs, rhs):
-                b, c = divmod(int(np.argmax(lhs != rhs)), n)
-                raise NotAGroup(
-                    f"associativity fails: ({a}*{b})*{c} != {a}*({b}*{c})",
-                    witness=(a, b, c),
-                )
-        raise AssertionError("Light's test failed but no row fails")
+        raise _associativity_failure(table)
 
     def _compute_element_orders(self) -> np.ndarray:
         n = self.order
@@ -212,6 +202,21 @@ class Group:
 
     def __repr__(self) -> str:
         return f"Group({self.label!r}, order={self.order})"
+
+
+def _associativity_failure(table: np.ndarray) -> NotAGroup:
+    """NotAGroup naming the first (a, b, c) in row-major order with
+    (a*b)*c != a*(b*c), for a square table known to have one; row a compares
+    the n x n matrices (a*b)*c and a*(b*c)."""
+    n = len(table)
+    for a in range(n):
+        lhs = table[table[a], :]
+        rhs = table[a, table]
+        if not np.array_equal(lhs, rhs):
+            b, c = divmod(int(np.argmax(lhs != rhs)), n)
+            return NotAGroup(f"associativity fails: ({a}*{b})*{c} != {a}*({b}*{c})",
+                             witness=(a, b, c))
+    raise AssertionError("Light's test failed but no row fails")
 
 
 def _table_array(table) -> np.ndarray:
@@ -600,7 +605,7 @@ def _cosets(N: Subgroup, within: Subgroup) -> tuple[np.ndarray, ...]:
     """
     G = N.parent
     least = _coset_least(N)[within.array]
-    reps = np.unique(least)
+    reps = within.array[least == within.array]  # each coset's least element, sorted
     index = np.full(G.order, -1, dtype=np.int32)
     index[within.array] = np.searchsorted(reps, least)
     return reps, index, index[G.table[reps[:, None], reps]]

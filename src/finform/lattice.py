@@ -1,6 +1,11 @@
 """Subgroup enumeration, normal structure, chief series, Frattini and Hall
 subgroups.
 
+The lattice is grown from the zuppos, the cyclic subgroups of prime-power
+order: a cyclic group is the product of its Sylow subgroups, so every
+subgroup is the join of the zuppos it contains (the seeds of the cyclic
+extension method; Neubüser, Numer. Math. 2, 1960).
+
 Each structure query returns a memoised tuple, sorted by (order, members)
 unless it says otherwise: ``all_subgroups`` the subgroup lattice,
 ``overgroups`` the subgroups above one subgroup, ``normal_subgroups``,
@@ -52,14 +57,22 @@ def _join_closure(bottom: Subgroup, seeds: Iterable[Subgroup]) -> tuple[Subgroup
 
 
 def all_subgroups(G: Group, budget: int = DEFAULT_LATTICE_BUDGET) -> tuple[Subgroup, ...]:
-    """Every subgroup, sorted by (order, members): each is the join of its
-    cyclic subgroups. The budget is checked on every call, memo or not."""
+    """Every subgroup, sorted by (order, members), grown from the zuppos:
+    the cyclic subgroups of prime-power order.
+
+    A subgroup is the join of its cyclic subgroups, and a cyclic group <g>
+    is the product of its Sylow subgroups, each a zuppo inside <g>; so every
+    subgroup is the join of the zuppos it contains. The budget is checked on
+    every call, memo or not.
+    """
     if budget is not None and G.order > budget:
         raise LatticeBudgetExceeded(
             f"lattice enumeration limited to order {budget}, group has {G.order}"
         )
+    orders = G.element_orders
     return _memo(G, "lattice", lambda: _join_closure(
-        G.trivial_subgroup(), (cyclic_subgroup(G, g) for g in range(1, G.order))))
+        G.trivial_subgroup(), (cyclic_subgroup(G, g) for g in range(1, G.order)
+                               if len(_prime_factors(int(orders[g]))) == 1)))
 
 
 def overgroups(S: Subgroup) -> tuple[Subgroup, ...]:

@@ -32,6 +32,7 @@ from .formations import (
     SUPERSOLUBLE,
     SigmaPartition,
     hypercentre,
+    hypercentre_is_trivial,
     is_f_central,
     is_f_hypercentral,
     is_sigma_central,
@@ -371,11 +372,8 @@ def _theorem_a_sweep(
             if chain is None:
                 continue
             rep.checked += 1
-            bad = None
-            for E in overgroups(S):
-                if hypercentre(E.as_group(), F).order != 1:
-                    bad = E
-                    break
+            bad = next((E for E in overgroups(S)
+                        if not hypercentre_is_trivial(E.as_group(), F)), None)
             if bad is not None:
                 _skip(
                     rep, G, "hypothesis-failed",

@@ -40,6 +40,9 @@ it was before Light's test: one n x n gather per row, O(n^3) in all.
 ``pair_product_table`` builds N x H from two bare tables by the pair-table
 formula with the identity action, as ``direct_product`` does, so a factor
 need not be a group.
+``all_subgroups_by_cyclic_seeds`` is the subgroup lattice as it was grown
+before its seeds were the zuppos: the trivial subgroup joined with every
+cyclic subgroup.
 ``chain_search`` is the chain decider as it was before one top-down pass
 per group and chain kind decided every subgroup: a breadth-first search
 from one subgroup up to its group, for a step rule ``definition_step``
@@ -60,12 +63,13 @@ from finform import (
     semidirect_product,
 )
 from finform.formations import is_f_central, is_prime
-from finform.lattice import _prime_factors
+from finform.lattice import _join_closure, _prime_factors
 from finform.construct import _pair_table, compose
 from finform.groups import (
     DEFAULT_ORDER_CAP,
     commutator_subgroup,
     core,
+    cyclic_subgroup,
     derived_series,
     generated_subgroup,
     quotient,
@@ -480,3 +484,10 @@ def chain_search(A, step):
                 nxt_queue.append(Y)
         queue = nxt_queue
     return WitnessChain(*chains[A]) if A is top else None
+
+
+def all_subgroups_by_cyclic_seeds(G):
+    """Every subgroup of G, sorted by (order, members): the join closure of
+    the trivial subgroup with every cyclic subgroup."""
+    return _join_closure(G.trivial_subgroup(),
+                         (cyclic_subgroup(G, g) for g in range(1, G.order)))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from finform import (
@@ -11,6 +13,7 @@ from finform import (
     SUPERSOLUBLE,
     SigmaPartition,
     UnknownFormation,
+    all_subgroups,
     alternating,
     builtin_formations,
     catalog_generate,
@@ -47,6 +50,10 @@ from finform.verify import _escape
 
 import oracles
 import references
+
+
+SHIPPED = tuple(str(Path(__file__).resolve().parents[1] / "groups" / name)
+                for name in ("frobenius20.grp", "frobenius21.grp"))
 
 
 def a3_of(s3):
@@ -345,6 +352,20 @@ class TestHypercentre:
             assert G.order == order and len(_prime_factors(G.order // M.order)) == 3
             assert SOLUBLE.chief_central(M, one) is central
             assert is_f_central(M, one, SOLUBLE) is central
+
+    def test_triviality_test_matches_the_full_walk(self):
+        # hypercentre_is_trivial reads only the first step of the walk; the
+        # whole walk, with its self-check, is the oracle
+        forms = builtin_formations(SigmaPartition.parse("[[2,3]]"))
+        panel = catalog_generate(24, files=SHIPPED).groups
+        panel += [S.as_group() for g in panel for S in all_subgroups(g)]
+        trivial = 0
+        for X in panel:
+            for f in forms:
+                fast = formations.hypercentre_is_trivial(X, f)
+                assert fast == (hypercentre(X, f).order == 1), (X.label, f.name)
+                trivial += fast
+        assert len(panel) == 61 + 761 and 0 < trivial < len(panel) * len(forms)
 
     def test_hypercentre_builds_no_section_product(self, monkeypatch):
         calls = []

@@ -207,6 +207,25 @@ def test_associativity_verdict_and_witness_match_the_oracle(name):
         assert str(err.value) == f"associativity fails: ({a}*{b})*{c} != {a}*({b}*{c})"
 
 
+@pytest.mark.parametrize("name", LOOP_PANEL)
+def test_witness_replays_on_a_table_whose_identity_is_not_at_0(name):
+    # the identity moved to e by the transposition (0 e); from_cayley_table
+    # swaps it back to validate, and names the caller's first failing triple
+    table = LOOP_PANEL[name]
+    for e in (1, len(table) - 1):
+        perm = np.arange(len(table))
+        perm[[0, e]] = perm[[e, 0]]
+        moved = perm[table[np.ix_(perm, perm)]]
+        witness = oracles.first_associativity_failure(moved.tolist())
+        with pytest.raises(NotAGroup) as err:
+            from_cayley_table(moved)
+        assert err.value.witness == witness
+        a, b, c = witness
+        assert str(err.value) == f"associativity fails: ({a}*{b})*{c} != {a}*({b}*{c})"
+        if name == "loop5" and e == 1:
+            assert witness == (0, 0, 2)
+
+
 def test_relabelled_catalog_tables_are_accepted():
     # each table relabelled by a seeded bijection of the elements fixing 0
     rng = np.random.default_rng(60)

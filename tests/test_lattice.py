@@ -67,6 +67,13 @@ class TestAllSubgroups:
                 assert overgroups(s) == tuple(e for e in lat if sets[s] <= sets[e])
 
 
+def test_zuppo_seeds_match_the_cyclic_seed_reference(catalog48):
+    # a cyclic subgroup is the join of its Sylow subgroups, so dropping the
+    # cyclic seeds of composite order loses no subgroup
+    for g in catalog48.groups + [symmetric(5)]:
+        assert all_subgroups(g) == references.all_subgroups_by_cyclic_seeds(g), g.label
+
+
 class TestNormalSubgroups:
     def test_abelian_all_normal(self):
         g = elem_abelian(2, 3)
