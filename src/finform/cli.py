@@ -124,6 +124,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def cmd_group_show(args) -> int:
     G = _resolve_group(args)
+    phi = frattini(G, budget=args.lattice_budget)  # checks --lattice-budget first
     terms = chief_series(G)
     payload = {
         "label": G.label,
@@ -139,7 +140,7 @@ def cmd_group_show(args) -> int:
         "chief_series_orders": [t.order for t in terms],
         "chief_factor_orders": [top.order // bottom.order
                                 for top, bottom in zip(terms[1:], terms)],
-        "frattini_order": frattini(G, budget=args.lattice_budget).order,
+        "frattini_order": phi.order,
     }
     if args.cayley:
         payload["cayley"] = G.table.tolist()

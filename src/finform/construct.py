@@ -21,6 +21,7 @@ from .groups import (
     Group,
     Subgroup,
     _associativity_failure,
+    _conjugates,
     _cosets,
     _derived_group,
     _integer,
@@ -305,5 +306,5 @@ def semidirect_section(H: Subgroup, K: Subgroup) -> Group:
     if C.order == G.order:
         return _derived_group(sec_table, label)
     quo_reps, _, quo_table = _cosets(C, G.full_subgroup())
-    conj = G.table[G.table[quo_reps[:, None], sec_reps], G.inverse[quo_reps][:, None]]
+    conj = _conjugates(G, G.inverse[quo_reps], sec_reps)  # g h g^-1
     return _derived_group(_pair_table(sec_table, quo_table, sec_index[conj]), label)

@@ -256,14 +256,15 @@ def formation_by_selector(selector: str, sigma: SigmaPartition | None = None) ->
 
 
 def residual(G: Group, F: Formation) -> Subgroup:
-    """Smallest normal subgroup with quotient in F.
-
-    Computed as the intersection of every normal subgroup whose quotient
+    """Smallest normal subgroup with quotient in F: 1 when G is in F, with no
+    lattice built, else the intersection of every normal subgroup whose quotient
     lies in F; the result's own quotient is then re-checked, so a broken
     membership predicate surfaces as FormationLawViolated instead of a
     silently wrong residual.
     """
     def compute():
+        if F.contains(G):  # G/1 = G, so 1 is the residual: no lattice needed
+            return G.trivial_subgroup()
         out = G.full_subgroup()
         for N in normal_subgroups(G):
             if F.contains(quotient(N)[0]):
@@ -321,19 +322,18 @@ def is_f_hypercentral(N: Subgroup, F: Formation) -> bool:
                for top, bottom in zip(terms[1:], terms) if top <= N)
 
 
+def _central_cover(Z: Subgroup, F: Formation) -> Subgroup | None:
+    """The first normal cover M of the normal subgroup Z with M/Z F-central,
+    or None: one step of the ``hypercentre`` walk."""
+    return next((M for M in normal_covers(Z) if F.chief_central(M, Z)), None)
+
+
 def hypercentre_is_trivial(G: Group, F: Formation) -> bool:
-    """Whether Z_F(G) = 1, memoised on G: no minimal normal subgroup N of G
-    has N/1 F-central (True for the trivial group).
-
-    This is the first step of the ``hypercentre`` walk, which climbs past 1
-    exactly when some normal cover of 1 is an F-central chief factor; it
-    builds no chief series and runs no self-check.
-    """
-    def compute():
-        one = G.trivial_subgroup()
-        return not any(F.chief_central(N, one) for N in normal_covers(one))
-
-    return _memo(G, ("hypercentre-trivial", F), compute)
+    """Whether Z_F(G) = 1, memoised on G: the first step of the ``hypercentre``
+    walk finds no F-central minimal normal subgroup (True for the trivial
+    group). It builds no chief series and runs no self-check."""
+    return _memo(G, ("hypercentre-trivial", F),
+                 lambda: _central_cover(G.trivial_subgroup(), F) is None)
 
 
 def hypercentre(G: Group, F: Formation) -> Subgroup:
@@ -347,8 +347,7 @@ def hypercentre(G: Group, F: Formation) -> Subgroup:
     """
     def compute():
         Z = G.trivial_subgroup()
-        while (M := next((C for C in normal_covers(Z) if F.chief_central(C, Z)),
-                         None)) is not None:
+        while (M := _central_cover(Z, F)) is not None:
             Z = M
         if not is_f_hypercentral(Z, F):
             raise HypercentreNotHypercentral(

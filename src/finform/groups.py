@@ -180,13 +180,13 @@ class Group:
     def _classes(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """The conjugacy classes and the element -> class index array, all
         read-only: each class is a slice of one read-only array of the
-        elements sorted by class."""
-        everyone = np.arange(self.order)
+        elements sorted by class. x's class is column x of the conjugates."""
+        conj = _conjugates(self, np.arange(self.order), np.arange(self.order))
         class_of = np.full(self.order, -1, dtype=np.int32)
         count = 0
         for x in range(self.order):
             if class_of[x] < 0:  # x is the least member of a new class
-                class_of[self.table[self.table[self.inverse, x], everyone]] = count
+                class_of[conj[:, x]] = count
                 count += 1
         by_class = np.argsort(class_of, kind="stable").astype(np.int32)
         ends = np.cumsum(np.bincount(class_of)).tolist()

@@ -15,6 +15,8 @@ Subgroups are interned per parent, so inclusion is ``<=``.
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -23,6 +25,7 @@ from .errors import LatticeBudgetExceeded, NotAGroup
 from .groups import (
     Group,
     Subgroup,
+    _integer,
     _memo,
     _require_normal,
     _subgroup,
@@ -36,6 +39,16 @@ DEFAULT_LATTICE_BUDGET = 200
 
 def _sort_key(s: Subgroup) -> tuple:
     return (s.order, s.array.tolist())
+
+
+def _antichain(family: Iterable[Subgroup], below=operator.le) -> list[Subgroup]:
+    """The members of an ordered family above (``below(k, m)``) no member kept before
+    them: the minimal ones listed upward, or with ``operator.ge`` the maximal downward."""
+    kept: list[Subgroup] = []
+    for m in family:
+        if not any(below(k, m) for k in kept):
+            kept.append(m)
+    return kept
 
 
 def _join_closure(bottom: Subgroup, seeds: Iterable[Subgroup]) -> tuple[Subgroup, ...]:
@@ -127,12 +140,8 @@ def normal_covers(low: Subgroup) -> tuple[Subgroup, ...]:
     is least when no cover kept so far lies below it.
     """
     def compute():
-        covers: list[Subgroup] = []
         above = {join(low, C) for C in _class_closures(low.parent) if not C <= low}
-        for M in sorted(above, key=_sort_key):
-            if not any(C < M for C in covers):
-                covers.append(M)
-        return tuple(covers)
+        return tuple(_antichain(sorted(above, key=_sort_key)))
 
     return _memo(low.parent, ("normal_covers", low), compute)
 
@@ -177,12 +186,8 @@ def frattini(G: Group, budget: int = DEFAULT_LATTICE_BUDGET) -> Subgroup:
     subgroups = all_subgroups(G, budget=budget)  # checks the budget, cache or not
 
     def compute():
-        maximal: list[Subgroup] = []
-        for s in reversed(subgroups[:-1]):
-            if not any(s <= m for m in maximal):
-                maximal.append(s)
         phi = G.full_subgroup()
-        for m in maximal:
+        for m in _antichain(reversed(subgroups[:-1]), operator.ge):
             phi = phi.intersect(m)
         return phi
 
@@ -202,15 +207,18 @@ def _prime_factors(n: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _p_part(n: int, p: int) -> int:
+    """The largest power of the prime p dividing n."""
+    return p * _p_part(n // p, p) if n % p == 0 else 1
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
     d = 2
     while d * d <= n:
         if n % d == 0:
             return False
         d += 1
-    return True
+    return n > 1
 
 
 def normal_hall_subgroup(G: Group, primes: Iterable[int]) -> Subgroup | None:
@@ -219,19 +227,18 @@ def normal_hall_subgroup(G: Group, primes: Iterable[int]) -> Subgroup | None:
     A normal Hall subgroup for a prime set must equal the set of elements
     whose orders factor inside that set, so existence reduces to that set
     being closed under multiplication. Raises ValueError for an entry of
-    ``primes`` that is not prime.
+    ``primes`` that is not an integer prime; a float or a bool is not one.
     """
-    primes = list(primes)
-    for p in primes:
-        if int(p) != p or not is_prime(int(p)):
+    prime_set = set()
+    for entry in primes:
+        try:
+            p = _integer(entry)
+        except ValueError as e:
+            raise ValueError(f"{entry!r} is not prime: {e}") from None
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-    prime_set = frozenset(int(p) for p in primes)
-    part = 1
-    n = G.order
-    for p in prime_set:
-        while n % p == 0:
-            part *= p
-            n //= p
+        prime_set.add(p)
+    part = math.prod(_p_part(G.order, p) for p in prime_set)
     orders, order_index = np.unique(G.element_orders, return_inverse=True)
     inside = np.array([_prime_factors(int(o)) <= prime_set for o in orders])
     candidates = inside[order_index]

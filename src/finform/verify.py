@@ -51,6 +51,8 @@ from .groups import (
 )
 from .lattice import (
     DEFAULT_LATTICE_BUDGET,
+    _antichain,
+    _p_part,
     _prime_factors,
     all_subgroups,
     chief_series,
@@ -91,13 +93,7 @@ FactorKey = tuple[str, ...]
 
 def _cyclic_key(n: int) -> list[str]:
     """C_n as C_{p^k}, one for each prime power p^k exactly dividing n."""
-    key = []
-    for p in _prime_factors(n):
-        q = p
-        while n % (q * p) == 0:
-            q *= p
-        key.append(f"C{q}")
-    return key
+    return [f"C{_p_part(n, p)}" for p in _prime_factors(n)]
 
 
 def _dihedral_key(half: int) -> list[str]:
@@ -711,14 +707,9 @@ def _minimal_supplement_membership(c: _LawContext):
     """
     for N in c.normals:
         if c.F.contains(quotient(N)[0]):
-            minimal: list[Subgroup] = []
-            for U in c.supplements[N]:
-                if not any(V <= U for V in minimal):
-                    minimal.append(U)
-                    ok = c.F.contains(U.as_group())
-                    yield None if ok else {
-                        "normal": _members(N), "supplement": _members(U)
-                    }
+            for U in _antichain(c.supplements[N]):
+                ok = c.F.contains(U.as_group())
+                yield None if ok else {"normal": _members(N), "supplement": _members(U)}
 
 
 def _member_supplement_central_core(c: _LawContext):

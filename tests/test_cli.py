@@ -206,6 +206,16 @@ class TestCommands:
         flags = (data["nilpotent"], data["supersoluble"], data["soluble"])
         assert flags == (nilpotent, supersoluble, soluble)
 
+    def test_group_show_checks_the_lattice_budget_first(self, monkeypatch, capsys):
+        import finform.cli
+
+        def no_normals(G):
+            raise AssertionError("normal subgroups enumerated before the budget check")
+
+        monkeypatch.setattr(finform.cli, "normal_subgroups", no_normals)
+        assert main(["group", "show", "elab:2^8"]) == 2
+        assert "limited to order 200" in capsys.readouterr().err
+
     def test_module_entry_point(self):
         env = dict(os.environ, PYTHONPATH=str(GROUPS.parent / "src"), OPENBLAS_NUM_THREADS="1")
         proc = subprocess.run([sys.executable, "-m", "finform", "group", "show", "cyclic:2"],

@@ -148,6 +148,13 @@ class TestResidual:
     def test_member_group_has_trivial_residual(self):
         assert residual(cyclic(12), NILPOTENT).order == 1
 
+    def test_member_residual_builds_no_normal_lattice(self, monkeypatch):
+        def no_normals(G):
+            raise AssertionError("normal subgroups enumerated for a member of F")
+
+        monkeypatch.setattr(formations, "normal_subgroups", no_normals)
+        assert residual(elem_abelian(2, 8), NILPOTENT).order == 1
+
     def test_s3_nilpotent_residual(self):
         s3 = symmetric(3)
         r = residual(s3, NILPOTENT)

@@ -1173,3 +1173,27 @@ def test_reports_are_built_only_by_the_sweep_driver():
     for path in sorted(root.glob("*.py")):
         walk(ast.parse(path.read_text()), path.stem)
     assert builders == ["verify._sweep"]
+
+
+def test_conjugation_is_gathered_only_by_conjugates():
+    # a table gather indexed by another table gather is a product of three
+    # elements; groups._conjugates does it for arrays and Group.conj for one
+    # pair, so no other code of the package may write one out
+    root = Path(__file__).resolve().parents[1] / "src" / "finform"
+    gathers = []
+
+    def is_table_gather(node):
+        return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "table")
+
+    def walk(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if is_table_gather(node) and any(map(is_table_gather, ast.walk(node.slice))):
+            gathers.append(where)
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    for path in sorted(root.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem)
+    assert gathers == ["groups._conjugates", "groups.Group.conj"]

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 
 from finform import (
@@ -24,7 +26,7 @@ from finform import (
 )
 from finform import formations, lattice
 from finform.groups import centralizer_of_section, cyclic_subgroup, join
-from finform.lattice import normal_covers
+from finform.lattice import _antichain, _p_part, normal_covers
 
 import oracles
 import references
@@ -65,6 +67,27 @@ class TestAllSubgroups:
             assert sets[frattini(g)] == whole.intersection(*(sets[m] for m in maximal))
             for s in lat:
                 assert overgroups(s) == tuple(e for e in lat if sets[s] <= sets[e])
+
+
+def test_antichain_keeps_the_minimal_and_the_maximal_members(catalog24):
+    # on member frozensets: the minimal nontrivial subgroups and the maximal
+    # proper ones, by definition
+    for g in catalog24.groups:
+        lat = all_subgroups(g)
+        sets = {s: frozenset(s.array.tolist()) for s in lat}
+        proper, nontrivial = lat[:-1], lat[1:]
+        minimal = [s for s in nontrivial if not any(sets[t] < sets[s] for t in nontrivial)]
+        maximal = [s for s in reversed(proper)
+                   if not any(sets[s] < sets[t] for t in proper)]
+        assert _antichain(nontrivial) == minimal, g.label
+        assert _antichain(reversed(proper), operator.ge) == maximal, g.label
+
+
+def test_p_part_is_the_largest_power_of_p_dividing_n():
+    for n in range(1, 400):
+        for p in (2, 3, 5, 7, 11):
+            powers = [p**k for k in range(10) if n % p**k == 0]
+            assert _p_part(n, p) == max(powers), (n, p)
 
 
 def test_zuppo_seeds_match_the_cyclic_seed_reference(catalog48):
@@ -300,6 +323,12 @@ class TestNormalHall:
     @pytest.mark.parametrize("primes", [[1], [0], [-2], [4], [2, 9], [2.5]])
     def test_non_prime_entry_is_rejected(self, primes):
         with pytest.raises(ValueError, match="is not prime"):
+            normal_hall_subgroup(symmetric(3), primes)
+
+    @pytest.mark.parametrize("primes", [[3.0], [True], [2, 3.0]])
+    def test_non_integer_entry_is_rejected(self, primes):
+        # int() would read 3.0 as 3 and True as 1
+        with pytest.raises(ValueError, match="is not an integer"):
             normal_hall_subgroup(symmetric(3), primes)
 
     def test_matches_normal_scan(self, catalog24):

@@ -1,7 +1,12 @@
 import ast
 import io
+import shlex
 import tokenize
 from pathlib import Path
+
+import pytest
+
+from finform.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -62,3 +67,26 @@ def test_library_tour_runs_and_its_comments_state_its_values():
         "[t.order // b.order for t, b in zip(terms[1:], terms)]": [4, 3, 2],
     }.items() <= checked.items()
     assert namespace["report"].passed
+
+
+def _cli_examples():
+    """The ``finform …`` lines of the sh blocks under the README's "CLI"
+    heading, continuation lines joined, as argument lists without the
+    program name."""
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [b.split("```", 1)[0] for b in section.split("```sh\n")[1:]]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(ln)[1:] for ln in lines if ln.startswith("finform ")]
+
+
+def test_cli_examples_are_found():
+    examples = [" ".join(argv) for argv in _cli_examples()]
+    assert "group show sym:4" in examples
+    assert ("verify theorem-b --formation nilpotent --max-order 24 --input "
+            "groups/frobenius20.grp --input groups/frobenius21.grp") in examples
+
+
+@pytest.mark.parametrize("argv", _cli_examples(), ids=" ".join)
+def test_cli_example_runs(argv, monkeypatch, capsys):
+    monkeypatch.chdir(README.parent)  # the examples name files from the repo root
+    assert main(argv) == 0, capsys.readouterr().err
